@@ -33,7 +33,6 @@ from .randomness import (
     EncodedList,
     balance_profile,
     encode_list,
-    decode_list,
     estimate_complexity,
     fd_algorithmic_probability,
     gap_classify,
@@ -88,7 +87,7 @@ __all__ = [
     "NoPlateauError", "StepSizeError", "UnknownEstimatorError",
     "UnknownSpeciesError",
     "ComplexityReport", "EncodedList", "balance_profile", "encode_list",
-    "decode_list", "estimate_complexity", "fd_algorithmic_probability",
+    "estimate_complexity", "fd_algorithmic_probability",
     "gap_classify", "prefix_trace", "quantize", "randomness_deficiency",
     "read_list_file", "rng_list", "smooth_box_list", "smooth_box_spectrum",
     "wedge_bounds", "write_list_file",

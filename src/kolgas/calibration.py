@@ -61,6 +61,8 @@ def _parse(text: str, origin: str) -> Calibration:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"calibration file {origin}: invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise FormatError(f"calibration file {origin}: not a JSON object")
     missing = [k for k in _REQUIRED if k not in raw]
     if missing:
         raise FormatError(
@@ -83,8 +85,12 @@ def load_calibration() -> Calibration:
     if key in _cache:
         return _cache[key]
     if override:
-        with open(override, "r", encoding="utf-8") as fh:
-            calib = _parse(fh.read(), override)
+        try:
+            with open(override, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise FormatError(f"calibration file {override}: {exc}") from exc
+        calib = _parse(text, override)
     else:
         text = resources.files(__package__).joinpath("calibration.json").read_text()
         calib = _parse(text, "bundled calibration.json")

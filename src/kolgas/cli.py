@@ -182,11 +182,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for value in grid:
         pt = dict(base)
         pt[args.var] = float(value)
-        state = state_equations(
-            GasSpec(pt["T"], pt["V"], pt["N"], species, args.statistics)
-        )
-        payload = _state_payload(state, GasSpec(pt["T"], pt["V"], pt["N"],
-                                                species, args.statistics))
+        spec = GasSpec(pt["T"], pt["V"], pt["N"], species, args.statistics)
+        payload = _state_payload(state_equations(spec), spec)
         rows.append(",".join(
             [_fmt(float(value))] + [_fmt(payload[c]) for c in _SWEEP_COLUMNS]
         ))
@@ -207,7 +204,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_randomness_generate(args: argparse.Namespace) -> int:
     if args.kind == "rng":
         rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-        enc = rnd.rng_list(args.n, args.k if args.k is not None else 13, rng)
+        k = args.k if args.k is not None else rnd.default_width(args.n)
+        enc = rnd.rng_list(args.n, k, rng)
     elif args.kind == "smooth-box":
         species = species_lookup(args.gas)
         enc = rnd.smooth_box_list(args.n, args.box_side, species.mass,

@@ -55,15 +55,16 @@ def default_width(n: int) -> int:
 
 @dataclass(frozen=True)
 class EncodedList:
-    """A fixed-width, big-endian bit rendering of an integer list.
+    """n data of k bits each: the integer list together with its width.
 
-    ``payload`` is a numpy uint8 array of 0/1 values with exactly n*k
-    entries; ``l_primitive`` is that literal length in bits.
+    ``values`` is a one-dimensional int64 array of exactly n entries, each
+    in [0, 2^k).  Its fixed-width big-endian bit rendering, of literal
+    length ``l_primitive`` = n*k bits, is what the estimators measure.
     """
 
     n: int
     k: int
-    payload: np.ndarray
+    values: np.ndarray
     source_tag: str = "list"
 
     def __post_init__(self) -> None:
@@ -71,8 +72,15 @@ class EncodedList:
             raise DomainError(f"list size {self.n} outside 1..{LIST_SIZE_CAP}")
         if not (1 <= self.k <= _MAX_WIDTH):
             raise DomainError(f"datum width {self.k} outside 1..{_MAX_WIDTH}")
-        if self.payload.shape != (self.n * self.k,):
-            raise DomainError("payload length must be exactly n*k bits")
+        v = self.values
+        if not (isinstance(v, np.ndarray) and v.dtype == np.int64
+                and v.shape == (self.n,)):
+            raise DomainError("values must be an int64 array of exactly n data")
+        if v.min() < 0 or int(v.max()) >> self.k:
+            raise DomainError(
+                f"overflow: values must lie in [0, 2^{self.k}) "
+                f"for width k={self.k}"
+            )
 
     @property
     def l_primitive(self) -> int:
@@ -81,7 +89,7 @@ class EncodedList:
 
 def encode_list(values: Sequence[int] | np.ndarray, n: int | None = None,
                 k: int | None = None, source_tag: str = "list") -> EncodedList:
-    """Encode ``values`` as n fixed-width big-endian data of k bits each.
+    """Hold ``values`` as n fixed-width data of k bits each.
 
     Raises a DomainError if any value needs more than k bits ("overflow")
     or if ``n`` disagrees with the actual length.
@@ -95,21 +103,19 @@ def encode_list(values: Sequence[int] | np.ndarray, n: int | None = None,
         raise DomainError(f"declared n={n} but got {vals.size} values")
     if k is None:
         k = default_width(n)
-    if not (1 <= k <= _MAX_WIDTH):
-        raise DomainError(f"datum width {k} outside 1..{_MAX_WIDTH}")
-    if vals.min() < 0 or (k < 63 and int(vals.max()) >> k):
-        raise DomainError(
-            f"overflow: values must lie in [0, 2^{k}) for width k={k}"
-        )
-    shifts = np.arange(k - 1, -1, -1, dtype=np.int64)
-    bits = ((vals[:, None] >> shifts) & 1).astype(np.uint8).ravel()
-    return EncodedList(n=n, k=k, payload=bits, source_tag=source_tag)
+    return EncodedList(n=n, k=k, values=vals, source_tag=source_tag)
 
 
-def decode_list(enc: EncodedList) -> np.ndarray:
-    """Recover the integer values; exact inverse of :func:`encode_list`."""
-    weights = (np.int64(1) << np.arange(enc.k - 1, -1, -1, dtype=np.int64))
-    return enc.payload.reshape(enc.n, enc.k).astype(np.int64) @ weights
+def _bits(values: np.ndarray, width: int) -> np.ndarray:
+    """Big-endian rendering of non-negative ``values`` at ``width`` bits
+    each: a uint8 array of 0/1 with values.size * width entries."""
+    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+    return ((values[:, None] >> shifts) & 1).astype(np.uint8).ravel()
+
+
+def _packed_bytes(values: np.ndarray, width: int) -> bytes:
+    """The :func:`_bits` rendering packed eight bits to a byte, zero-padded."""
+    return np.packbits(_bits(values, width)).tobytes()
 
 
 def quantize(values: np.ndarray, k: int,
@@ -137,7 +143,7 @@ def quantize(values: np.ndarray, k: int,
 
 def _log2_binom_any(m: int, j: int) -> float:
     # Exact enumerative count for small m, expansion beyond; the expansion
-    # is within ~1.4 bits of exact, irrelevant at these payload sizes.
+    # is within ~1.4 bits of exact, irrelevant at these list sizes.
     if j <= 0 or j >= m:
         return 0.0
     if m <= min(EXACT_BINOMIAL_CAP, 20000):
@@ -145,50 +151,55 @@ def _log2_binom_any(m: int, j: int) -> float:
     return max(0.0, log2_binomial_fd_expansion(float(m), float(j)))
 
 
-def _packed_bytes(bits: np.ndarray) -> bytes:
-    return np.packbits(bits).tobytes()
-
-
 def _k_zlib(enc: EncodedList) -> float:
-    return 8.0 * len(zlib.compress(_packed_bytes(enc.payload), 9))
+    return 8.0 * len(zlib.compress(_packed_bytes(enc.values, enc.k), 9))
 
 
 _LZMA_FILTERS = [{"id": lzma.FILTER_LZMA2, "preset": 6}]
 
 
 def _k_lzma(enc: EncodedList) -> float:
-    data = lzma.compress(_packed_bytes(enc.payload),
+    data = lzma.compress(_packed_bytes(enc.values, enc.k),
                          format=lzma.FORMAT_RAW, filters=_LZMA_FILTERS)
     return 8.0 * len(data)
 
 
+def _popcount(values: np.ndarray) -> int:
+    return int(np.bitwise_count(values).sum())
+
+
 def _k_entropy0(enc: EncodedList) -> float:
     l = enc.l_primitive
-    ones = int(enc.payload.sum())
-    return _log2_binom_any(l, ones) + math.log2(l + 1)
+    return _log2_binom_any(l, _popcount(enc.values)) + math.log2(l + 1)
 
 
 def _k_entropy1(enc: EncodedList) -> float:
+    # Each bit after the first is coded within the context of the bit
+    # before it.  Context c holds the bits that follow a c, so its size is
+    # the count of c among the first l-1 bits, and its ones are the
+    # adjacent (c, 1) pairs.  (1, 1) pairs sit inside a datum or straddle
+    # the boundary between two.
     l = enc.l_primitive
-    prev = enc.payload[:-1]
-    cur = enc.payload[1:]
+    v = enc.values
+    ones = _popcount(v)
+    first = int(v[0] >> (enc.k - 1))
+    last = int(v[-1] & 1)
+    ones_11 = (_popcount(v & (v >> 1))
+               + int(np.count_nonzero(v[:-1] & (v[1:] >> (enc.k - 1)))))
+    ones_before = ones - last
     cost = 1.0  # the first bit, literally
-    for ctx in (0, 1):
-        sel = cur[prev == ctx]
-        cost += _log2_binom_any(int(sel.size), int(sel.sum()))
+    cost += _log2_binom_any(l - 1 - ones_before, ones - first - ones_11)
+    cost += _log2_binom_any(ones_before, ones_11)
     return cost + 2.0 * math.log2(l + 1)
 
 
 def _k_delta(enc: EncodedList) -> float:
-    vals = decode_list(enc)
+    vals = enc.values
     deltas = np.empty_like(vals)
     deltas[0] = vals[0]
     np.subtract(vals[1:], vals[:-1], out=deltas[1:])
     zigzag = np.where(deltas >= 0, 2 * deltas, -2 * deltas - 1)
-    width = enc.k + 1
-    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    bits = ((zigzag[:, None] >> shifts) & 1).astype(np.uint8).ravel()
-    return 8.0 * len(zlib.compress(_packed_bytes(bits), 9))
+    return 8.0 * len(zlib.compress(_packed_bytes(zigzag, enc.k + 1), 9))
 
 
 _ESTIMATORS = {
@@ -379,7 +390,7 @@ def wedge_bounds(l: float) -> WedgeBound:
 
 @dataclass(frozen=True)
 class BalanceProfile:
-    """Per-group zero/one counts over a payload split into equal groups."""
+    """Per-group zero/one counts over a list's bits split into equal groups."""
 
     group_width: int
     zeros: np.ndarray
@@ -390,18 +401,18 @@ class BalanceProfile:
 
 
 def balance_profile(enc: EncodedList, group_width: int) -> BalanceProfile:
-    """Zero/one balance of consecutive payload groups.
+    """Zero/one balance of consecutive groups of the list's bits.
 
     For sorted uniform-random data the most balanced group straddles the
     value midpoint, so over an ensemble of seeds the peak concentrates at
-    mid-payload within about a quarter group width.
+    the middle of the bits within about a quarter group width.
     """
     l = enc.l_primitive
     if group_width <= 0 or l % group_width != 0:
         raise DomainError(
-            f"payload of {l} bits does not divide into groups of {group_width}"
+            f"list of {l} bits does not divide into groups of {group_width}"
         )
-    groups = enc.payload.reshape(-1, group_width)
+    groups = _bits(enc.values, enc.k).reshape(-1, group_width)
     ones = groups.sum(axis=1).astype(np.int64)
     zeros = group_width - ones
     imbalance = np.abs(ones - zeros)
@@ -472,7 +483,7 @@ def prefix_trace(enc: EncodedList, points: int = 12,
     all encoded at the full list's datum width."""
     if points < 3:
         raise DomainError("prefix_trace needs at least 3 points")
-    values = decode_list(enc)
+    values = enc.values
     sizes = np.unique(np.linspace(max(8, enc.n // points), enc.n,
                                   points).astype(int))
     out = []
@@ -487,24 +498,24 @@ def prefix_trace(enc: EncodedList, points: int = 12,
 # list files
 
 def write_list_file(path: str, enc: EncodedList, raw: bool = False) -> None:
-    """Write a list file: header line ``n k source_tag`` then either
-    newline-delimited decimal values or the raw packed bit blob."""
+    """Write a list file: header line ``n k source_tag`` then the values as
+    newline-delimited decimals, or header ``n k source_tag raw`` then the
+    values' big-endian bits packed into bytes."""
     tag = "_".join(enc.source_tag.split()) or "-"
-    header = f"{enc.n} {enc.k} {tag}\n".encode("ascii")
+    header = f"{enc.n} {enc.k} {tag}{' raw' if raw else ''}\n"
     with open(path, "wb") as fh:
-        fh.write(header)
+        fh.write(header.encode("ascii"))
         if raw:
-            fh.write(_packed_bytes(enc.payload))
+            fh.write(_packed_bytes(enc.values, enc.k))
         else:
-            values = decode_list(enc)
-            fh.write("\n".join(str(int(v)) for v in values).encode("ascii"))
+            fh.write("\n".join(map(str, enc.values.tolist())).encode("ascii"))
             fh.write(b"\n")
 
 
 def read_list_file(path: str) -> EncodedList:
-    """Read a list file written by :func:`write_list_file`; bit-exact
-    round trip for both encodings.  Malformed or unreadable files raise
-    FormatError."""
+    """Read a list file written by :func:`write_list_file`; exact round
+    trip for both bodies, which the header names.  Malformed or unreadable
+    files raise FormatError."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -514,8 +525,9 @@ def read_list_file(path: str) -> EncodedList:
     if newline < 0:
         raise FormatError(f"{path}: missing header line")
     fields = blob[:newline].split()
-    if len(fields) != 3:
-        raise FormatError(f"{path}: header must be 'n k source_tag'")
+    raw = len(fields) == 4 and fields[3] == b"raw"
+    if len(fields) != 3 and not raw:
+        raise FormatError(f"{path}: header must be 'n k source_tag [raw]'")
     try:
         n, k = int(fields[0]), int(fields[1])
     except ValueError as exc:
@@ -525,31 +537,34 @@ def read_list_file(path: str) -> EncodedList:
     tag = fields[2].decode("ascii", errors="replace")
     body = blob[newline + 1:]
 
-    values = _try_decimal_body(body, n)
-    if values is not None:
-        try:
-            return encode_list(values, n=n, k=k, source_tag=tag)
-        except DomainError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-    expected = (n * k + 7) // 8
-    if len(body) == expected:
+    if raw:
+        expected = (n * k + 7) // 8
+        if len(body) != expected:
+            raise FormatError(
+                f"{path}: raw body is {len(body)} bytes, expected {expected}"
+            )
         bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8),
                              count=n * k)
-        return EncodedList(n=n, k=k, payload=bits, source_tag=tag)
-    raise FormatError(
-        f"{path}: body is neither {n} decimal lines nor a {expected}-byte blob"
-    )
-
-
-def _try_decimal_body(body: bytes, n: int) -> list[int] | None:
+        weights = np.int64(1) << np.arange(k - 1, -1, -1, dtype=np.int64)
+        values = bits.reshape(n, k).astype(np.int64) @ weights
+    else:
+        values = _decimal_body(body, n, path)
     try:
-        text = body.decode("ascii")
-    except UnicodeDecodeError:
-        return None
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+        return encode_list(values, n=n, k=k, source_tag=tag)
+    except (DomainError, OverflowError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def _decimal_body(body: bytes, n: int, path: str) -> list[int]:
+    try:
+        lines = [ln for ln in body.decode("ascii").splitlines() if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: decimal body is not ASCII text") from exc
     if len(lines) != n:
-        return None
+        raise FormatError(
+            f"{path}: body has {len(lines)} decimal lines, header says {n}"
+        )
     try:
         return [int(ln) for ln in lines]
-    except ValueError:
-        return None
+    except ValueError as exc:
+        raise FormatError(f"{path}: non-integer datum: {exc}") from exc

@@ -129,6 +129,14 @@ def test_generate_raw_round_trips(tmp_path, capsys):
     assert f2.stat().st_size < f1.stat().st_size
 
 
+@pytest.mark.parametrize("n, k", [(1000, 10), (20000, 15)])
+def test_generate_rng_default_width_fits_n(tmp_path, capsys, n, k):
+    code, out, _ = run_cli(capsys, "randomness", "generate", "--kind", "rng",
+                           "--n", str(n), "--output", str(tmp_path / "r.lst"))
+    assert code == 0
+    assert json.loads(out)["k"] == k
+
+
 def test_audit_malformed_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.lst"
     bad.write_text("not a header\n")
@@ -141,6 +149,22 @@ def test_audit_missing_file_exits_3(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "randomness", "audit",
                          "--input", str(tmp_path / "nope.lst"))
     assert code == 3
+
+
+@pytest.mark.parametrize("content", [None, "3", b"\xff\xfe"])
+def test_bad_calibration_file_exits_3(tmp_path, capsys, monkeypatch,
+                                      content):
+    # None: the path does not exist; then a JSON non-object; then non-UTF-8
+    path = tmp_path / "calibration.json"
+    if isinstance(content, str):
+        path.write_text(content)
+    elif content is not None:
+        path.write_bytes(content)
+    monkeypatch.setenv("QKM_CALIBRATION", str(path))
+    code, out, err = run_cli(capsys, "state")
+    assert code == 3
+    assert out == ""
+    assert str(path) in err and "Traceback" not in err
 
 
 def test_audit_unknown_estimator_exits_2(tmp_path, capsys):

@@ -1,9 +1,13 @@
 """Encoding, the computable description-length estimators, deficiency
 scoring, the two reference corpora, and the structural diagnostics."""
+import lzma
 import math
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kolgas.calibration import load_calibration
 from kolgas.constants import species_lookup
@@ -11,8 +15,8 @@ from kolgas.errors import DomainError, FormatError, UnknownEstimatorError
 from kolgas.randomness import (
     DEFAULT_ESTIMATORS,
     EncodedList,
+    _log2_binom_any,
     balance_profile,
-    decode_list,
     default_width,
     encode_list,
     estimate_complexity,
@@ -41,7 +45,7 @@ def test_encode_decode_round_trip(n, k, seed=0):
     values = rng.integers(0, min(1 << k, 2**62), size=n, dtype=np.int64)
     enc = encode_list(values, k=k, source_tag="trip")
     assert enc.l_primitive == n * k
-    assert np.array_equal(decode_list(enc), values)
+    assert np.array_equal(enc.values, values)
 
 
 def test_encode_default_width_is_log2_n():
@@ -59,6 +63,11 @@ def test_encode_rejects_bad_values():
         encode_list([1, 2, 3], n=4, k=3)
     with pytest.raises(DomainError):
         encode_list([], k=3)
+    # the range check lives in the list itself, whoever builds it
+    with pytest.raises(DomainError, match="overflow"):
+        EncodedList(n=2, k=3, values=np.array([0, 8], dtype=np.int64))
+    with pytest.raises(DomainError):
+        EncodedList(n=2, k=3, values=np.array([0, 7], dtype=np.int32))
 
 
 def test_quantize_fixed_bounds():
@@ -192,13 +201,9 @@ def test_k_hat_integer_domain():
 
 def test_balance_profile_constructed_peak():
     # four groups: solid zeros, solid ones, near-balanced, solid ones
-    payload = np.concatenate([
-        np.zeros(32, dtype=np.uint8),
-        np.ones(32, dtype=np.uint8),
-        np.array([0, 1] * 16, dtype=np.uint8),
-        np.ones(32, dtype=np.uint8),
-    ])
-    enc = EncodedList(n=16, k=8, payload=payload, source_tag="synthetic")
+    values = np.array([0] * 4 + [255] * 4 + [0x55] * 4 + [255] * 4,
+                      dtype=np.int64)
+    enc = EncodedList(n=16, k=8, values=values, source_tag="synthetic")
     prof = balance_profile(enc, group_width=32)
     assert prof.peak_index == 2
     assert prof.degenerate is False
@@ -227,7 +232,7 @@ def test_balance_statistics_of_sorted_random_data():
         enc = encode_list(values, k=k)
         prof = balance_profile(enc, group_width=l // groups)
         centers.append(prof.peak_center_bit / l)
-        ones.append(float(enc.payload.mean()))
+        ones.append(float(np.bitwise_count(enc.values).sum()) / l)
     mean_center = float(np.mean(centers))
     # ensemble mean within one group width of the midpoint (seen: 0.494)
     assert abs(mean_center - 0.5) < 1.0 / groups
@@ -303,8 +308,24 @@ def test_list_file_round_trip(tmp_path, raw):
     write_list_file(str(path), enc, raw=raw)
     back = read_list_file(str(path))
     assert back.n == enc.n and back.k == enc.k
-    assert np.array_equal(back.payload, enc.payload)
+    assert np.array_equal(back.values, enc.values)
     assert back.source_tag == "round_trip_tag"
+
+
+def test_raw_list_file_is_not_misread_as_decimal(tmp_path):
+    # packed, these two 16-bit data spell the ASCII text "1\n2\n"
+    enc = encode_list([0x310A, 0x320A], k=16)
+    path = tmp_path / "list.dat"
+    write_list_file(str(path), enc, raw=True)
+    assert path.read_bytes() == b"2 16 list raw\n1\n2\n"
+    assert read_list_file(str(path)).values.tolist() == [0x310A, 0x320A]
+
+
+def test_decimal_list_file_bytes(tmp_path):
+    enc = encode_list([5, 0, 7], k=3, source_tag="two words")
+    path = tmp_path / "list.dat"
+    write_list_file(str(path), enc)
+    assert path.read_bytes() == b"3 3 two_words\n5\n0\n7\n"
 
 
 @pytest.mark.parametrize("text", [
@@ -314,6 +335,9 @@ def test_list_file_round_trip(tmp_path, raw):
     "3 8 tag\n1\n2\n",               # too few body lines
     "2 8 tag\n1\nx\n",               # non-integer datum
     "2 8 tag\n1\n300\n",             # datum overflows the stated width
+    "2 8 tag\n1\n99999999999999999999\n",  # datum overflows int64
+    "2 8 tag blob\n\x01\x02",          # unknown body token
+    "2 8 tag raw extra\n\x01\x02",     # too many header fields
 ])
 def test_read_list_file_rejects_malformed(tmp_path, text):
     path = tmp_path / "bad.lst"
@@ -331,6 +355,79 @@ def test_read_list_file_rejects_truncated_raw(tmp_path):
     path.write_bytes(blob[:-3])
     with pytest.raises(FormatError):
         read_list_file(str(path))
+
+
+# --- properties against an explicit bit-array reference ----------------------
+
+@st.composite
+def encoded_lists(draw):
+    k = draw(st.integers(1, 62))
+    n = draw(st.integers(1, 300))
+    top = (1 << k) - 1
+    fill = draw(st.sampled_from(("any", "zeros", "ones")))
+    if fill == "zeros":
+        values = [0] * n
+    elif fill == "ones":
+        values = [top] * n
+    else:
+        values = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    return encode_list(np.array(values, dtype=np.int64), k=k)
+
+
+def _reference_bits(values, width) -> np.ndarray:
+    """One uint8 per bit, big-endian, built one datum at a time."""
+    text = "".join(format(int(v), f"0{width}b") for v in values)
+    return np.array([int(b) for b in text], dtype=np.uint8)
+
+
+def _reference_zlib(bits) -> float:
+    return 8.0 * len(zlib.compress(np.packbits(bits).tobytes(), 9))
+
+
+def _reference_estimate(name: str, enc) -> float:
+    bits = _reference_bits(enc.values, enc.k)
+    l = bits.size
+    if name == "zlib":
+        return _reference_zlib(bits)
+    if name == "lzma":
+        return 8.0 * len(lzma.compress(
+            np.packbits(bits).tobytes(), format=lzma.FORMAT_RAW,
+            filters=[{"id": lzma.FILTER_LZMA2, "preset": 6}]))
+    if name == "entropy0":
+        return _log2_binom_any(l, int(bits.sum())) + math.log2(l + 1)
+    if name == "entropy1":
+        prev, cur = bits[:-1], bits[1:]
+        cost = 1.0
+        for ctx in (0, 1):
+            sel = cur[prev == ctx]
+            cost += _log2_binom_any(int(sel.size), int(sel.sum()))
+        return cost + 2.0 * math.log2(l + 1)
+    assert name == "delta"
+    vals = [int(v) for v in enc.values]
+    deltas = [vals[0]] + [b - a for a, b in zip(vals, vals[1:])]
+    zigzag = [2 * d if d >= 0 else -2 * d - 1 for d in deltas]
+    return _reference_zlib(_reference_bits(zigzag, enc.k + 1))
+
+
+@settings(deadline=None)
+@given(encoded_lists())
+def test_estimators_match_bit_array_reference(enc):
+    id_bits = load_calibration().estimator_id_bits
+    for name in ("zlib", "lzma", "entropy0", "entropy1", "delta"):
+        got = estimate_complexity(enc, estimator=name).k_hat
+        assert got == _reference_estimate(name, enc) + id_bits, name
+
+
+@settings(deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(enc=encoded_lists(), raw=st.booleans())
+def test_list_file_round_trips_values(tmp_path, enc, raw):
+    path = tmp_path / "list.dat"
+    write_list_file(str(path), enc, raw=raw)
+    back = read_list_file(str(path))
+    assert (back.n, back.k) == (enc.n, enc.k)
+    assert back.values.dtype == np.int64
+    assert np.array_equal(back.values, enc.values)
 
 
 # --- counting probability -------------------------------------------------------
