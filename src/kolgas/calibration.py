@@ -7,10 +7,6 @@ file so they are versioned with the package and reproducible.
 
 The bundled file can be overridden with the ``QKM_CALIBRATION``
 environment variable (a path to an alternative JSON file).
-
-``machine_constant_bits`` records the standardised description-machine
-constant quoted alongside the reference tables.  It is documentation
-metadata only: nothing in the package computes with it.
 """
 from __future__ import annotations
 
@@ -28,12 +24,10 @@ _REQUIRED = (
     "estimator_id_bits",
     "deficiency_slope",
     "deficiency_offset_bits",
-    "composition_overhead_bits",
     "gap_slope_structured",
     "gap_slope_random",
     "plateau_floor_fraction",
     "plateau_stability_fraction",
-    "machine_constant_bits",
 )
 
 
@@ -43,12 +37,10 @@ class Calibration:
     estimator_id_bits: int
     deficiency_slope: float
     deficiency_offset_bits: float
-    composition_overhead_bits: float
     gap_slope_structured: float
     gap_slope_random: float
     plateau_floor_fraction: float
     plateau_stability_fraction: float
-    machine_constant_bits: int
 
     def deficiency_threshold(self, l_bits: float) -> float:
         """Largest deficiency still classed as random-like for a list of

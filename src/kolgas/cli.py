@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -33,7 +34,7 @@ from .errors import DomainError, FormatError, NoPlateauError
 from .thermo import GasSpec, ThermoState, state_equations
 from .wall import classify_regime
 
-ARTIFACT_VERSION = "1"
+ARTIFACT_VERSION = "2"
 
 _ANGSTROM = 1e-10
 
@@ -67,7 +68,10 @@ def _fmt(x: float) -> str:
 
 
 def _emit_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"result is not finite: {exc}") from exc
     if path is None or path == "-":
         print(text)
     else:
@@ -222,7 +226,7 @@ def cmd_randomness_generate(args: argparse.Namespace) -> int:
         "n": enc.n, "k": enc.k, "l_primitive": enc.l_primitive,
         "source_tag": enc.source_tag,
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit_json(payload, None)
     return 0
 
 
@@ -270,6 +274,10 @@ def cmd_randomness_gap(args: argparse.Namespace) -> int:
 # sim
 
 def _sim_config(args: argparse.Namespace, seed: int) -> simmod.SimConfig:
+    if not args.samples_per_transit > 0.0:
+        raise DomainError("samples-per-transit must be positive")
+    if not math.isfinite(args.transits):
+        raise DomainError("transits must be finite")
     species = species_lookup(args.gas)
     box = (args.box_side, args.box_side, args.box_side)
     cfg0 = simmod.SimConfig(

@@ -60,6 +60,11 @@ class SimConfig:
     perturbation: float = 0.8
 
     def __post_init__(self) -> None:
+        floats = (*self.box, self.T_wall, self.dt_out, self.duration,
+                  self.perturbation)
+        if not all(math.isfinite(x) for x in floats):
+            raise DomainError("SimConfig needs finite box, T_wall, dt_out, "
+                              "duration and perturbation")
         if not (1 <= self.n_particles <= N_PARTICLES_CAP):
             raise DomainError(
                 f"n_particles must be in 1..{N_PARTICLES_CAP}"
@@ -170,49 +175,36 @@ def init_sim(config: SimConfig, mode: str) -> SimState:
     return SimState(config=config, time=0.0, pos=pos, vel=vel, rng=rng)
 
 
-def _perturbed_normals(rng: np.random.Generator, m: int, axis: int,
-                       sign: float, sigma: float) -> np.ndarray:
-    """Inward unit normals tilted by Gaussian tangential components."""
-    normals = np.zeros((m, 3))
-    normals[:, axis] = sign
-    if sigma > 0.0:
-        t_axes = [a for a in range(3) if a != axis]
-        normals[:, t_axes[0]] = sigma * rng.normal(size=m)
-        normals[:, t_axes[1]] = sigma * rng.normal(size=m)
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return normals
-
-
-def wall_scatter(state: SimState, idx: np.ndarray, axis: int,
-                 high_side: bool, t_event: np.ndarray) -> None:
-    """Apply the configured wall model to particles ``idx`` hitting the
-    given wall, and append the outgoing events to the log."""
+def wall_scatter(state: SimState, idx: np.ndarray, axis: np.ndarray,
+                 t_event: np.ndarray) -> None:
+    """Apply the configured wall model to particles ``idx``, row ``i``
+    sitting on a wall across ``axis[i]``, and append the outgoing events
+    to the log."""
     cfg = state.config
     m = idx.size
-    sign = -1.0 if high_side else 1.0  # inward normal direction on this axis
+    rows = np.arange(m)
     v = state.vel[idx]
+    sign = -np.sign(v[rows, axis])  # inward normal component on the hit axis
 
     if cfg.wall_model == "smooth_specular":
-        v[:, axis] = -v[:, axis]
+        v[rows, axis] = -v[rows, axis]
     elif cfg.wall_model == "specular_random_sites":
-        pending = np.arange(m)
+        pending = rows
         # Resample the site tilt until the reflected ray points back inside.
         while pending.size:
-            normals = _perturbed_normals(state.rng, pending.size, axis, sign,
-                                         cfg.perturbation)
+            at = (np.arange(pending.size), axis[pending])
+            normals = cfg.perturbation * state.rng.normal(size=(pending.size, 3))
+            normals[at] = sign[pending]
+            normals /= np.linalg.norm(normals, axis=1, keepdims=True)
             vv = v[pending]
             refl = vv - 2.0 * np.sum(vv * normals, axis=1, keepdims=True) * normals
-            ok = refl[:, axis] * sign > 0.0
+            ok = refl[at] * sign[pending] > 0.0
             v[pending[ok]] = refl[ok]
             pending = pending[~ok]
-            if cfg.perturbation == 0.0:
-                break  # mirror reflection cannot fail the inward check
     else:  # langmuir_thermal
         sigma = math.sqrt(_KB * cfg.T_wall / cfg.species.mass)
-        t_axes = [a for a in range(3) if a != axis]
-        v[:, axis] = sign * sigma * np.sqrt(-2.0 * np.log(state.rng.uniform(size=m)))
-        v[:, t_axes[0]] = sigma * state.rng.normal(size=m)
-        v[:, t_axes[1]] = sigma * state.rng.normal(size=m)
+        v = sigma * state.rng.normal(size=(m, 3))
+        v[rows, axis] = sign * state.rng.rayleigh(sigma, size=m)
 
     state.vel[idx] = v
     speed = np.linalg.norm(v, axis=1)
@@ -247,20 +239,10 @@ def step_to(state: SimState, t_target: float) -> SimState:
         dt = np.where(hits, t_next, remaining)
         pos += vel * dt[:, None]
         remaining = remaining - dt
-        # Scatter per wall so each batch shares one normal direction.
-        for axis in range(3):
-            sel = hits & (axis_hit == axis)
-            if not sel.any():
-                continue
-            idx = np.flatnonzero(sel)
-            high = vel[idx, axis] > 0.0
-            for high_side in (False, True):
-                part = idx[high == high_side]
-                if part.size == 0:
-                    continue
-                pos[part, axis] = box[axis] if high_side else 0.0
-                wall_scatter(state, part, axis, high_side,
-                             t_target - remaining[part])
+        idx = np.flatnonzero(hits)
+        axis = axis_hit[idx]
+        pos[idx, axis] = np.where(vel[idx, axis] > 0.0, box[axis], 0.0)
+        wall_scatter(state, idx, axis, t_target - remaining[idx])
 
     state.time = t_target
     return state
@@ -431,7 +413,7 @@ def run_joule_expansion(config: SimConfig, volume_ratio: float,
     disorder change reflects the state and not the ruler.  Ratio 1 is the
     degenerate no-op and reports zero change identically.
     """
-    if volume_ratio < 1.0:
+    if not math.isfinite(volume_ratio) or volume_ratio < 1.0:
         raise DomainError("volume_ratio must be >= 1 (free expansion only)")
     expanded = (config.box[0] * volume_ratio, config.box[1], config.box[2])
 

@@ -37,8 +37,9 @@ class GasSpec:
     statistics: str = "fermi"
 
     def __post_init__(self) -> None:
-        if self.T <= 0.0 or self.V <= 0.0 or self.N <= 0.0:
-            raise DomainError("GasSpec needs T > 0, V > 0, N > 0")
+        if not all(math.isfinite(x) and x > 0.0
+                   for x in (self.T, self.V, self.N)):
+            raise DomainError("GasSpec needs finite T > 0, V > 0, N > 0")
         if self.statistics not in STATISTICS:
             raise DomainError(
                 f"statistics must be one of {STATISTICS}, got {self.statistics!r}"
@@ -82,18 +83,6 @@ class PotentialSet(NamedTuple):
     A_GC: float    # grand potential F - mu N, J
     G: float       # Gibbs free energy F + P V, J
     U_of_S: float  # internal energy recovered as F + T S, J
-
-
-class WeylModeLength(NamedTuple):
-    """Mode-counting length scale and the fixed spectral-shape ratio."""
-
-    length: float               # (V / M)^(1/3), m
-    eps_max_over_mean: float    # ratio of box-counting cutoff to mean energy
-
-
-#: Ratio of the counting-cutoff energy to the mean thermal energy for the
-#: smooth-box spectrum; reported as metadata by weyl_mode_length.
-EPS_MAX_OVER_MEAN = 0.81
 
 
 def thermal_length(T: float, mass: float) -> float:
@@ -310,17 +299,6 @@ def equivalent_level_energy(x: float, T: float) -> float:
     """Level energy eps = k_B T Gamma(x) at which the two occupancy forms
     agree, J."""
     return _KB * T * gamma_fd(x)
-
-
-def weyl_mode_length(M: float, V: float) -> WeylModeLength:
-    """Mode-counting length (V / M)^(1/3) for M modes in volume V.
-
-    The companion ratio eps_max/mean = 0.81 describes where the counting
-    cutoff sits relative to the mean level and is metadata only.
-    """
-    if M <= 0.0 or V <= 0.0:
-        raise DomainError("weyl_mode_length needs M > 0 and V > 0")
-    return WeylModeLength((V / M) ** (1.0 / 3.0), EPS_MAX_OVER_MEAN)
 
 
 def s_qkm_from_complexities(k_m: float, k_n: float, k_mn: float,

@@ -1,10 +1,12 @@
 """Command-line behaviour: artifact schemas, manifests, exit codes, and
 byte-level determinism of reruns."""
 import json
+import pathlib
 
 import jsonschema
 import pytest
 
+import kolgas
 from kolgas.cli import main
 
 from conftest import load_schema
@@ -167,6 +169,22 @@ def test_bad_calibration_file_exits_3(tmp_path, capsys, monkeypatch,
     assert str(path) in err and "Traceback" not in err
 
 
+def test_calibration_file_with_retired_keys_loads(tmp_path, capsys,
+                                                  monkeypatch):
+    # files written before composition_overhead_bits and
+    # machine_constant_bits were dropped still load: extra keys are ignored
+    bundled = json.loads(
+        (pathlib.Path(kolgas.__file__).parent / "calibration.json").read_text()
+    )
+    bundled.update(composition_overhead_bits=64.0, machine_constant_bits=1066)
+    path = tmp_path / "calibration.json"
+    path.write_text(json.dumps(bundled))
+    monkeypatch.setenv("QKM_CALIBRATION", str(path))
+    code, out, _ = run_cli(capsys, "state")
+    assert code == 0
+    assert json.loads(out)["manifest"]["calibration_version"] == "1"
+
+
 def test_audit_unknown_estimator_exits_2(tmp_path, capsys):
     f = tmp_path / "x.lst"
     run_cli(capsys, "randomness", "generate", "--kind", "rng", "--n", "100",
@@ -259,3 +277,19 @@ def test_sim_bad_particle_count_exits_2(capsys):
     code, _, _ = run_cli(capsys, "sim", "relax", "--wall-model",
                          "smooth_specular", "--particles", "200000")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("state", "--temp", "nan"),
+    ("sim", "relax", "--samples-per-transit", "0"),
+    ("sim", "relax", "--temp", "nan"),
+    ("sim", "relax", "--transits", "inf"),
+    ("sim", "joule", "--ratio", "inf"),
+])
+def test_non_finite_or_zero_input_exits_2(capsys, argv):
+    if argv[0] == "sim":
+        argv += ("--wall-model", "smooth_specular", "--particles", "100")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -7,11 +7,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from kolgas.constants import CODATA, species_lookup
 from kolgas.errors import DomainError, NoPlateauError
 from kolgas.sim import (
+    INIT_MODES,
+    WALL_MODELS,
     DisorderTrace,
     SimConfig,
     init_sim,
@@ -209,6 +213,35 @@ def test_bit_identical_reruns():
     assert np.array_equal(a.final_state.pos, b.final_state.pos)
     ea, eb = a.final_state.events(), b.final_state.events()
     assert all(np.array_equal(ea[key], eb[key]) for key in ea)
+
+
+@settings(deadline=None)
+@given(model=st.sampled_from(WALL_MODELS), init=st.sampled_from(INIT_MODES),
+       n=st.integers(1, 40), seed=st.integers(0, 2**64 - 1),
+       t0_transits=st.floats(0.0, 1.0), transits=st.floats(0.01, 3.0))
+def test_stepping_invariants(model, init, n, seed, t0_transits, transits):
+    cfg = make_config(n=n, wall_model=model, seed=seed)
+    state = init_sim(cfg, init)
+    t0 = t0_transits * cfg.t_b
+    step_to(state, t0)
+    logged = state.n_events
+    speed0 = np.linalg.norm(state.vel, axis=1)
+    t = t0 + transits * cfg.t_b
+    step_to(state, t)
+
+    assert np.all((state.pos >= 0.0) & (state.pos <= np.array(BOX)))
+    speed = np.linalg.norm(state.vel, axis=1)
+    assert np.all(np.isfinite(speed) & (speed > 0.0))
+    if model != "langmuir_thermal":  # mirror walls keep every speed
+        np.testing.assert_allclose(speed, speed0, rtol=1e-12, atol=0.0)
+    ev = state.events()
+    assert state.n_events == ev["t"].size
+    t_ev, pid = ev["t"][logged:], ev["particle_id"][logged:]
+    assert np.all((t_ev > t0) & (t_ev <= t))
+    # per particle, log order is time order and no two events coincide
+    order = np.argsort(pid, kind="stable")
+    same = pid[order][1:] == pid[order][:-1]
+    assert np.all(np.diff(t_ev[order])[same] > 0.0)
 
 
 # --- traces and relaxation -------------------------------------------------------

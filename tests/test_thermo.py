@@ -9,7 +9,6 @@ import pytest
 from kolgas.constants import CODATA, species_lookup
 from kolgas.errors import DegeneracyError, DomainError, StepSizeError
 from kolgas.thermo import (
-    EPS_MAX_OVER_MEAN,
     GasSpec,
     equivalent_level_energy,
     first_law_residual,
@@ -25,7 +24,6 @@ from kolgas.thermo import (
     s_qkm_from_complexities,
     state_equations,
     thermal_length,
-    weyl_mode_length,
 )
 
 KB = CODATA.k_B
@@ -249,15 +247,6 @@ def test_occupancy_fd_extreme_arguments():
     assert occupancy_fd(1.0, 0.0, 1e-6) == 0.0  # underflows cleanly
     with pytest.raises(DomainError):
         occupancy_fd(0.0, 0.0, 0.0)
-
-
-def test_weyl_mode_length():
-    st = state_equations(REF)
-    wl = weyl_mode_length(st.M, REF.V)
-    assert wl.length == pytest.approx(st.lambda_th, rel=1e-12)
-    assert wl.eps_max_over_mean == EPS_MAX_OVER_MEAN
-    with pytest.raises(DomainError):
-        weyl_mode_length(0.0, 1.0)
 
 
 def test_entropy_from_complexities_recovers_closed_form():
