@@ -22,16 +22,15 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import randomness as rnd
 from . import sim as simmod
 from .calibration import load_calibration
-from .constants import CODATA, species_lookup
+from .constants import CODATA, SpeciesSpec, species_lookup
 from .errors import DomainError, FormatError, NoPlateauError
-from .thermo import GasSpec, ThermoState, state_equations
+from .thermo import GasSpec, ThermoState, species_statistics, state_equations
 from .wall import classify_regime
 
 ARTIFACT_VERSION = "2"
@@ -39,32 +38,27 @@ ARTIFACT_VERSION = "2"
 _ANGSTROM = 1e-10
 
 
-@dataclass(frozen=True)
-class RunManifest:
+def _manifest(command: str, params: dict, seed: int | None = None) -> dict:
     """Provenance block embedded in every output artifact."""
-
-    command: str
-    parameters: dict
-    seed: int | None
-    artifact_version: str
-    calibration_version: str
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-def _manifest(command: str, params: dict, seed: int | None = None) -> RunManifest:
-    return RunManifest(
-        command=command,
-        parameters=params,
-        seed=seed,
-        artifact_version=ARTIFACT_VERSION,
-        calibration_version=load_calibration().version,
-    )
+    return {
+        "command": command,
+        "parameters": params,
+        "seed": seed,
+        "artifact_version": ARTIFACT_VERSION,
+        "calibration_version": load_calibration().version,
+    }
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _write(text: str, path: str | None) -> None:
+    if path is None or path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
 
 
 def _emit_json(payload: dict, path: str | None) -> None:
@@ -72,23 +66,14 @@ def _emit_json(payload: dict, path: str | None) -> None:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise DomainError(f"result is not finite: {exc}") from exc
-    if path is None or path == "-":
-        print(text)
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
+    _write(text + "\n", path)
 
 
-def _emit_csv(manifest: RunManifest, header: str, rows: list[str],
+def _emit_csv(manifest: dict, header: str, rows: list[str],
               path: str | None) -> None:
-    lines = [f"# manifest: {json.dumps(manifest.to_dict(), sort_keys=True)}",
+    lines = [f"# manifest: {json.dumps(manifest, sort_keys=True)}",
              header, *rows]
-    text = "\n".join(lines) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+    _write("\n".join(lines) + "\n", path)
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +102,22 @@ def _state_payload(state: ThermoState, spec: GasSpec) -> dict:
     }
 
 
+def _statistics(args: argparse.Namespace, species: SpeciesSpec) -> str:
+    """``--statistics`` if given, else what the species' spin implies; a
+    value the spin rules out is a domain error."""
+    implied = species_statistics(species)
+    if args.statistics not in (None, implied):
+        raise DomainError(
+            f"{species.name} has spin degeneracy {species.spin_degeneracy}, "
+            f"so its statistics are {implied}, not {args.statistics}"
+        )
+    return implied
+
+
 def cmd_state(args: argparse.Namespace) -> int:
     species = species_lookup(args.gas)
-    spec = GasSpec(args.temp, args.volume, args.count, species,
-                   args.statistics)
+    statistics = _statistics(args, species)
+    spec = GasSpec(args.temp, args.volume, args.count, species, statistics)
     state = state_equations(spec)
     side = args.vessel_side if args.vessel_side else args.volume ** (1.0 / 3.0)
     hierarchy = classify_regime(spec, side)
@@ -138,9 +135,9 @@ def cmd_state(args: argparse.Namespace) -> int:
     payload = {
         "manifest": _manifest("state", {
             "gas": species.name, "temp": args.temp, "volume": args.volume,
-            "count": args.count, "statistics": args.statistics,
+            "count": args.count, "statistics": statistics,
             "vessel_side": side,
-        }).to_dict(),
+        }),
         "gas": {
             "species": species.name,
             "mass_kg": species.mass,
@@ -178,6 +175,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.start <= 0 or args.stop <= 0:
         raise DomainError("sweep endpoints must be positive")
     species = species_lookup(args.gas)
+    statistics = _statistics(args, species)
     grid = (np.geomspace if args.log else np.linspace)(
         args.start, args.stop, args.points
     )
@@ -186,7 +184,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for value in grid:
         pt = dict(base)
         pt[args.var] = float(value)
-        spec = GasSpec(pt["T"], pt["V"], pt["N"], species, args.statistics)
+        spec = GasSpec(pt["T"], pt["V"], pt["N"], species, statistics)
         payload = _state_payload(state_equations(spec), spec)
         rows.append(",".join(
             [_fmt(float(value))] + [_fmt(payload[c]) for c in _SWEEP_COLUMNS]
@@ -195,7 +193,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "gas": species.name, "var": args.var, "from": args.start,
         "to": args.stop, "points": args.points, "log": bool(args.log),
         "temp": args.temp, "volume": args.volume, "count": args.count,
-        "statistics": args.statistics,
+        "statistics": statistics,
     })
     _emit_csv(manifest, ",".join((args.var,) + _SWEEP_COLUMNS), rows,
               args.output)
@@ -222,7 +220,7 @@ def cmd_randomness_generate(args: argparse.Namespace) -> int:
             "kind": args.kind, "n": args.n, "k": enc.k,
             "gas": args.gas, "box_side": args.box_side, "raw": bool(args.raw),
             "output": args.output,
-        }, seed=args.seed if args.kind == "rng" else None).to_dict(),
+        }, seed=args.seed if args.kind == "rng" else None),
         "n": enc.n, "k": enc.k, "l_primitive": enc.l_primitive,
         "source_tag": enc.source_tag,
     }
@@ -236,7 +234,7 @@ def cmd_randomness_audit(args: argparse.Namespace) -> int:
     payload = {
         "manifest": _manifest("randomness audit", {
             "input": args.input, "estimator": args.estimator,
-        }).to_dict(),
+        }),
         "n": enc.n, "k": enc.k, "source_tag": enc.source_tag,
         "l_primitive": report.l_primitive,
         "k_hat_bits": report.k_hat,
@@ -257,7 +255,7 @@ def cmd_randomness_gap(args: argparse.Namespace) -> int:
         "manifest": _manifest("randomness gap", {
             "input": args.input, "points": args.points,
             "estimator": args.estimator,
-        }).to_dict(),
+        }),
         "n": enc.n, "k": enc.k, "source_tag": enc.source_tag,
         "prefix_bits": [int(l) for l, _ in trace],
         "k_hat_bits": [float(kh) for _, kh in trace],
@@ -278,26 +276,31 @@ def _sim_config(args: argparse.Namespace, seed: int) -> simmod.SimConfig:
         raise DomainError("samples-per-transit must be positive")
     if not math.isfinite(args.transits):
         raise DomainError("transits must be finite")
-    species = species_lookup(args.gas)
-    box = (args.box_side, args.box_side, args.box_side)
-    cfg0 = simmod.SimConfig(
-        n_particles=args.particles, box=box, T_wall=args.temp,
-        species=species, wall_model=args.wall_model, seed=seed,
-        dt_out=1.0, duration=0.0, perturbation=args.perturbation,
-    )
-    dt_out = cfg0.t_b / args.samples_per_transit
-    return simmod.SimConfig(
-        n_particles=args.particles, box=box, T_wall=args.temp,
-        species=species, wall_model=args.wall_model, seed=seed,
-        dt_out=dt_out, duration=args.transits * cfg0.t_b,
+    cfg = simmod.SimConfig(
+        n_particles=args.particles, box=(args.box_side,) * 3,
+        T_wall=args.temp, species=species_lookup(args.gas),
+        wall_model=args.wall_model, seed=seed, dt_out=1.0, duration=0.0,
         perturbation=args.perturbation,
     )
+    return dataclasses.replace(cfg, dt_out=cfg.t_b / args.samples_per_transit,
+                               duration=args.transits * cfg.t_b)
+
+
+def _sim_params(args: argparse.Namespace, **extra) -> dict:
+    """Manifest parameters shared by every sim subcommand, plus ``extra``."""
+    return {
+        "wall_model": args.wall_model, "particles": args.particles,
+        "box_side": args.box_side, "temp": args.temp, "gas": args.gas,
+        "transits": args.transits,
+        "samples_per_transit": args.samples_per_transit,
+        "perturbation": args.perturbation, **extra,
+    }
 
 
 _TRACE_HEADER = "t,D_hat,K_orient,K_nn,chi2_orient,chi2_pos"
 
 
-def _write_trace(manifest: RunManifest, trace: simmod.DisorderTrace,
+def _write_trace(manifest: dict, trace: simmod.DisorderTrace,
                  path: str) -> None:
     rows = [
         ",".join(_fmt(v) for v in row)
@@ -307,7 +310,7 @@ def _write_trace(manifest: RunManifest, trace: simmod.DisorderTrace,
     _emit_csv(manifest, _TRACE_HEADER, rows, path)
 
 
-def _write_events(manifest: RunManifest, events: dict, path: str) -> None:
+def _write_events(manifest: dict, events: dict, path: str) -> None:
     rows = [
         f"{_fmt(t)},{pid},{_fmt(th)},{_fmt(ph)},{_fmt(sp)}"
         for t, pid, th, ph, sp in zip(
@@ -322,14 +325,9 @@ def cmd_sim_relax(args: argparse.Namespace) -> int:
         [args.seed] if args.seeds <= 1
         else [simmod.member_seed(args.seed, i) for i in range(args.seeds)]
     )
-    params = {
-        "wall_model": args.wall_model, "particles": args.particles,
-        "box_side": args.box_side, "temp": args.temp, "gas": args.gas,
-        "init": args.init, "transits": args.transits,
-        "samples_per_transit": args.samples_per_transit,
-        "perturbation": args.perturbation, "seeds": args.seeds,
-    }
-    manifest = _manifest("sim relax", params, seed=args.seed)
+    manifest = _manifest("sim relax",
+                         _sim_params(args, init=args.init, seeds=args.seeds),
+                         seed=args.seed)
 
     runs = []
     last_run = None
@@ -355,7 +353,7 @@ def cmd_sim_relax(args: argparse.Namespace) -> int:
         runs.append(entry)
 
     payload = {
-        "manifest": manifest.to_dict(),
+        "manifest": manifest,
         "t_b_s": last_run.t_b,
         "runs": runs,
     }
@@ -371,15 +369,10 @@ def cmd_sim_relax(args: argparse.Namespace) -> int:
 def cmd_sim_joule(args: argparse.Namespace) -> int:
     cfg = _sim_config(args, args.seed)
     report = simmod.run_joule_expansion(cfg, args.ratio)
-    manifest = _manifest("sim joule", {
-        "wall_model": args.wall_model, "particles": args.particles,
-        "box_side": args.box_side, "temp": args.temp, "gas": args.gas,
-        "ratio": args.ratio, "transits": args.transits,
-        "samples_per_transit": args.samples_per_transit,
-        "perturbation": args.perturbation,
-    }, seed=args.seed)
+    manifest = _manifest("sim joule", _sim_params(args, ratio=args.ratio),
+                         seed=args.seed)
     payload = {
-        "manifest": manifest.to_dict(),
+        "manifest": manifest,
         "volume_ratio": report.volume_ratio,
         "d_hat_before_bits": report.d_hat_before,
         "d_hat_after_bits": report.d_hat_after,
@@ -407,11 +400,13 @@ def _add_gas_state_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--volume", type=float, default=1.8e-4, help="volume, m^3")
     p.add_argument("--count", type=float, default=1.7e16,
                    help="particle count")
-    p.add_argument("--statistics", choices=("fermi", "bose"),
-                   default="fermi")
+    p.add_argument("--statistics", choices=("fermi", "bose"), default=None,
+                   help="occupation statistics (default: what the species' "
+                        "spin implies, he3 fermi and he4 bose); a value the "
+                        "spin rules out is an error")
 
 
-def _add_sim_args(p: argparse.ArgumentParser) -> None:
+def _add_sim_args(p: argparse.ArgumentParser, transits_help: str) -> None:
     p.add_argument("--wall-model", required=True,
                    choices=simmod.WALL_MODELS)
     p.add_argument("--particles", type=int, default=10_000)
@@ -420,8 +415,7 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--temp", type=float, default=10.0)
     p.add_argument("--gas", default="he3")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--transits", type=float, default=8.0,
-                   help="run length in vessel transit times")
+    p.add_argument("--transits", type=float, default=8.0, help=transits_help)
     p.add_argument("--samples-per-transit", type=float, default=8.0)
     p.add_argument("--perturbation", type=float, default=0.8,
                    help="site-normal tilt scale for specular_random_sites")
@@ -489,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim_sub = p_sim.add_subparsers(dest="sim_command", required=True)
 
     p_relax = sim_sub.add_parser("relax", help="relaxation to disorder")
-    _add_sim_args(p_relax)
+    _add_sim_args(p_relax, "run length in vessel transit times")
     p_relax.add_argument("--init", choices=simmod.INIT_MODES,
                          default="beam")
     p_relax.add_argument("--seeds", type=int, default=1,
@@ -501,7 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_relax.set_defaults(func=cmd_sim_relax)
 
     p_joule = sim_sub.add_parser("joule", help="free expansion")
-    _add_sim_args(p_joule)
+    _add_sim_args(
+        p_joule,
+        "recorded in the manifest only: joule always runs "
+        f"{simmod.JOULE_SETTLE_TRANSITS:g} transits before the expansion "
+        f"and {simmod.JOULE_EXPANDED_TRANSITS:g} after it",
+    )
     p_joule.add_argument("--ratio", type=float, default=4.0,
                          help="volume expansion ratio, >= 1")
     p_joule.add_argument("--trace-prefix", default=None,

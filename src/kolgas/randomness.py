@@ -20,6 +20,7 @@ travels in the file header.
 """
 from __future__ import annotations
 
+import io
 import lzma
 import math
 import zlib
@@ -28,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .calibration import Calibration, load_calibration
+from .calibration import load_calibration
 from .combinatorics import (
     EXACT_BINOMIAL_CAP,
     log2_binomial_exact,
@@ -87,20 +88,16 @@ class EncodedList:
         return self.n * self.k
 
 
-def encode_list(values: Sequence[int] | np.ndarray, n: int | None = None,
-                k: int | None = None, source_tag: str = "list") -> EncodedList:
+def encode_list(values: Sequence[int] | np.ndarray, k: int | None = None,
+                source_tag: str = "list") -> EncodedList:
     """Hold ``values`` as n fixed-width data of k bits each.
 
-    Raises a DomainError if any value needs more than k bits ("overflow")
-    or if ``n`` disagrees with the actual length.
+    Raises a DomainError if any value needs more than k bits ("overflow").
     """
     vals = np.asarray(values, dtype=np.int64)
     if vals.ndim != 1 or vals.size == 0:
         raise DomainError("values must be a nonempty one-dimensional list")
-    if n is None:
-        n = int(vals.size)
-    elif n != vals.size:
-        raise DomainError(f"declared n={n} but got {vals.size} values")
+    n = int(vals.size)
     if k is None:
         k = default_width(n)
     return EncodedList(n=n, k=k, values=vals, source_tag=source_tag)
@@ -225,15 +222,15 @@ class ComplexityReport:
     gap_class: str        # "random-like" or "structured"
 
 
-def estimate_complexity(enc: EncodedList, estimator: str = "best",
-                        calibration: Calibration | None = None) -> ComplexityReport:
+def estimate_complexity(enc: EncodedList,
+                        estimator: str = "best") -> ComplexityReport:
     """Upper-bound the description length of ``enc`` in bits.
 
     ``estimator`` is one of the ids above or ``"best"`` (minimum over the
     default set).  The result includes the calibrated id overhead, so
     K_hat can slightly exceed the literal length for incompressible data.
     """
-    calib = calibration or load_calibration()
+    calib = load_calibration()
     if estimator == "best":
         candidates = DEFAULT_ESTIMATORS
     elif estimator in _ESTIMATORS:
@@ -306,14 +303,14 @@ def rng_list(n: int, k: int, rng: np.random.Generator,
     return encode_list(values, k=k, source_tag=source_tag)
 
 
-def smooth_box_list(n: int, side: float, mass: float, k: int | None = None,
-                    source_tag: str = "smooth-box") -> EncodedList:
+def smooth_box_list(n: int, side: float, mass: float,
+                    k: int | None = None) -> EncodedList:
     """Quantized sorted box spectrum, the maximally structured reference
     corpus.  Real energies are quantized to k levels over their own range."""
     if k is None:
         k = default_width(n)
     energies = smooth_box_spectrum(n, side, mass)
-    return encode_list(quantize(energies, k), k=k, source_tag=source_tag)
+    return encode_list(quantize(energies, k), k=k, source_tag="smooth-box")
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +439,7 @@ def _fit_slope(l: np.ndarray, d: np.ndarray) -> tuple[float, float]:
     return float(coeffs[0]), float(np.dot(resid, resid))
 
 
-def gap_classify(trace: Iterable[tuple[float, float]],
-                 calibration: Calibration | None = None) -> GapVerdict:
+def gap_classify(trace: Iterable[tuple[float, float]]) -> GapVerdict:
     """Classify a trace of (literal length, K_hat) over growing prefixes.
 
     random-like     deficiency stays under the calibrated threshold
@@ -451,7 +447,7 @@ def gap_classify(trace: Iterable[tuple[float, float]],
     transitioning   the growth rate switches regimes part-way; the change
                     point is the literal length at the best split
     """
-    calib = calibration or load_calibration()
+    calib = load_calibration()
     pts = sorted((float(l), float(k)) for l, k in trace)
     if len(pts) < 3:
         raise DomainError("gap_classify needs at least 3 trace points")
@@ -550,21 +546,23 @@ def read_list_file(path: str) -> EncodedList:
     else:
         values = _decimal_body(body, n, path)
     try:
-        return encode_list(values, n=n, k=k, source_tag=tag)
-    except (DomainError, OverflowError) as exc:
+        return encode_list(values, k=k, source_tag=tag)
+    except DomainError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def _decimal_body(body: bytes, n: int, path: str) -> list[int]:
+def _decimal_body(body: bytes, n: int, path: str) -> np.ndarray:
+    # loadtxt warns on a body with no data, so that case is caught first.
+    if not body.strip():
+        raise FormatError(f"{path}: decimal body is empty, header says {n}")
     try:
-        lines = [ln for ln in body.decode("ascii").splitlines() if ln.strip()]
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: decimal body is not ASCII text") from exc
-    if len(lines) != n:
-        raise FormatError(
-            f"{path}: body has {len(lines)} decimal lines, header says {n}"
-        )
-    try:
-        return [int(ln) for ln in lines]
+        table = np.loadtxt(io.BytesIO(body), dtype=np.int64, ndmin=2,
+                           comments=None)
     except ValueError as exc:
-        raise FormatError(f"{path}: non-integer datum: {exc}") from exc
+        raise FormatError(f"{path}: bad decimal body: {exc}") from exc
+    if table.shape != (n, 1):
+        raise FormatError(
+            f"{path}: body has {table.shape[0]} decimal lines of "
+            f"{table.shape[1]} data, header says {n} lines of 1"
+        )
+    return table[:, 0]

@@ -17,16 +17,16 @@ in single-threaded use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .calibration import Calibration, load_calibration
+from .calibration import load_calibration
 from .constants import CODATA, SpeciesSpec
 from .errors import DomainError, NoPlateauError
 from .randomness import default_width, encode_list, estimate_complexity, quantize
-from .thermo import GasSpec, rms_speed, state_equations
+from .thermo import GasSpec, rms_speed, species_statistics, state_equations
 
 _KB = CODATA.k_B
 
@@ -355,15 +355,14 @@ def simulate(config: SimConfig, init_mode: str,
     return SimRun(trace=trace, final_state=state, t_b=config.t_b)
 
 
-def relaxation_time(trace: DisorderTrace, threshold: float = 0.95,
-                    calibration: Calibration | None = None) -> float:
+def relaxation_time(trace: DisorderTrace, threshold: float = 0.95) -> float:
     """First sample time at which d_hat reaches ``threshold`` times its
     plateau (the mean over the last quarter of the trace).
 
     Raises NoPlateauError when the tail has not stabilised or never rises
     above the calibrated floor, as for non-mixing walls.
     """
-    calib = calibration or load_calibration()
+    calib = load_calibration()
     d = trace.d_hat
     m = d.size
     if m < 8:
@@ -388,6 +387,15 @@ def relaxation_time(trace: DisorderTrace, threshold: float = 0.95,
 # ---------------------------------------------------------------------------
 # irreversible experiment
 
+#: Transit times the two free-expansion stages run, before and after the
+#: partition is removed.
+JOULE_SETTLE_TRANSITS = 4.0
+JOULE_EXPANDED_TRANSITS = 6.0
+
+#: Trace samples, from the end of each stage, averaged into its disorder.
+JOULE_MEASURE_SAMPLES = 4
+
+
 @dataclass(frozen=True)
 class JouleReport:
     """Free expansion bookkeeping: measured disorder change and the
@@ -403,31 +411,29 @@ class JouleReport:
     trace_after: DisorderTrace
 
 
-def run_joule_expansion(config: SimConfig, volume_ratio: float,
-                        settle_transits: float = 4.0,
-                        measure_samples: int = 4) -> JouleReport:
+def run_joule_expansion(config: SimConfig, volume_ratio: float) -> JouleReport:
     """Equilibrate, stretch the box x-edge by ``volume_ratio`` (removing a
     partition), re-equilibrate, and compare disorder before and after.
 
+    ``config.duration`` is not used: the stages run for
+    ``JOULE_SETTLE_TRANSITS`` transit times before the expansion and
+    ``JOULE_EXPANDED_TRANSITS`` after it, sampled every ``config.dt_out``.
     Both stages quantize against the expanded box, so the measured
     disorder change reflects the state and not the ruler.  Ratio 1 is the
-    degenerate no-op and reports zero change identically.
+    degenerate no-op and reports zero change identically.  The closed-form
+    entropy step uses the statistics the species' spin implies.
     """
     if not math.isfinite(volume_ratio) or volume_ratio < 1.0:
         raise DomainError("volume_ratio must be >= 1 (free expansion only)")
     expanded = (config.box[0] * volume_ratio, config.box[1], config.box[2])
+    statistics = species_statistics(config.species)
 
-    stage1 = SimConfig(
-        n_particles=config.n_particles, box=config.box, T_wall=config.T_wall,
-        species=config.species, wall_model=config.wall_model, seed=config.seed,
-        dt_out=config.dt_out, duration=settle_transits * config.t_b,
-        perturbation=config.perturbation,
-    )
+    stage1 = replace(config, duration=JOULE_SETTLE_TRANSITS * config.t_b)
     run1 = simulate(stage1, "equilibrium", reference_box=expanded)
-    d1 = float(run1.trace.d_hat[-measure_samples:].mean())
+    d1 = float(run1.trace.d_hat[-JOULE_MEASURE_SAMPLES:].mean())
 
     spec1 = GasSpec(config.T_wall, stage1.volume, float(config.n_particles),
-                    config.species, "fermi")
+                    config.species, statistics)
     s1 = state_equations(spec1)
 
     if volume_ratio == 1.0:
@@ -438,19 +444,15 @@ def run_joule_expansion(config: SimConfig, volume_ratio: float,
         )
 
     t_b_expanded = (stage1.volume * volume_ratio) ** (1.0 / 3.0) / config.v_th
-    stage2 = SimConfig(
-        n_particles=config.n_particles, box=expanded, T_wall=config.T_wall,
-        species=config.species, wall_model=config.wall_model, seed=config.seed,
-        dt_out=config.dt_out, duration=(settle_transits + 2.0) * t_b_expanded,
-        perturbation=config.perturbation,
-    )
+    stage2 = replace(config, box=expanded,
+                     duration=JOULE_EXPANDED_TRANSITS * t_b_expanded)
     state = run1.final_state
     state.config = stage2
     run2 = simulate(stage2, "equilibrium", reference_box=expanded, state=state)
-    d2 = float(run2.trace.d_hat[-measure_samples:].mean())
+    d2 = float(run2.trace.d_hat[-JOULE_MEASURE_SAMPLES:].mean())
 
     spec2 = GasSpec(config.T_wall, stage2.volume, float(config.n_particles),
-                    config.species, "fermi")
+                    config.species, statistics)
     s2 = state_equations(spec2)
     delta_s = ((s2.kappa + 1.5 * s2.gamma) - (s1.kappa + 1.5 * s1.gamma))
 

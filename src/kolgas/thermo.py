@@ -16,13 +16,19 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .combinatorics import net_disorder_intensive
-from .constants import CODATA, SpeciesSpec, species_lookup
+from .constants import CODATA, SpeciesSpec
 from .errors import DegeneracyError, DomainError, StepSizeError
 
 _H = CODATA.h
 _KB = CODATA.k_B
 
 STATISTICS = ("fermi", "bose")
+
+
+def species_statistics(species: SpeciesSpec) -> str:
+    """The occupation statistics the species' spin implies: exclusive
+    ("fermi") for two spin states, unrestricted ("bose") for one."""
+    return "fermi" if species.spin_degeneracy == 2 else "bose"
 
 
 @dataclass(frozen=True)
@@ -44,11 +50,6 @@ class GasSpec:
             raise DomainError(
                 f"statistics must be one of {STATISTICS}, got {self.statistics!r}"
             )
-
-    @staticmethod
-    def from_name(T: float, V: float, N: float, species: str,
-                  statistics: str = "fermi") -> "GasSpec":
-        return GasSpec(T, V, N, species_lookup(species), statistics)
 
 
 @dataclass(frozen=True)
@@ -92,26 +93,11 @@ def thermal_length(T: float, mass: float) -> float:
     return math.sqrt(_H * _H / (2.0 * math.pi * mass * _KB * T))
 
 
-def slot_density_prefactor(mass: float) -> float:
-    """gamma = (2 pi m k_B / h^2)^(3/2), so that M = gamma V T^(3/2)."""
-    if mass <= 0.0:
-        raise DomainError("mass must be positive")
-    return (2.0 * math.pi * mass * _KB / (_H * _H)) ** 1.5
-
-
 def rms_speed(T: float, mass: float) -> float:
     """Root-mean-square thermal speed sqrt(3 k_B T / m), m/s."""
     if T <= 0.0 or mass <= 0.0:
         raise DomainError("rms_speed needs T > 0 and mass > 0")
     return math.sqrt(3.0 * _KB * T / mass)
-
-
-def degeneracy_parameter(spec: GasSpec) -> tuple[float, float]:
-    """Return (A, M): slots per particle and the total slot count
-    M = V / lambda_th^3 = gamma V T^(3/2)."""
-    lam = thermal_length(spec.T, spec.species.mass)
-    M = spec.V / lam**3
-    return M / spec.N, M
 
 
 def interparticle_length(spec: GasSpec) -> float:

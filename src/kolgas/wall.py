@@ -21,6 +21,9 @@ T_COOL_MAX = 10.0
 #: Lower end of the cool-gas window for helium-3 (liquefaction scale), K.
 T_CRIT_HE3 = 3.3
 
+#: Spacing of the trap-site lattice on the wall, m.
+WALL_SITE_SPACING = 3.0e-10
+
 #: Adsorption reference case: trap depth over k_B T and slots-per-particle
 #: ratio used in the documentation examples, plus the legacy figure the
 #: closed form is checked against.  The closed form gives about 2.8e-7
@@ -183,18 +186,17 @@ class WallFluxReport:
     free_per_occupied: float       # instantaneous free:occupied site ratio
 
 
-def wall_flux_report(spec: GasSpec, wall_area: float,
-                     lattice_spacing: float = 3.0e-10) -> WallFluxReport:
+def wall_flux_report(spec: GasSpec, wall_area: float) -> WallFluxReport:
     """Estimate wall traffic: every atom reaches the wall about once per
     transit time t_b = V^(1/3) / v_th, so the flux is N / t_b spread over
-    wall_area / spacing^2 sites."""
-    if wall_area <= 0.0 or lattice_spacing <= 0.0:
-        raise DomainError("wall_flux_report needs wall_area, spacing > 0")
+    wall_area / WALL_SITE_SPACING^2 sites."""
+    if wall_area <= 0.0:
+        raise DomainError("wall_flux_report needs wall_area > 0")
     v_th = rms_speed(spec.T, spec.species.mass)
     b = spec.V ** (1.0 / 3.0)
     t_b = b / v_th
     flux = spec.N / t_b
-    sites = wall_area / lattice_spacing**2
+    sites = wall_area / WALL_SITE_SPACING**2
     per_site = spec.N / sites
     occupied = min(per_site, 1.0)
     return WallFluxReport(

@@ -286,6 +286,7 @@ def _relax_config(wall_model, seed, n_particles=10_000):
                      dt_out=probe.t_b / 4.0, duration=8.0 * probe.t_b)
 
 
+@pytest.mark.slow
 def test_criterion_10_beam_relaxation_ensemble(acceptance):
     """Rough walls relax a beam inside [0.5, 4] transit times; smooth walls
     never build a stable disorder plateau.  100 seeds per arm."""
@@ -323,6 +324,7 @@ def test_criterion_10_beam_relaxation_ensemble(acceptance):
     assert elapsed < 600.0
 
 
+@pytest.mark.slow
 def test_criterion_11_free_expansion_second_law(acceptance):
     """Doubling lengths x4 in volume: closed-form entropy step matches
     ln(ratio) and the measured disorder estimate rises for every seed."""

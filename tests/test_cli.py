@@ -75,6 +75,29 @@ def test_sweep_deterministic_bytes(tmp_path, capsys):
     assert header[0] == "T" and "pressure_Pa" in header
 
 
+SWEEP_V = ("sweep", "--var", "V", "--from", "1e-5", "--to", "1e-3",
+           "--points", "5")
+
+
+@pytest.mark.parametrize("argv", [("state",), SWEEP_V])
+def test_statistics_default_follows_species(capsys, argv):
+    _, default, _ = run_cli(capsys, *argv, "--gas", "he4")
+    _, explicit, _ = run_cli(capsys, *argv, "--gas", "he4",
+                             "--statistics", "bose")
+    assert default == explicit
+    assert '"statistics": "bose"' in default
+
+
+@pytest.mark.parametrize("argv", [("state",), SWEEP_V])
+@pytest.mark.parametrize("gas, statistics", [("he4", "fermi"), ("he3", "bose")])
+def test_statistics_the_spin_rules_out_exits_2(capsys, argv, gas, statistics):
+    code, out, err = run_cli(capsys, *argv, "--gas", gas,
+                             "--statistics", statistics)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_sweep_rejects_bad_variable(capsys):
     code, _, err = run_cli(capsys, "sweep", "--var", "P", "--from", "1",
                            "--to", "2", "--points", "3")
@@ -145,6 +168,21 @@ def test_audit_malformed_exits_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "randomness", "audit", "--input", str(bad))
     assert code == 3
     assert "header" in err
+
+
+@pytest.mark.parametrize("body", [
+    "1\n2 3\n",       # two data on one line
+    "# note\n1\n",    # a comment line
+    "",               # no body at all
+])
+def test_audit_malformed_decimal_body_exits_3(tmp_path, capsys, body):
+    bad = tmp_path / "bad.lst"
+    bad.write_text("2 8 tag\n" + body)
+    code, out, err = run_cli(capsys, "randomness", "audit",
+                             "--input", str(bad))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_audit_missing_file_exits_3(tmp_path, capsys):

@@ -3,6 +3,7 @@ models, disorder traces, relaxation timing, and the expansion experiment.
 
 Statistical checks run on fixed seeds with empirically frozen margins;
 they are deterministic, not flaky."""
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from scipy import stats
 
 from kolgas.constants import CODATA, species_lookup
 from kolgas.errors import DomainError, NoPlateauError
+from kolgas.thermo import GasSpec, state_equations
 from kolgas.sim import (
     INIT_MODES,
     WALL_MODELS,
@@ -299,6 +301,28 @@ def test_joule_expansion_increases_disorder():
                                                         rel=1e-10)
     # the measured shift tracks the n/3 log2(ratio) ruler estimate loosely
     assert rep.delta_d_hat == pytest.approx(800 / 3 * 2.0, rel=0.5)
+
+
+def test_joule_entropy_step_follows_species_statistics():
+    # A cell dense enough (A = 6) that exclusive and unrestricted
+    # occupation give visibly different entropy steps; spin-0 he4 takes
+    # the unrestricted one.
+    he4 = species_lookup("he4")
+    side, temp, n = 2e-8, 0.01, 2
+    probe = SimConfig(n_particles=n, box=(side,) * 3, T_wall=temp,
+                      species=he4, wall_model="specular_random_sites", seed=3,
+                      dt_out=1.0, duration=0.0)
+    rep = run_joule_expansion(
+        dataclasses.replace(probe, dt_out=probe.t_b / 4.0), 4.0)
+
+    def step(statistics):
+        s1, s2 = (state_equations(GasSpec(temp, v, float(n), he4, statistics))
+                  for v in (side**3, 4.0 * side**3))
+        return (s2.kappa + 1.5 * s2.gamma) - (s1.kappa + 1.5 * s1.gamma)
+
+    assert rep.delta_s_per_particle_kb == pytest.approx(step("bose"),
+                                                        rel=1e-12)
+    assert abs(step("fermi") - step("bose")) > 0.01
 
 
 def test_joule_ratio_one_is_noop():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as strat
 
 from kolgas.constants import CODATA, species_lookup
 from kolgas.errors import DegeneracyError, DomainError, StepSizeError
@@ -264,4 +266,23 @@ def test_gas_spec_validation():
         GasSpec(0.0, 1.0, 1.0, HE3)
     with pytest.raises(DomainError):
         GasSpec(1.0, 1.0, 1.0, HE3, "anyons")
-    assert GasSpec.from_name(10.0, 1.0, 1.0, "he4").species.name == "he4"
+
+
+def _log_uniform(lo_exp: float, hi_exp: float):
+    return strat.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(T=_log_uniform(-3.0, 4.0), V=_log_uniform(-15.0, 3.0),
+       N=_log_uniform(0.0, 30.0), statistics=strat.sampled_from(["fermi", "bose"]))
+def test_state_equation_identities(T, V, N, statistics):
+    spec = GasSpec(T, V, N, HE3, statistics)
+    A = V / thermal_length(T, HE3.mass) ** 3 / N
+    if statistics == "fermi" and 2.0 * A <= 1.0:
+        with pytest.raises(DegeneracyError):
+            state_equations(spec)
+        return
+    s = state_equations(spec)
+    assert s.F + T * s.S == pytest.approx(s.U, rel=1e-12)
+    assert s.U == pytest.approx(1.5 * s.P * V, rel=1e-12)
+    assert s.P * V == pytest.approx(N * KB * T * s.gamma, rel=1e-12)
