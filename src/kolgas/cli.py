@@ -13,7 +13,7 @@ Subcommands:
 Every JSON artifact embeds a run manifest under "manifest"; every CSV
 carries the same manifest as a leading "# manifest: {...}" comment line.
 Exit codes: 0 success, 2 domain error (bad physics/parameters), 3 format
-error (unreadable input artifact).
+error (unreadable input artifact, or an artifact that cannot be written).
 """
 from __future__ import annotations
 
@@ -56,23 +56,31 @@ def _fmt(x: float) -> str:
 def _write(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def _json(obj: dict, indent: int | None = None) -> str:
+    """The one JSON encoder of every artifact; a non-finite number in
+    ``obj`` is a domain error, because JSON has no token for it."""
+    try:
+        return json.dumps(obj, indent=indent, sort_keys=True,
+                          allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"result is not finite: {exc}") from exc
 
 
 def _emit_json(payload: dict, path: str | None) -> None:
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise DomainError(f"result is not finite: {exc}") from exc
-    _write(text + "\n", path)
+    _write(_json(payload, indent=2) + "\n", path)
 
 
 def _emit_csv(manifest: dict, header: str, rows: list[str],
               path: str | None) -> None:
-    lines = [f"# manifest: {json.dumps(manifest, sort_keys=True)}",
-             header, *rows]
+    lines = [f"# manifest: {_json(manifest)}", header, *rows]
     _write("\n".join(lines) + "\n", path)
 
 
@@ -119,7 +127,8 @@ def cmd_state(args: argparse.Namespace) -> int:
     statistics = _statistics(args, species)
     spec = GasSpec(args.temp, args.volume, args.count, species, statistics)
     state = state_equations(spec)
-    side = args.vessel_side if args.vessel_side else args.volume ** (1.0 / 3.0)
+    side = (args.volume ** (1.0 / 3.0) if args.vessel_side is None
+            else args.vessel_side)
     hierarchy = classify_regime(spec, side)
 
     warnings = []
@@ -205,6 +214,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_randomness_generate(args: argparse.Namespace) -> int:
     if args.kind == "rng":
+        if args.seed < 0:
+            raise DomainError("seed must be nonnegative")
         rng = np.random.default_rng(np.random.SeedSequence(args.seed))
         k = args.k if args.k is not None else rnd.default_width(args.n)
         enc = rnd.rng_list(args.n, k, rng)
@@ -321,8 +332,10 @@ def _write_events(manifest: dict, events: dict, path: str) -> None:
 
 
 def cmd_sim_relax(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        raise DomainError("seeds must be at least 1")
     seeds = (
-        [args.seed] if args.seeds <= 1
+        [args.seed] if args.seeds == 1
         else [simmod.member_seed(args.seed, i) for i in range(args.seeds)]
     )
     manifest = _manifest("sim relax",

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto stable exit codes: domain/validation problems
-exit with 2, malformed input files with 3.
+exit with 2, malformed input files and unwritable outputs with 3.
 """
 
 
@@ -34,4 +34,5 @@ class NoPlateauError(KolgasError):
 
 
 class FormatError(KolgasError):
-    """An input file does not follow the documented list-file format."""
+    """An input file does not follow the documented list-file format, or
+    an artifact cannot be read or written."""

@@ -299,6 +299,9 @@ def smooth_box_spectrum(count: int, side: float, mass: float) -> np.ndarray:
 def rng_list(n: int, k: int, rng: np.random.Generator,
              source_tag: str = "rng") -> EncodedList:
     """Uniform random k-bit data, the incompressible reference corpus."""
+    if not (1 <= n <= LIST_SIZE_CAP and 1 <= k <= _MAX_WIDTH):
+        raise DomainError(f"need n in 1..{LIST_SIZE_CAP} and k in "
+                          f"1..{_MAX_WIDTH}")
     values = rng.integers(0, 1 << k, size=n, dtype=np.int64)
     return encode_list(values, k=k, source_tag=source_tag)
 
@@ -496,16 +499,20 @@ def prefix_trace(enc: EncodedList, points: int = 12,
 def write_list_file(path: str, enc: EncodedList, raw: bool = False) -> None:
     """Write a list file: header line ``n k source_tag`` then the values as
     newline-delimited decimals, or header ``n k source_tag raw`` then the
-    values' big-endian bits packed into bytes."""
+    values' big-endian bits packed into bytes.  A path that cannot be
+    written raises FormatError."""
     tag = "_".join(enc.source_tag.split()) or "-"
     header = f"{enc.n} {enc.k} {tag}{' raw' if raw else ''}\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        if raw:
-            fh.write(_packed_bytes(enc.values, enc.k))
-        else:
-            fh.write("\n".join(map(str, enc.values.tolist())).encode("ascii"))
-            fh.write(b"\n")
+    if raw:
+        body = _packed_bytes(enc.values, enc.k)
+    else:
+        body = ("\n".join(map(str, enc.values.tolist())) + "\n").encode("ascii")
+    try:
+        with open(path, "wb") as fh:
+            fh.write(header.encode("ascii"))
+            fh.write(body)
+    except OSError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def read_list_file(path: str) -> EncodedList:

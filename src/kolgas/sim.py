@@ -35,6 +35,9 @@ INIT_MODES = ("equilibrium", "beam", "half_box")
 
 N_PARTICLES_CAP = 10**5
 
+#: Most samples one disorder trace may hold (duration / dt_out + 1).
+TRACE_SAMPLES_CAP = 10**5
+
 _ORIENT_BINS = 16
 _POS_BINS = 8
 
@@ -81,6 +84,10 @@ class SimConfig:
             raise DomainError("need dt_out > 0 and duration >= 0")
         if self.perturbation < 0.0:
             raise DomainError("perturbation must be nonnegative")
+        if not self.duration / self.dt_out + 1.0 <= TRACE_SAMPLES_CAP:
+            raise DomainError(
+                f"a trace may hold at most {TRACE_SAMPLES_CAP} samples"
+            )
 
     @property
     def volume(self) -> float:
@@ -99,6 +106,8 @@ class SimConfig:
 def member_seed(base_seed: int, index: int) -> int:
     """Fixed splitting rule for seed batches: member ``index`` of a batch
     rooted at ``base_seed``."""
+    if base_seed < 0:
+        raise DomainError("seed must be nonnegative")
     ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(index,))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -223,26 +232,23 @@ def step_to(state: SimState, t_target: float) -> SimState:
         raise DomainError("cannot step backwards in time")
     box = np.asarray(state.config.box)
     pos, vel = state.pos, state.vel
-    remaining = np.full(state.config.n_particles, t_target - state.time)
-
-    while True:
+    # the pending set: particles that may still reach a wall, and the time
+    # each has left; a pass moves it on and keeps only those that hit
+    idx = np.arange(state.config.n_particles)
+    left = np.full(idx.size, t_target - state.time)
+    while idx.size:
+        p, v = pos[idx], vel[idx]
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_low = np.where(vel < 0.0, -pos / vel, np.inf)
-            t_high = np.where(vel > 0.0, (box - pos) / vel, np.inf)
-        t_wall = np.minimum(t_low, t_high)          # (n, 3)
-        axis_hit = np.argmin(t_wall, axis=1)
-        t_next = t_wall[np.arange(t_wall.shape[0]), axis_hit]
-        hits = t_next < remaining
-        if not hits.any():
-            pos += vel * remaining[:, None]
-            break
-        dt = np.where(hits, t_next, remaining)
-        pos += vel * dt[:, None]
-        remaining = remaining - dt
-        idx = np.flatnonzero(hits)
-        axis = axis_hit[idx]
+            t_wall = np.minimum(np.where(v < 0.0, -p / v, np.inf),
+                                np.where(v > 0.0, (box - p) / v, np.inf))
+        axis = np.argmin(t_wall, axis=1)
+        t_next = t_wall[np.arange(idx.size), axis]
+        pos[idx] = p + v * np.minimum(t_next, left)[:, None]
+        hit = t_next < left
+        idx, axis, left = idx[hit], axis[hit], left[hit] - t_next[hit]
         pos[idx, axis] = np.where(vel[idx, axis] > 0.0, box[axis], 0.0)
-        wall_scatter(state, idx, axis, t_target - remaining[idx])
+        if idx.size:
+            wall_scatter(state, idx, axis, t_target - left)
 
     state.time = t_target
     return state
@@ -293,6 +299,9 @@ def sample_disorder(state: SimState,
     across stages.
     """
     cfg = state.config
+    if cfg.n_particles < 2:
+        raise DomainError("the nearest-neighbour list needs 2 or more "
+                          "particles")
     k = default_width(cfg.n_particles)
     ref = np.asarray(reference_box if reference_box is not None else cfg.box)
     diag = float(np.linalg.norm(ref))
@@ -303,8 +312,7 @@ def sample_disorder(state: SimState,
                         source_tag="orientation")
     k_orient = estimate_complexity(enc_o).k_hat
 
-    _, nbr = cKDTree(state.pos).query(state.pos, k=2)
-    nn_dist = np.linalg.norm(state.pos - state.pos[nbr[:, 1]], axis=1)
+    nn_dist = cKDTree(state.pos).query(state.pos, k=2)[0][:, 1]
     enc_nn = encode_list(quantize(nn_dist, k, bounds=(0.0, diag)), k=k,
                          source_tag="nn-distance")
     k_nn = estimate_complexity(enc_nn).k_hat
@@ -429,6 +437,9 @@ def run_joule_expansion(config: SimConfig, volume_ratio: float) -> JouleReport:
     statistics = species_statistics(config.species)
 
     stage1 = replace(config, duration=JOULE_SETTLE_TRANSITS * config.t_b)
+    t_b_expanded = (stage1.volume * volume_ratio) ** (1.0 / 3.0) / config.v_th
+    stage2 = replace(config, box=expanded,
+                     duration=JOULE_EXPANDED_TRANSITS * t_b_expanded)
     run1 = simulate(stage1, "equilibrium", reference_box=expanded)
     d1 = float(run1.trace.d_hat[-JOULE_MEASURE_SAMPLES:].mean())
 
@@ -443,9 +454,6 @@ def run_joule_expansion(config: SimConfig, volume_ratio: float) -> JouleReport:
             trace_before=run1.trace, trace_after=run1.trace,
         )
 
-    t_b_expanded = (stage1.volume * volume_ratio) ** (1.0 / 3.0) / config.v_th
-    stage2 = replace(config, box=expanded,
-                     duration=JOULE_EXPANDED_TRANSITS * t_b_expanded)
     state = run1.final_state
     state.config = stage2
     run2 = simulate(stage2, "equilibrium", reference_box=expanded, state=state)

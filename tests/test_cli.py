@@ -1,6 +1,7 @@
 """Command-line behaviour: artifact schemas, manifests, exit codes, and
 byte-level determinism of reruns."""
 import json
+import os
 import pathlib
 
 import jsonschema
@@ -323,11 +324,40 @@ def test_sim_bad_particle_count_exits_2(capsys):
     ("sim", "relax", "--temp", "nan"),
     ("sim", "relax", "--transits", "inf"),
     ("sim", "joule", "--ratio", "inf"),
+    ("state", "--vessel-side", "0"),
+    ("sweep", "--var", "T", "--from", "1", "--to", "2", "--points", "3",
+     "--temp", "nan"),
+    ("randomness", "generate", "--kind", "rng", "--seed", "-1",
+     "--output", os.devnull),
+    ("randomness", "generate", "--kind", "rng", "--k", "70",
+     "--output", os.devnull),
+    ("randomness", "generate", "--kind", "rng", "--n", "-5", "--k", "7",
+     "--output", os.devnull),
+    ("sim", "relax", "--seeds", "-3"),
+    ("sim", "relax", "--seeds", "0"),
+    ("sim", "relax", "--seeds", "2", "--seed", "-1"),
+    ("sim", "relax", "--particles", "1"),
+    ("sim", "relax", "--transits", "1e6"),
+    ("sim", "relax", "--samples-per-transit", "1e9"),
+    ("sim", "joule", "--ratio", "1e300"),
 ])
 def test_non_finite_or_zero_input_exits_2(capsys, argv):
-    if argv[0] == "sim":
-        argv += ("--wall-model", "smooth_specular", "--particles", "100")
+    if argv[0] == "sim":  # defaults first, so that argv's own values win
+        argv = argv[:2] + ("--wall-model", "smooth_specular",
+                           "--particles", "100") + argv[2:]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("state", "--output"),
+    ("randomness", "generate", "--kind", "rng", "--n", "100", "--output"),
+])
+def test_unwritable_output_exits_3(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out"
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1

@@ -4,6 +4,7 @@ models, disorder traces, relaxation timing, and the expansion experiment.
 Statistical checks run on fixed seeds with empirically frozen margins;
 they are deterministic, not flaky."""
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -215,6 +216,29 @@ def test_bit_identical_reruns():
     assert np.array_equal(a.final_state.pos, b.final_state.pos)
     ea, eb = a.final_state.events(), b.final_state.events()
     assert all(np.array_equal(ea[key], eb[key]) for key in ea)
+
+
+#: Wall model -> (n_events, SHA-256 of the particle_id column) of the run
+#: in test_event_stream_is_pinned.
+PINNED_EVENT_STREAMS = {
+    "specular_random_sites": (
+        1494, "b696ed011872571f01192b8d6e80e39e4286380f95553e1f9f4acae625057d25"),
+    "langmuir_thermal": (
+        1250, "7bb4fddf46d54ee75746000a273f571bdcf7218d22e0584536911c2e63a6df1e"),
+    "smooth_specular": (
+        1233, "032e390820985c416682ecc5577b1dbe1b71f4e880abd7f7a6ab553bfe1e90bf"),
+}
+
+
+@pytest.mark.parametrize("model", WALL_MODELS)
+def test_event_stream_is_pinned(model):
+    # any change to the order or number of wall events, or to the RNG
+    # draws behind them, shows here; re-pin only for a deliberate change
+    cfg = make_config(n=300, wall_model=model, seed=2, transits=3.0)
+    state = simulate(cfg, "equilibrium").final_state
+    pid = state.events()["particle_id"]
+    assert (state.n_events, hashlib.sha256(pid.tobytes()).hexdigest()) == \
+        PINNED_EVENT_STREAMS[model]
 
 
 @settings(deadline=None)
