@@ -13,7 +13,6 @@ from .combinatorics import (
     log2_binomial_be_expansion,
     log2_binomial_exact,
     log2_binomial_fd_expansion,
-    net_disorder_classical,
     net_disorder_fd,
     net_disorder_intensive,
 )
@@ -24,26 +23,21 @@ from .errors import (
     FormatError,
     KolgasError,
     NoPlateauError,
-    StepSizeError,
     UnknownEstimatorError,
     UnknownSpeciesError,
 )
 from .randomness import (
     ComplexityReport,
     EncodedList,
-    balance_profile,
     encode_list,
     estimate_complexity,
-    fd_algorithmic_probability,
     gap_classify,
     prefix_trace,
     quantize,
-    randomness_deficiency,
     read_list_file,
     rng_list,
     smooth_box_list,
     smooth_box_spectrum,
-    wedge_bounds,
     write_list_file,
 )
 from .sim import (
@@ -61,8 +55,6 @@ from .sim import (
 from .thermo import (
     GasSpec,
     ThermoState,
-    first_law_residual,
-    legendre_potentials,
     state_equations,
     thermal_length,
 )
@@ -70,8 +62,6 @@ from .wall import (
     LengthHierarchy,
     classify_regime,
     langmuir_isotherm,
-    langmuir_massieu,
-    lennard_jones,
     mean_free_path,
 )
 
@@ -80,23 +70,18 @@ __version__ = "0.1.0"
 __all__ = [
     "Calibration", "load_calibration",
     "fd_half_log_bits", "log2_binomial_be_expansion", "log2_binomial_exact",
-    "log2_binomial_fd_expansion", "net_disorder_classical", "net_disorder_fd",
-    "net_disorder_intensive",
+    "log2_binomial_fd_expansion", "net_disorder_fd", "net_disorder_intensive",
     "CODATA", "Constants", "SpeciesSpec", "species_lookup",
     "DegeneracyError", "DomainError", "FormatError", "KolgasError",
-    "NoPlateauError", "StepSizeError", "UnknownEstimatorError",
-    "UnknownSpeciesError",
-    "ComplexityReport", "EncodedList", "balance_profile", "encode_list",
-    "estimate_complexity", "fd_algorithmic_probability",
-    "gap_classify", "prefix_trace", "quantize", "randomness_deficiency",
-    "read_list_file", "rng_list", "smooth_box_list", "smooth_box_spectrum",
-    "wedge_bounds", "write_list_file",
+    "NoPlateauError", "UnknownEstimatorError", "UnknownSpeciesError",
+    "ComplexityReport", "EncodedList", "encode_list", "estimate_complexity",
+    "gap_classify", "prefix_trace", "quantize", "read_list_file", "rng_list",
+    "smooth_box_list", "smooth_box_spectrum", "write_list_file",
     "DisorderTrace", "JouleReport", "SimConfig", "SimRun", "init_sim",
     "member_seed", "relaxation_time", "run_joule_expansion", "simulate",
     "step_to",
-    "GasSpec", "ThermoState", "first_law_residual", "legendre_potentials",
-    "state_equations", "thermal_length",
+    "GasSpec", "ThermoState", "state_equations", "thermal_length",
     "LengthHierarchy", "classify_regime", "langmuir_isotherm",
-    "langmuir_massieu", "lennard_jones", "mean_free_path",
+    "mean_free_path",
     "__version__",
 ]

@@ -365,17 +365,19 @@ def cmd_sim_relax(args: argparse.Namespace) -> int:
             entry["no_plateau_reason"] = str(exc)
         runs.append(entry)
 
+    # Side files go first, so one that cannot be written exits 3 before
+    # any report reaches stdout.
+    if args.trace_output:
+        _write_trace(manifest, last_run.trace, args.trace_output)
+    if args.events_output:
+        _write_events(manifest, last_run.final_state.events(),
+                      args.events_output)
     payload = {
         "manifest": manifest,
         "t_b_s": last_run.t_b,
         "runs": runs,
     }
     _emit_json(payload, args.output)
-    if args.trace_output:
-        _write_trace(manifest, last_run.trace, args.trace_output)
-    if args.events_output:
-        _write_events(manifest, last_run.final_state.events(),
-                      args.events_output)
     return 0
 
 
@@ -384,6 +386,11 @@ def cmd_sim_joule(args: argparse.Namespace) -> int:
     report = simmod.run_joule_expansion(cfg, args.ratio)
     manifest = _manifest("sim joule", _sim_params(args, ratio=args.ratio),
                          seed=args.seed)
+    if args.trace_prefix:
+        _write_trace(manifest, report.trace_before,
+                     args.trace_prefix + ".before.csv")
+        _write_trace(manifest, report.trace_after,
+                     args.trace_prefix + ".after.csv")
     payload = {
         "manifest": manifest,
         "volume_ratio": report.volume_ratio,
@@ -396,11 +403,6 @@ def cmd_sim_joule(args: argparse.Namespace) -> int:
         if report.volume_ratio > 1.0 else None,
     }
     _emit_json(payload, args.output)
-    if args.trace_prefix:
-        _write_trace(manifest, report.trace_before,
-                     args.trace_prefix + ".before.csv")
-        _write_trace(manifest, report.trace_after,
-                     args.trace_prefix + ".after.csv")
     return 0
 
 

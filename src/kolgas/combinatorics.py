@@ -13,7 +13,6 @@ from typing import Final
 
 import numpy as np
 
-from .constants import K_BOLTZMANN
 from .errors import DomainError
 
 LN2: Final[float] = math.log(2.0)
@@ -182,31 +181,3 @@ def net_disorder_intensive(x: float, n: float) -> float:
         kappa = math.log(x - 1.0) - x * math.log1p(-1.0 / x)
     return n * kappa
 
-
-def net_disorder_classical(a: float, n: float) -> float:
-    """Dilute-limit net disorder, n ( ln 2A + 1 + c1/(2A) ), nats.
-
-    ``c1`` is :data:`FIRST_ORDER_COEFF` (-1/2), fixed by the series oracle;
-    see the coefficient-audit acceptance test.  Restricted to A >= 10 where
-    the truncation error is below 1e-4 relative.
-    """
-    if a < 10.0:
-        raise DomainError(f"classical form needs A >= 10, got A={a}")
-    if n <= 0.0:
-        raise DomainError(f"need n > 0, got n={n}")
-    x = 2.0 * a
-    return n * (math.log(x) + 1.0 + FIRST_ORDER_COEFF / x)
-
-
-def f_stat(m: float, n: float, temperature: float) -> float:
-    """Marker-statistics free energy -k_B T (n ln m - n ln n), J.
-
-    The purely statistical part of the free energy: what remains when the
-    slot-exclusion terms are dropped.  Differs from the full classical
-    free energy by n k_B T (1 + ln 2) for a spin-1/2 gas.
-    """
-    if not (m > n > 0.0):
-        raise DomainError(f"need m > n > 0, got m={m}, n={n}")
-    if temperature <= 0.0:
-        raise DomainError(f"need T > 0, got T={temperature}")
-    return -K_BOLTZMANN * temperature * n * math.log(m / n)

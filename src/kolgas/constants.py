@@ -52,9 +52,8 @@ class SpeciesSpec:
     a_B : float
         Atomic (Bohr-scale) radius in m; sets the hard-core scale.
     a_LJ : float
-        Lennard-Jones zero-crossing length in m.
-    eps_LJ : float
-        Lennard-Jones well depth expressed as a temperature in K.
+        Lennard-Jones zero-crossing length in m; the collision diameter
+        of the mean free path.
     """
 
     name: str
@@ -62,7 +61,6 @@ class SpeciesSpec:
     spin_degeneracy: int
     a_B: float
     a_LJ: float
-    eps_LJ: float
 
     def __post_init__(self) -> None:
         if self.mass <= 0.0:
@@ -75,8 +73,6 @@ class SpeciesSpec:
             raise DomainError(
                 f"species {self.name!r}: need 0 < a_B < a_LJ"
             )
-        if self.eps_LJ <= 0.0:
-            raise DomainError(f"species {self.name!r}: eps_LJ must be positive")
 
 
 _SPECIES: Final[dict[str, SpeciesSpec]] = {
@@ -87,7 +83,6 @@ _SPECIES: Final[dict[str, SpeciesSpec]] = {
         spin_degeneracy=2,
         a_B=0.53e-10,
         a_LJ=2.6e-10,
-        eps_LJ=11.0,
     ),
     # Helium-4: spin-0.
     "he4": SpeciesSpec(
@@ -96,7 +91,6 @@ _SPECIES: Final[dict[str, SpeciesSpec]] = {
         spin_degeneracy=1,
         a_B=0.53e-10,
         a_LJ=2.6e-10,
-        eps_LJ=11.0,
     ),
 }
 

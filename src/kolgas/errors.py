@@ -21,10 +21,6 @@ class DegeneracyError(DomainError):
     """State equations requested in a regime where the closed forms break down."""
 
 
-class StepSizeError(DomainError):
-    """A finite difference step is too large for the requested comparison."""
-
-
 class UnknownEstimatorError(DomainError):
     """Complexity estimator id not recognised."""
 

@@ -4,7 +4,7 @@ A "primitive list" is n data encoded at k bits per datum (k defaults to
 ceil(log2 n)), so its literal length is l = n k bits.  An ideal
 description length for such a list is uncomputable; this module computes
 honest upper bounds K_hat from a fixed family of estimators and works
-with the deficiency l - K_hat (or more generally -K_hat - log2 P).
+with the deficiency l - K_hat.
 
 Estimators
 ----------
@@ -34,7 +34,6 @@ from .combinatorics import (
     EXACT_BINOMIAL_CAP,
     log2_binomial_exact,
     log2_binomial_fd_expansion,
-    net_disorder_fd,
 )
 from .errors import DomainError, FormatError, UnknownEstimatorError
 from .constants import CODATA
@@ -258,20 +257,6 @@ def estimate_complexity(enc: EncodedList,
     )
 
 
-def randomness_deficiency(enc: EncodedList, log2_p: float,
-                          estimator: str = "best") -> float:
-    """Deficiency -K_hat(list) - log2 P against a hypothesis that assigns
-    the list probability P (log2_p = log2 P <= 0).
-
-    For the uniform hypothesis P = 2^-l this is l - K_hat.  Large positive
-    values show the list is atypical for the hypothesis.
-    """
-    if log2_p > 0.0:
-        raise DomainError("log2_p is a log-probability and must be <= 0")
-    report = estimate_complexity(enc, estimator)
-    return -report.k_hat - log2_p
-
-
 # ---------------------------------------------------------------------------
 # structured reference lists
 
@@ -318,114 +303,6 @@ def smooth_box_list(n: int, side: float, mass: float,
 
 # ---------------------------------------------------------------------------
 # structural diagnostics
-
-@dataclass(frozen=True)
-class FDProbability:
-    """Log2 algorithmic-probability bookkeeping for exclusive occupation."""
-
-    log2_fd: float   # log2 of the multiplicity-based probability (exact/expansion)
-    log2_z: float    # log2 of the extensive normalisation, net disorder / ln 2
-
-
-def fd_algorithmic_probability(m: float, n: float,
-                               spin_degeneracy: int = 2) -> FDProbability:
-    """Probability assigned to an occupation list by counting:
-    log2 FD = -sum over spin states of log2 C(m, n_s).
-
-    Small integral inputs take the exact big-integer path; otherwise the
-    expansion.  ``log2_z`` is the extensive part alone, so
-    2^(log2_fd / n) reproduces the slot occupancy up to sub-extensive
-    corrections.
-    """
-    g = spin_degeneracy
-    if g not in (1, 2):
-        raise DomainError("spin_degeneracy must be 1 or 2")
-    n_s = n / g
-    if not (m > n_s > 0.0):
-        raise DomainError(f"need m > n/g > 0, got m={m}, n={n}, g={g}")
-    exact_ok = (
-        float(m).is_integer() and float(n_s).is_integer()
-        and m <= EXACT_BINOMIAL_CAP
-    )
-    if exact_ok:
-        log2_c = log2_binomial_exact(int(m), int(n_s))
-    else:
-        log2_c = log2_binomial_fd_expansion(m, n_s)
-    log2_z = net_disorder_fd(m, n, g) / math.log(2.0)
-    return FDProbability(log2_fd=-g * log2_c, log2_z=log2_z)
-
-
-@dataclass(frozen=True)
-class WedgeBound:
-    """Length-anchored complexity window for an incompressible list of
-    ``n`` bits: lower = n, upper = n + K_hat(n).
-
-    The integer bound uses the natural-log magnitude convention of the
-    companion reference constants (about 40 for a particle-count list and
-    61 for a slot-count list at reference scale).
-    """
-
-    n: float
-    lower: float
-    upper: float
-    k_hat_length: float
-
-
-def k_hat_integer(m: float) -> float:
-    """Coarse description bound for an integer magnitude, ln m."""
-    if m < 2:
-        raise DomainError("integer bound needs m >= 2")
-    return math.log(m)
-
-
-def wedge_bounds(l: float) -> WedgeBound:
-    """Complexity window for an l-bit incompressible list; the window
-    width K_hat(l) benchmarks how large a deficiency is still consistent
-    with randomness."""
-    if l < 2:
-        raise DomainError("wedge_bounds needs l >= 2 bits")
-    k_len = k_hat_integer(l)
-    return WedgeBound(n=l, lower=float(l), upper=l + k_len, k_hat_length=k_len)
-
-
-@dataclass(frozen=True)
-class BalanceProfile:
-    """Per-group zero/one counts over a list's bits split into equal groups."""
-
-    group_width: int
-    zeros: np.ndarray
-    ones: np.ndarray
-    peak_index: int        # group with the most balanced counts
-    peak_center_bit: float
-    degenerate: bool       # every group is maximally one-sided
-
-
-def balance_profile(enc: EncodedList, group_width: int) -> BalanceProfile:
-    """Zero/one balance of consecutive groups of the list's bits.
-
-    For sorted uniform-random data the most balanced group straddles the
-    value midpoint, so over an ensemble of seeds the peak concentrates at
-    the middle of the bits within about a quarter group width.
-    """
-    l = enc.l_primitive
-    if group_width <= 0 or l % group_width != 0:
-        raise DomainError(
-            f"list of {l} bits does not divide into groups of {group_width}"
-        )
-    groups = _bits(enc.values, enc.k).reshape(-1, group_width)
-    ones = groups.sum(axis=1).astype(np.int64)
-    zeros = group_width - ones
-    imbalance = np.abs(ones - zeros)
-    peak = int(np.argmin(imbalance))
-    return BalanceProfile(
-        group_width=group_width,
-        zeros=zeros,
-        ones=ones,
-        peak_index=peak,
-        peak_center_bit=(peak + 0.5) * group_width,
-        degenerate=bool(np.all(imbalance == group_width)),
-    )
-
 
 @dataclass(frozen=True)
 class GapVerdict:

@@ -254,11 +254,6 @@ def step_to(state: SimState, t_target: float) -> SimState:
     return state
 
 
-def kinetic_energy(state: SimState) -> float:
-    """Total kinetic energy, J."""
-    return 0.5 * state.config.species.mass * float(np.sum(state.vel**2))
-
-
 # ---------------------------------------------------------------------------
 # disorder trace
 
@@ -367,14 +362,15 @@ def relaxation_time(trace: DisorderTrace, threshold: float = 0.95) -> float:
     """First sample time at which d_hat reaches ``threshold`` times its
     plateau (the mean over the last quarter of the trace).
 
-    Raises NoPlateauError when the tail has not stabilised or never rises
-    above the calibrated floor, as for non-mixing walls.
+    Raises NoPlateauError when the trace is too short to hold a tail,
+    when the tail has not stabilised, or when it never rises above the
+    calibrated floor, as for non-mixing walls.
     """
     calib = load_calibration()
     d = trace.d_hat
     m = d.size
     if m < 8:
-        raise DomainError("trace too short to locate a plateau")
+        raise NoPlateauError("trace too short to locate a plateau")
     q3 = d[m // 2: 3 * m // 4]
     q4 = d[3 * m // 4:]
     plateau = float(q4.mean())

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .combinatorics import net_disorder_intensive
 from .constants import CODATA, SpeciesSpec
-from .errors import DegeneracyError, DomainError, StepSizeError
+from .errors import DegeneracyError, DomainError
 
 _H = CODATA.h
 _KB = CODATA.k_B
@@ -75,15 +74,6 @@ class ThermoState:
     e_V: float         # d ln M / d ln V contribution, = gamma
     e_N: float         # d ln(1/N) contribution, = -gamma
     lambda_V: float    # m, metadata
-
-
-class PotentialSet(NamedTuple):
-    """Legendre-transformed potentials of one state."""
-
-    F: float       # free energy, J
-    A_GC: float    # grand potential F - mu N, J
-    G: float       # Gibbs free energy F + P V, J
-    U_of_S: float  # internal energy recovered as F + T S, J
 
 
 def thermal_length(T: float, mass: float) -> float:
@@ -200,107 +190,3 @@ def state_equations(spec: GasSpec) -> ThermoState:
         lambda_V=lam * spec.N ** (1.0 / 3.0),
     )
 
-
-def legendre_potentials(state: ThermoState, spec: GasSpec) -> PotentialSet:
-    """Grand potential, Gibbs free energy, and the recovered internal
-    energy F + T S for one state.
-
-    The recovered U must match ``state.U`` to 1e-12 relative; a mismatch
-    indicates an inconsistent (hand-built) state and raises.
-    """
-    a_gc = state.F - state.mu * spec.N
-    g = state.F + state.P * spec.V
-    u_of_s = state.F + spec.T * state.S
-    if abs(u_of_s - state.U) > 1e-12 * max(abs(state.U), 1e-300):
-        raise DomainError(
-            "state is internally inconsistent: F + T S does not recover U"
-        )
-    return PotentialSet(F=state.F, A_GC=a_gc, G=g, U_of_S=u_of_s)
-
-
-_MAX_REL_STEP = 1e-4
-
-
-def first_law_residual(spec: GasSpec, dV: float, dN: float, q: float) -> float:
-    """Energy-balance residual dU + w - q between two nearby equilibria, J.
-
-    The process takes (T, V, N) to (T', V + dV, N + dN) where T' is solved
-    so that the reversible heat T * (S' - S) equals the supplied ``q``.
-    Work done by the gas is evaluated at the initial state,
-    w = P dV - mu dN.  The residual vanishes to second order in the step
-    sizes; the test suite verifies the order with Richardson halving.
-    """
-    if abs(dV) > _MAX_REL_STEP * spec.V or abs(dN) > _MAX_REL_STEP * spec.N:
-        raise StepSizeError(
-            f"steps must satisfy |dV|/V and |dN|/N <= {_MAX_REL_STEP:g}"
-        )
-    s1 = state_equations(spec)
-
-    def spec_at(T: float) -> GasSpec:
-        return GasSpec(T, spec.V + dV, spec.N + dN, spec.species, spec.statistics)
-
-    # Newton solve for T': f(T') = T (S(T') - S1) - q, f' = T c_V(T') / T'.
-    T2 = spec.T
-    s2 = state_equations(spec_at(T2))
-    f = spec.T * (s2.S - s1.S) - q
-    # f is a difference of two ~T*S numbers: it cannot be driven below
-    # the rounding noise of T*S itself, so that noise sets the floor.
-    tol = max(1e-13 * abs(q),
-              64.0 * math.ulp(1.0) * abs(spec.T * s1.S), 1e-300)
-    for _ in range(60):
-        if abs(f) <= tol:
-            break
-        deriv = spec.T * s2.c_V / T2
-        step = f / deriv
-        # Guard against leaving the domain on a wild first step.
-        T2 = max(T2 - step, 0.5 * T2)
-        s2 = state_equations(spec_at(T2))
-        f = spec.T * (s2.S - s1.S) - q
-    else:
-        raise DomainError("could not match the requested heat to a nearby state")
-
-    dU = s2.U - s1.U
-    w = s1.P * dV - s1.mu * dN
-    return dU + w - q
-
-
-def occupancy_qkm(x: float) -> float:
-    """Slot occupancy from the intensive net disorder,
-    g(x) = exp( -(Gamma(x) + ln(x-1)) ) = exp(-kappa(x)).  Requires x > 1."""
-    return math.exp(-(gamma_fd(x) + math.log(x - 1.0)))
-
-
-def occupancy_fd(eps: float, mu: float, T: float) -> float:
-    """Exclusive-occupation level occupancy 1 / (exp((eps-mu)/k_B T) + 1)."""
-    if T <= 0.0:
-        raise DomainError("occupancy_fd needs T > 0")
-    z = (eps - mu) / (_KB * T)
-    if z >= 0.0:
-        e = math.exp(-z)
-        return e / (1.0 + e)
-    return 1.0 / (math.exp(z) + 1.0)
-
-
-def equivalent_level_energy(x: float, T: float) -> float:
-    """Level energy eps = k_B T Gamma(x) at which the two occupancy forms
-    agree, J."""
-    return _KB * T * gamma_fd(x)
-
-
-def s_qkm_from_complexities(k_m: float, k_n: float, k_mn: float,
-                            n: float, a: float) -> float:
-    """Entropy from measured description lengths, J/K.
-
-    S = k_B ln2 (K_M - K_N - K_MN) + (3/2) N k_B Gamma(2A).
-
-    The K arguments are description lengths in bits of the slot, marker
-    and complement lists (summed over spin states); the Gamma term carries
-    the kinetic part.
-    """
-    for name, v in (("k_m", k_m), ("k_n", k_n), ("k_mn", k_mn)):
-        if v < 0.0:
-            raise DomainError(f"{name} must be a nonnegative bit count")
-    if n <= 0.0:
-        raise DomainError("n must be positive")
-    return _KB * math.log(2.0) * (k_m - k_n - k_mn) \
-        + 1.5 * n * _KB * gamma_fd(2.0 * a)

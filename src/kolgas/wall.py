@@ -1,18 +1,17 @@
-"""Wall interaction and regime bookkeeping: pair potential, mean free
-path, the length-scale hierarchy, adsorption closed forms, and wave-packet
-spread over one vessel transit.
+"""Wall-side closed forms and regime bookkeeping: mean free path, the
+length-scale hierarchy, the adsorption isotherm, and wave-packet spread
+over one vessel transit.  The wall scatter models live in
+:mod:`kolgas.sim`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 
-from .combinatorics import net_disorder_fd
-from .constants import CODATA, SpeciesSpec
+from .constants import CODATA
 from .errors import DomainError
-from .thermo import GasSpec, interparticle_length, rms_speed, thermal_length
+from .thermo import GasSpec, interparticle_length, thermal_length
 
-_KB = CODATA.k_B
 _H = CODATA.h
 
 #: Upper end of the cool-gas window, K.
@@ -20,9 +19,6 @@ T_COOL_MAX = 10.0
 
 #: Lower end of the cool-gas window for helium-3 (liquefaction scale), K.
 T_CRIT_HE3 = 3.3
-
-#: Spacing of the trap-site lattice on the wall, m.
-WALL_SITE_SPACING = 3.0e-10
 
 #: Adsorption reference case: trap depth over k_B T and slots-per-particle
 #: ratio used in the documentation examples, plus the legacy figure the
@@ -55,16 +51,6 @@ class LengthHierarchy:
     regime: str
     cool: bool
     inequalities: dict[str, bool] = field(default_factory=dict)
-
-
-def lennard_jones(r: float, species: SpeciesSpec) -> float:
-    """Pair potential 4 eps ((a/r)^12 - (a/r)^6), J, with the species'
-    zero-crossing length a and well depth eps (eps_LJ is stored in K)."""
-    if r <= 0.0:
-        raise DomainError("lennard_jones needs r > 0")
-    eps_j = species.eps_LJ * _KB
-    s6 = (species.a_LJ / r) ** 6
-    return 4.0 * eps_j * (s6 * s6 - s6)
 
 
 def mean_free_path(V: float, N: float, a: float) -> float:
@@ -105,22 +91,6 @@ def classify_regime(spec: GasSpec, b: float) -> LengthHierarchy:
     )
 
 
-def langmuir_massieu(m_c: float, n_c: float, u: float, T: float) -> float:
-    """Massieu function (dimensionless) of n_c adsorbed atoms on m_c traps
-    of depth u (J) at temperature T:
-
-        [m_c ln m_c - n_c ln n_c - (m_c - n_c) ln (m_c - n_c)] + n_c u / (k_B T).
-
-    The combinatorial part is exactly the single-spin net disorder, shared
-    with :func:`kolgas.combinatorics.net_disorder_fd`.
-    """
-    if not (m_c > n_c > 0.0):
-        raise DomainError(f"need m_c > n_c > 0, got m_c={m_c}, n_c={n_c}")
-    if T <= 0.0:
-        raise DomainError("langmuir_massieu needs T > 0")
-    return net_disorder_fd(m_c, n_c, 1) + n_c * u / (_KB * T)
-
-
 def langmuir_isotherm(a: float, u_over_kt: float) -> float:
     """Occupied trap fraction 1 / (1 + A exp(-u / k_B T)).
 
@@ -149,16 +119,6 @@ def isotherm_reference_report() -> dict:
     }
 
 
-def p0_reference(T: float, mass: float) -> float:
-    """Reference pressure (k_B T)^(5/2) (2 pi m / h^2)^(3/2), Pa.
-
-    For an ideal gas, P / P0 = 1 / A exactly.
-    """
-    if T <= 0.0 or mass <= 0.0:
-        raise DomainError("p0_reference needs T > 0 and mass > 0")
-    return (_KB * T) ** 2.5 * (2.0 * math.pi * mass / (_H * _H)) ** 1.5
-
-
 def packet_spread(b: float, T: float, mass: float) -> float:
     """Wave-packet spread h t_b / (2 m lambda_th) over one vessel transit
     at the packet speed h / (m lambda_th), m.
@@ -173,37 +133,3 @@ def packet_spread(b: float, T: float, mass: float) -> float:
     t_b = b / v_packet
     return _H * t_b / (2.0 * mass * lam)
 
-
-@dataclass(frozen=True)
-class WallFluxReport:
-    """Order-of-magnitude wall traffic for one macrostate."""
-
-    v_th: float                    # rms speed, m/s
-    t_b: float                     # vessel transit time, s
-    flux: float                    # atoms reaching the wall per second
-    sites: float                   # trap sites on the wall
-    per_site_per_transit: float    # atoms per site per transit time
-    free_per_occupied: float       # instantaneous free:occupied site ratio
-
-
-def wall_flux_report(spec: GasSpec, wall_area: float) -> WallFluxReport:
-    """Estimate wall traffic: every atom reaches the wall about once per
-    transit time t_b = V^(1/3) / v_th, so the flux is N / t_b spread over
-    wall_area / WALL_SITE_SPACING^2 sites."""
-    if wall_area <= 0.0:
-        raise DomainError("wall_flux_report needs wall_area > 0")
-    v_th = rms_speed(spec.T, spec.species.mass)
-    b = spec.V ** (1.0 / 3.0)
-    t_b = b / v_th
-    flux = spec.N / t_b
-    sites = wall_area / WALL_SITE_SPACING**2
-    per_site = spec.N / sites
-    occupied = min(per_site, 1.0)
-    return WallFluxReport(
-        v_th=v_th,
-        t_b=t_b,
-        flux=flux,
-        sites=sites,
-        per_site_per_transit=per_site,
-        free_per_occupied=(1.0 - occupied) / occupied if occupied > 0 else math.inf,
-    )

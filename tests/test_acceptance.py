@@ -128,6 +128,7 @@ def test_criterion_2_expansions_track_exact_multiplicities(acceptance):
 
 def test_criterion_3_disorder_ledger_forms_agree(acceptance):
     # extensive ledger vs intensive-per-particle form, both spin settings
+    t0 = time.perf_counter()
     n_s = 1.0e16
     worst = 0.0
     for x in DILUTION_GRID:
@@ -135,13 +136,16 @@ def test_criterion_3_disorder_ledger_forms_agree(acceptance):
         d1 = net_disorder_fd(x * n_s, n_s, 1)
         d2 = net_disorder_fd(x * n_s, 2 * n_s, 2)
         worst = max(worst, abs(d1 - ref) / ref, abs(d2 - 2 * ref) / (2 * ref))
+    elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10
-    acceptance(3, ok, f"max rel gap {worst:.2e} over 200 ratios, g in (1, 2)")
+    acceptance(3, ok, f"max rel gap {worst:.2e} over 200 ratios, g in (1, 2), "
+                      f"{elapsed:.1f}s")
     assert worst <= 1e-10
 
 
 def test_criterion_4_reference_gas_benchmarks(acceptance):
     """The documented cold-cell numbers come out of the state equations."""
+    t0 = time.perf_counter()
     st = state_equations(REF)
     rows = (
         ("lambda_th", st.lambda_th, 3.1e-10, 0.03),
@@ -154,25 +158,29 @@ def test_criterion_4_reference_gas_benchmarks(acceptance):
     margins = {name: abs(value / target - 1.0) / tol
                for name, value, target, tol in rows}
     worst_name = max(margins, key=margins.get)
+    elapsed = time.perf_counter() - t0
     ok = all(m <= 1.0 for m in margins.values())
     acceptance(4, ok,
                f"6/6 benchmarks in band (tightest: {worst_name} at "
-               f"{100 * margins[worst_name]:.0f}% of its band)")
+               f"{100 * margins[worst_name]:.0f}% of its band), {elapsed:.1f}s")
     for name, value, target, tol in rows:
         assert abs(value / target - 1.0) <= tol, (name, value, target)
 
 
 def test_criterion_5_dilute_entropy_closed_form_error_bound(acceptance):
     # |S/(N k_B) - (ln 2A + 5/2)| <= 10/A once A >= 1e4
+    t0 = time.perf_counter()
     worst_ratio = 0.0
     for a in np.geomspace(1e4, 1e12, 25):
         x = 2.0 * a
         s_per = kappa_fd(x) + 1.5 * gamma_fd(x)
         err = abs(s_per - (math.log(x) + 2.5))
         worst_ratio = max(worst_ratio, err / (10.0 / a))
+    elapsed = time.perf_counter() - t0
     ok = worst_ratio <= 1.0
     acceptance(5, ok,
-               f"worst |err|/(10/A) = {worst_ratio:.3f} over A in [1e4, 1e12]")
+               f"worst |err|/(10/A) = {worst_ratio:.3f} over A in [1e4, 1e12], "
+               f"{elapsed:.1f}s")
     assert worst_ratio <= 1.0
 
 
@@ -184,6 +192,7 @@ def test_criterion_6_first_order_series_coefficient_audit(acceptance):
     ships (FIRST_ORDER_COEFF).  The fit is done on x*(kappa - ln x - 1) so
     the residual is directly comparable to the coefficient.
     """
+    t0 = time.perf_counter()
     x = np.geomspace(1e6, 1e8, 30)
     z = np.array([kappa_fd(xi) for xi in x]) - (np.log(x) + 1.0)
     z *= x  # ~ c1 + c2/x
@@ -191,29 +200,35 @@ def test_criterion_6_first_order_series_coefficient_audit(acceptance):
     coef, *_ = np.linalg.lstsq(basis, z, rcond=None)
     c1 = float(coef[0])
     resid = float(np.max(np.abs(basis @ coef - z)))
+    elapsed = time.perf_counter() - t0
     ok = (resid <= 1e-3 * abs(c1)
           and abs(c1 - FIRST_ORDER_COEFF) <= 1e-3 * abs(c1)
           and abs(c1 - 1.0) > 0.5)
     acceptance(6, ok,
                f"oracle c1 = {c1:.7f} (ships {FIRST_ORDER_COEFF}; legacy "
-               f"tabulated +1 ruled out), fit resid {resid:.1e}")
+               f"tabulated +1 ruled out), fit resid {resid:.1e}, "
+               f"{elapsed:.1f}s")
     assert resid <= 1e-3 * abs(c1)
     assert abs(c1 - FIRST_ORDER_COEFF) <= 1e-3 * abs(c1)
     assert abs(c1 - 1.0) > 0.5  # the legacy printed value is not the limit
 
 
 def test_criterion_7_packet_spread_is_half_site_spacing(acceptance):
+    t0 = time.perf_counter()
     worst = 0.0
     for b in np.geomspace(1e-3, 1.0, 16):  # three decades of site spacing
         for T in (0.1, 10.0, 100.0):
             for mass in (HE3.mass, HE4.mass):
                 worst = max(worst, abs(packet_spread(b, T, mass) / (b / 2.0) - 1.0))
+    elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12
-    acceptance(7, ok, f"max rel dev from b/2: {worst:.2e} over 96 settings")
+    acceptance(7, ok, f"max rel dev from b/2: {worst:.2e} over 96 settings, "
+                      f"{elapsed:.1f}s")
     assert worst <= 1e-12
 
 
 def test_criterion_8_adsorption_isotherm_contract(acceptance):
+    t0 = time.perf_counter()
     checks = []
 
     u = 4.5
@@ -234,11 +249,12 @@ def test_criterion_8_adsorption_isotherm_contract(acceptance):
     checks.append(1e-8 < rep["fraction"] < 1e-6)
     checks.append(4.0 < rep["discrepancy_factor"] < 6.0)
 
+    elapsed = time.perf_counter() - t0
     ok = all(checks)
     acceptance(8, ok,
                f"bounds/monotone/balance ok; fraction {rep['fraction']:.3e} "
                f"is {rep['discrepancy_factor']:.2f}x the legacy 5.6e-8 "
-               "(documented, not corrected)")
+               f"(documented, not corrected), {elapsed:.1f}s")
     assert all(checks), checks
 
 
@@ -328,6 +344,7 @@ def test_criterion_10_beam_relaxation_ensemble(acceptance):
 def test_criterion_11_free_expansion_second_law(acceptance):
     """Doubling lengths x4 in volume: closed-form entropy step matches
     ln(ratio) and the measured disorder estimate rises for every seed."""
+    t0 = time.perf_counter()
     ratio = 4.0
     increased = 0
     worst_s = 0.0
@@ -340,9 +357,11 @@ def test_criterion_11_free_expansion_second_law(acceptance):
         shifts.append(rep.delta_d_hat)
         worst_s = max(worst_s,
                       abs(rep.delta_s_per_particle_kb / math.log(ratio) - 1.0))
+    elapsed = time.perf_counter() - t0
     ok = increased == 100 and worst_s <= 0.05
     acceptance(11, ok,
                f"disorder rose {increased}/100 (mean {np.mean(shifts):+.0f} "
-               f"bits); entropy step off ln 4 by {worst_s:.1e} rel")
+               f"bits); entropy step off ln 4 by {worst_s:.1e} rel, "
+               f"{elapsed:.1f}s")
     assert increased == 100
     assert worst_s <= 0.05

@@ -274,6 +274,19 @@ def test_sim_relax_smooth_control_reports_no_plateau(capsys):
     assert "disorder" in run["no_plateau_reason"]
 
 
+def test_sim_relax_short_trace_reports_no_plateau(capsys):
+    # two samples cannot hold a plateau; the run is still reported
+    code, out, _ = run_cli(capsys, "sim", "relax", "--wall-model",
+                           "smooth_specular", "--particles", "50",
+                           "--transits", "0.1")
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, load_schema("relax.schema.json"))
+    run = doc["runs"][0]
+    assert run["t_relax_s"] is None
+    assert run["no_plateau_reason"] == "trace too short to locate a plateau"
+
+
 def test_sim_relax_seed_batch(capsys):
     code, out, _ = run_cli(capsys, *RELAX_ARGS, "--seeds", "3")
     assert code == 0
@@ -351,13 +364,21 @@ def test_non_finite_or_zero_input_exits_2(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_SMALL_SIM = ("--wall-model", "smooth_specular", "--particles", "50",
+              "--transits", "1")
+
+
 @pytest.mark.parametrize("argv", [
     ("state", "--output"),
     ("randomness", "generate", "--kind", "rng", "--n", "100", "--output"),
+    ("sim", "relax", *_SMALL_SIM, "--trace-output"),
+    ("sim", "relax", *_SMALL_SIM, "--events-output"),
+    ("sim", "joule", *_SMALL_SIM, "--trace-prefix"),
 ])
 def test_unwritable_output_exits_3(tmp_path, capsys, argv):
     path = tmp_path / "missing" / "out"
     code, out, err = run_cli(capsys, *argv, str(path))
+    written = f"{path}.before.csv" if argv[-1] == "--trace-prefix" else path
     assert code == 3
     assert out == ""
-    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {written}: ") and err.count("\n") == 1

@@ -3,22 +3,18 @@ for the two-term expansions, and the numerically hardened net-disorder
 forms against their textbook renderings."""
 import math
 
-import numpy as np
 import pytest
 
 from kolgas.combinatorics import (
     EXACT_BINOMIAL_CAP,
     FIRST_ORDER_COEFF,
-    f_stat,
     fd_half_log_bits,
     log2_binomial_be_expansion,
     log2_binomial_exact,
     log2_binomial_fd_expansion,
-    net_disorder_classical,
     net_disorder_fd,
     net_disorder_intensive,
 )
-from kolgas.constants import CODATA
 from kolgas.errors import DomainError
 
 LN2 = math.log(2.0)
@@ -142,29 +138,15 @@ def test_net_disorder_extensive_intensive_consistency():
     )
 
 
-def test_classical_form_is_the_large_a_limit():
-    a = 1.0e6
-    exact = net_disorder_intensive(2.0 * a, 1.0)
-    classical = net_disorder_classical(a, 1.0)
-    # agreement through first order leaves an O(1/A^2) tail
-    assert abs(exact - classical) < 5.0 / a**2
-    with pytest.raises(DomainError):
-        net_disorder_classical(5.0, 1.0)
+def test_fd_expansion_matches_net_disorder_at_scale():
+    # two spin ledgers of the binomial expansion against the extensive
+    # net disorder: they differ only by sub-extensive terms
+    total = 2.0 * log2_binomial_fd_expansion(1e9, 1.5e6)
+    assert total == pytest.approx(net_disorder_fd(1e9, 3e6, 2) / LN2, rel=1e-4)
 
 
 def test_first_order_coefficient_frozen():
     assert FIRST_ORDER_COEFF == -0.5
-
-
-def test_f_stat_sign_and_value():
-    # -k_B T N ln(M/N): negative whenever slots outnumber particles
-    got = f_stat(1000.0, 10.0, 300.0)
-    want = -CODATA.k_B * 300.0 * 10.0 * math.log(100.0)
-    assert got == pytest.approx(want, rel=1e-12)
-    with pytest.raises(DomainError):
-        f_stat(10.0, 10.0, 300.0)
-    with pytest.raises(DomainError):
-        f_stat(1000.0, 10.0, 0.0)
 
 
 def test_stability_near_full_occupation():

@@ -44,11 +44,10 @@ def test_species_lookup_unknown():
     dict(spin_degeneracy=3),
     dict(a_B=0.0),
     dict(a_B=5e-10),       # would invert a_B < a_LJ
-    dict(eps_LJ=-2.0),
 ])
 def test_species_validation(kwargs):
     base = dict(name="x", mass=5e-27, spin_degeneracy=2,
-                a_B=0.5e-10, a_LJ=2.5e-10, eps_LJ=10.0)
+                a_B=0.5e-10, a_LJ=2.5e-10)
     base.update(kwargs)
     with pytest.raises(DomainError):
         SpeciesSpec(**base)

@@ -1,5 +1,5 @@
 """Encoding, the computable description-length estimators, deficiency
-scoring, the two reference corpora, and the structural diagnostics."""
+scoring, the two reference corpora, and the gap classifier."""
 import lzma
 import math
 import zlib
@@ -16,21 +16,16 @@ from kolgas.randomness import (
     DEFAULT_ESTIMATORS,
     EncodedList,
     _log2_binom_any,
-    balance_profile,
     default_width,
     encode_list,
     estimate_complexity,
-    fd_algorithmic_probability,
     gap_classify,
-    k_hat_integer,
     prefix_trace,
     quantize,
-    randomness_deficiency,
     read_list_file,
     rng_list,
     smooth_box_list,
     smooth_box_spectrum,
-    wedge_bounds,
     write_list_file,
 )
 
@@ -135,16 +130,6 @@ def test_unknown_estimator():
         estimate_complexity(enc, estimator="oracle")
 
 
-def test_deficiency_uniform_hypothesis():
-    rng = np.random.default_rng(5)
-    enc = rng_list(1000, 10, rng)
-    rep = estimate_complexity(enc)
-    d = randomness_deficiency(enc, -float(enc.l_primitive))
-    assert d == pytest.approx(enc.l_primitive - rep.k_hat, abs=1e-9)
-    with pytest.raises(DomainError):
-        randomness_deficiency(enc, 1.0)
-
-
 # --- reference corpora -------------------------------------------------------
 
 def test_smooth_box_spectrum_structure():
@@ -172,73 +157,6 @@ def test_smooth_box_spectrum_domain():
         smooth_box_spectrum(0, 1.0, 1.0)
     with pytest.raises(DomainError):
         smooth_box_spectrum(10, -1.0, 1.0)
-
-
-# --- wedge and balance diagnostics --------------------------------------------
-
-def test_wedge_bounds_reference_scales():
-    # particle-count list at reference scale: n = 1.7e16 values, 54-bit data
-    l_n = 1.7e16 * 54
-    w = wedge_bounds(l_n)
-    assert w.lower == l_n
-    assert w.upper == l_n + w.k_hat_length
-    assert w.k_hat_length == pytest.approx(41.36097378553118, rel=1e-12)
-    # slot-count list: 5.6e24 values at 83 bits
-    w2 = wedge_bounds(5.603070977634396e24 * 83)
-    assert w2.k_hat_length == pytest.approx(61.40419767594786, rel=1e-12)
-    # the documented benchmark magnitudes, with slack for the ~ in "~40"
-    assert w.k_hat_length <= 40 * 1.1
-    assert w2.k_hat_length <= 61 * 1.1
-
-
-def test_k_hat_integer_domain():
-    assert k_hat_integer(math.e) == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(DomainError):
-        k_hat_integer(1.0)
-
-
-def test_balance_profile_constructed_peak():
-    # four groups: solid zeros, solid ones, near-balanced, solid ones
-    values = np.array([0] * 4 + [255] * 4 + [0x55] * 4 + [255] * 4,
-                      dtype=np.int64)
-    enc = EncodedList(n=16, k=8, values=values, source_tag="synthetic")
-    prof = balance_profile(enc, group_width=32)
-    assert prof.peak_index == 2
-    assert prof.degenerate is False
-    assert prof.zeros[0] == 32 and prof.ones[0] == 0
-    assert prof.peak_center_bit == pytest.approx(2.5 * 32)
-
-
-def test_balance_profile_degenerate_and_divisibility():
-    enc = encode_list(np.zeros(16, dtype=np.int64), k=8)
-    prof = balance_profile(enc, group_width=32)
-    assert prof.degenerate is True
-    with pytest.raises(DomainError):
-        balance_profile(enc, group_width=7)
-
-
-def test_balance_statistics_of_sorted_random_data():
-    """100-seed oracle at the 10^4-bit scale: the most-balanced-group
-    location is broad per seed but its ensemble mean sits mid-payload,
-    and the global zeros/ones split obeys binomial concentration."""
-    n, k, groups = 1000, 10, 25
-    l = n * k
-    centers, ones = [], []
-    for seed in range(100):
-        rng = np.random.default_rng(seed)
-        values = np.sort(rng.integers(0, 1 << k, size=n, dtype=np.int64))
-        enc = encode_list(values, k=k)
-        prof = balance_profile(enc, group_width=l // groups)
-        centers.append(prof.peak_center_bit / l)
-        ones.append(float(np.bitwise_count(enc.values).sum()) / l)
-    mean_center = float(np.mean(centers))
-    # ensemble mean within one group width of the midpoint (seen: 0.494)
-    assert abs(mean_center - 0.5) < 1.0 / groups
-    # individual peaks concentrate loosely in the middle half
-    hits = np.mean([(0.25 <= c <= 0.75) for c in centers])
-    assert hits >= 0.6
-    # whole-payload balance: ones count within (m/2)(1 +- 1/(2 sqrt m))
-    assert abs(float(np.mean(ones)) - 0.5) < 0.5 / math.sqrt(l)
 
 
 # --- gap classification --------------------------------------------------------
@@ -426,30 +344,3 @@ def test_list_file_round_trips_values(tmp_path, enc, raw):
     assert (back.n, back.k) == (enc.n, enc.k)
     assert back.values.dtype == np.int64
     assert np.array_equal(back.values, enc.values)
-
-
-# --- counting probability -------------------------------------------------------
-
-def test_fd_algorithmic_probability_exact_path():
-    p = fd_algorithmic_probability(100, 40, spin_degeneracy=2)
-    # two spin ledgers of C(100, 20) each
-    from kolgas.combinatorics import log2_binomial_exact, net_disorder_fd
-    assert p.log2_fd == pytest.approx(-2.0 * log2_binomial_exact(100, 20),
-                                      rel=1e-12)
-    assert p.log2_z == pytest.approx(
-        net_disorder_fd(100.0, 40.0, 2) / math.log(2.0), rel=1e-12
-    )
-
-
-def test_fd_algorithmic_probability_expansion_path():
-    p = fd_algorithmic_probability(1e9, 3.0e6)
-    assert p.log2_fd < 0.0
-    # extensive and total parts agree to sub-extensive accuracy
-    assert p.log2_fd == pytest.approx(-p.log2_z, rel=1e-4)
-
-
-def test_fd_algorithmic_probability_domain():
-    with pytest.raises(DomainError):
-        fd_algorithmic_probability(10, 30)
-    with pytest.raises(DomainError):
-        fd_algorithmic_probability(10, 4, spin_degeneracy=3)

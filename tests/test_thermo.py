@@ -1,29 +1,28 @@
 """State-equation checks: frozen reference numbers, derivative
 consistency against the closed forms, classical limits, and the energy
-bookkeeping identities."""
-import math
+bookkeeping identities.
 
-import numpy as np
+The consistency oracles (Legendre potentials, the first-law residual,
+the two occupancy forms, entropy from description lengths) are private
+helpers here: they check the closed forms, and no run computes with
+them."""
+import math
+from typing import NamedTuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as strat
 
 from kolgas.constants import CODATA, species_lookup
-from kolgas.errors import DegeneracyError, DomainError, StepSizeError
+from kolgas.errors import DegeneracyError, DomainError
 from kolgas.thermo import (
     GasSpec,
-    equivalent_level_energy,
-    first_law_residual,
     gamma_be,
     gamma_fd,
     kappa_be,
     kappa_fd,
-    legendre_potentials,
     mu_be,
-    occupancy_fd,
-    occupancy_qkm,
     rms_speed,
-    s_qkm_from_complexities,
     state_equations,
     thermal_length,
 )
@@ -98,9 +97,32 @@ def test_state_functions_are_free_energy_derivatives(two_a, statistics):
     assert (hi.U - lo.U) / dh == pytest.approx(st.c_V, rel=1e-6, abs=1e-30)
 
 
+class _PotentialSet(NamedTuple):
+    """Legendre-transformed potentials of one state."""
+
+    F: float       # free energy, J
+    A_GC: float    # grand potential F - mu N, J
+    G: float       # Gibbs free energy F + P V, J
+    U_of_S: float  # internal energy recovered as F + T S, J
+
+
+def _legendre_potentials(state, spec):
+    """Grand potential, Gibbs free energy, and the recovered internal
+    energy F + T S for one state; raises when F + T S misses ``state.U``
+    by more than 1e-12 relative (an inconsistent, hand-built state)."""
+    a_gc = state.F - state.mu * spec.N
+    g = state.F + state.P * spec.V
+    u_of_s = state.F + spec.T * state.S
+    if abs(u_of_s - state.U) > 1e-12 * max(abs(state.U), 1e-300):
+        raise DomainError(
+            "state is internally inconsistent: F + T S does not recover U"
+        )
+    return _PotentialSet(F=state.F, A_GC=a_gc, G=g, U_of_S=u_of_s)
+
+
 def test_legendre_consistency_exact():
     st = state_equations(REF)
-    pots = legendre_potentials(st, REF)
+    pots = _legendre_potentials(st, REF)
     assert pots.U_of_S == pytest.approx(st.U, rel=1e-14)
     # grand potential for these closed forms: F - mu N = -PV + corrections
     assert pots.A_GC == pytest.approx(st.F - st.mu * REF.N, rel=1e-14)
@@ -111,7 +133,7 @@ def test_legendre_rejects_inconsistent_state():
     st = state_equations(REF)
     bad = st.__class__(**{**st.__dict__, "U": st.U * 1.001})
     with pytest.raises(DomainError):
-        legendre_potentials(bad, REF)
+        _legendre_potentials(bad, REF)
 
 
 # --- limits -------------------------------------------------------------------
@@ -201,11 +223,47 @@ def test_bose_generators():
 
 # --- first law ---------------------------------------------------------------
 
+def _first_law_residual(spec, dV, dN, q):
+    """Energy-balance residual dU + w - q between two nearby equilibria, J.
+
+    The process takes (T, V, N) to (T', V + dV, N + dN) where T' is solved
+    so that the reversible heat T * (S' - S) equals the supplied ``q``.
+    Work done by the gas is evaluated at the initial state,
+    w = P dV - mu dN, so the residual vanishes to second order in the
+    step sizes.
+    """
+    s1 = state_equations(spec)
+
+    def spec_at(T):
+        return GasSpec(T, spec.V + dV, spec.N + dN, spec.species, spec.statistics)
+
+    # Newton solve for T': f(T') = T (S(T') - S1) - q, f' = T c_V(T') / T'.
+    T2 = spec.T
+    s2 = state_equations(spec_at(T2))
+    f = spec.T * (s2.S - s1.S) - q
+    # f is a difference of two ~T*S numbers: it cannot be driven below
+    # the rounding noise of T*S itself, so that noise sets the floor.
+    tol = max(1e-13 * abs(q),
+              64.0 * math.ulp(1.0) * abs(spec.T * s1.S), 1e-300)
+    for _ in range(60):
+        if abs(f) <= tol:
+            break
+        step = f / (spec.T * s2.c_V / T2)
+        # Guard against leaving the domain on a wild first step.
+        T2 = max(T2 - step, 0.5 * T2)
+        s2 = state_equations(spec_at(T2))
+        f = spec.T * (s2.S - s1.S) - q
+    else:
+        raise AssertionError("no nearby state takes up the requested heat")
+
+    return (s2.U - s1.U) + (s1.P * dV - s1.mu * dN) - q
+
+
 def test_first_law_residual_second_order():
     dV, dN = REF.V * 1e-4, REF.N * 1e-4
     q = 1e-12  # J, small compared to U ~ 3.5e-6 J
-    r1 = abs(first_law_residual(REF, dV, dN, q))
-    r2 = abs(first_law_residual(REF, dV / 2, dN / 2, q / 2))
+    r1 = abs(_first_law_residual(REF, dV, dN, q))
+    r2 = abs(_first_law_residual(REF, dV / 2, dN / 2, q / 2))
     scale = state_equations(REF).U
     assert r1 < 5e-6 * scale
     # halving the step cuts the residual ~4x (second order), not ~2x
@@ -215,50 +273,83 @@ def test_first_law_residual_second_order():
 def test_first_law_adiabatic_and_with_heat():
     st = state_equations(REF)
     # adiabatic: q = 0, expansion cools the gas but balances to 2nd order
-    r = first_law_residual(REF, REF.V * 1e-5, 0.0, 0.0)
+    r = _first_law_residual(REF, REF.V * 1e-5, 0.0, 0.0)
     assert abs(r) < 1e-9 * st.U
     # particle exchange plus a little heat
-    r = first_law_residual(REF, 0.0, REF.N * 1e-5, 1e-13)
+    r = _first_law_residual(REF, 0.0, REF.N * 1e-5, 1e-13)
     assert abs(r) < 1e-7 * st.U
-
-
-def test_first_law_step_guard():
-    with pytest.raises(StepSizeError):
-        first_law_residual(REF, REF.V * 1e-2, 0.0, 0.0)
-    with pytest.raises(StepSizeError):
-        first_law_residual(REF, 0.0, REF.N * 1e-3, 0.0)
 
 
 # --- occupancy and friends ---------------------------------------------------
 
+def _occupancy_qkm(x):
+    """Slot occupancy from the intensive net disorder,
+    g(x) = exp( -(Gamma(x) + ln(x-1)) ) = exp(-kappa(x)).  Requires x > 1."""
+    return math.exp(-(gamma_fd(x) + math.log(x - 1.0)))
+
+
+def _occupancy_fd(eps, mu, T):
+    """Exclusive-occupation level occupancy 1 / (exp((eps-mu)/k_B T) + 1)."""
+    if T <= 0.0:
+        raise DomainError("occupancy_fd needs T > 0")
+    z = (eps - mu) / (KB * T)
+    if z >= 0.0:
+        e = math.exp(-z)
+        return e / (1.0 + e)
+    return 1.0 / (math.exp(z) + 1.0)
+
+
+def _equivalent_level_energy(x, T):
+    """Level energy eps = k_B T Gamma(x) at which the two occupancy forms
+    agree, J."""
+    return KB * T * gamma_fd(x)
+
+
 @pytest.mark.parametrize("x", [1.5, 2.0, 10.0, 1e4])
 def test_occupancy_forms_agree(x):
     mu = -KB * 10.0 * math.log(x - 1.0)
-    eps = equivalent_level_energy(x, 10.0)
-    g_qkm = occupancy_qkm(x)
-    g_fd = occupancy_fd(eps, mu, 10.0)
+    eps = _equivalent_level_energy(x, 10.0)
+    g_qkm = _occupancy_qkm(x)
+    g_fd = _occupancy_fd(eps, mu, 10.0)
     # exact relation at the equivalent level: the level form is g/(1+g)
     assert g_fd == pytest.approx(g_qkm / (1.0 + g_qkm), rel=1e-12)
     # at the band bottom the level occupancy is the filling fraction, exactly
-    assert occupancy_fd(0.0, mu, 10.0) == pytest.approx(1.0 / x, rel=1e-12)
+    assert _occupancy_fd(0.0, mu, 10.0) == pytest.approx(1.0 / x, rel=1e-12)
 
 
 def test_occupancy_fd_extreme_arguments():
-    assert occupancy_fd(1e-18, -1e-18, 1.0) < 1.0
-    assert occupancy_fd(-1e-18, 1e-18, 1.0) > 0.0
-    assert occupancy_fd(1.0, 0.0, 1e-6) == 0.0  # underflows cleanly
+    assert _occupancy_fd(1e-18, -1e-18, 1.0) < 1.0
+    assert _occupancy_fd(-1e-18, 1e-18, 1.0) > 0.0
+    assert _occupancy_fd(1.0, 0.0, 1e-6) == 0.0  # underflows cleanly
     with pytest.raises(DomainError):
-        occupancy_fd(0.0, 0.0, 0.0)
+        _occupancy_fd(0.0, 0.0, 0.0)
+
+
+def _s_qkm_from_complexities(k_m, k_n, k_mn, n, a):
+    """Entropy from measured description lengths, J/K:
+    S = k_B ln2 (K_M - K_N - K_MN) + (3/2) N k_B Gamma(2A).
+
+    The K arguments are description lengths in bits of the slot, marker
+    and complement lists (summed over spin states); the Gamma term carries
+    the kinetic part.
+    """
+    for name, v in (("k_m", k_m), ("k_n", k_n), ("k_mn", k_mn)):
+        if v < 0.0:
+            raise DomainError(f"{name} must be a nonnegative bit count")
+    if n <= 0.0:
+        raise DomainError("n must be positive")
+    return KB * math.log(2.0) * (k_m - k_n - k_mn) \
+        + 1.5 * n * KB * gamma_fd(2.0 * a)
 
 
 def test_entropy_from_complexities_recovers_closed_form():
     # feed the exact disorder ledger back in: S comes out of the closed form
     st = state_equations(REF)
     d_minus_bits = REF.N * st.kappa / math.log(2.0)
-    s = s_qkm_from_complexities(d_minus_bits, 0.0, 0.0, REF.N, st.A)
+    s = _s_qkm_from_complexities(d_minus_bits, 0.0, 0.0, REF.N, st.A)
     assert s == pytest.approx(st.S, rel=1e-10)
     with pytest.raises(DomainError):
-        s_qkm_from_complexities(-1.0, 0.0, 0.0, REF.N, st.A)
+        _s_qkm_from_complexities(-1.0, 0.0, 0.0, REF.N, st.A)
 
 
 def test_gas_spec_validation():

@@ -1,44 +1,24 @@
-"""Wall-side physics: pair potential shape, the length hierarchy and
-regime classifier, trap-site statistics, and the sticking-fraction
-bookkeeping (including its documented ~5x formula discrepancy)."""
+"""Wall-side physics: the length hierarchy and regime classifier, the
+adsorption isotherm (including its documented ~5x formula discrepancy),
+and the wave-packet spread identity."""
 import math
 
 import numpy as np
 import pytest
 
-from kolgas.combinatorics import net_disorder_fd
-from kolgas.constants import CODATA, species_lookup
-from kolgas.errors import DomainError
-from kolgas.thermo import GasSpec, state_equations
+from kolgas.constants import species_lookup
+from kolgas.thermo import GasSpec
 from kolgas.wall import (
     ISOTHERM_REFERENCE,
     classify_regime,
     isotherm_reference_report,
     langmuir_isotherm,
-    langmuir_massieu,
-    lennard_jones,
     mean_free_path,
-    p0_reference,
     packet_spread,
-    wall_flux_report,
 )
 
-KB = CODATA.k_B
 HE3 = species_lookup("he3")
 REF = GasSpec(10.0, 1.8e-4, 1.7e16, HE3, "fermi")
-
-
-def test_lennard_jones_shape():
-    a = HE3.a_LJ
-    eps_j = HE3.eps_LJ * KB
-    assert lennard_jones(a, HE3) == pytest.approx(0.0, abs=1e-40)
-    r_min = 2.0 ** (1.0 / 6.0) * a
-    assert lennard_jones(r_min, HE3) == pytest.approx(-eps_j, rel=1e-12)
-    # repulsive core, attractive tail
-    assert lennard_jones(0.8 * a, HE3) > 0.0
-    assert lennard_jones(3.0 * a, HE3) < 0.0
-    with pytest.raises(DomainError):
-        lennard_jones(0.0, HE3)
 
 
 def test_mean_free_path_frozen():
@@ -90,15 +70,6 @@ def test_collisional_regime_flag():
 
 # --- trap sites ---------------------------------------------------------------
 
-def test_langmuir_massieu_is_net_disorder_plus_binding():
-    m_c, n_c, u, T = 1.0e12, 3.0e9, 2.1e-22, 10.0
-    got = langmuir_massieu(m_c, n_c, u, T)
-    want = net_disorder_fd(m_c, n_c, 1) + n_c * u / (KB * T)
-    assert got == pytest.approx(want, rel=1e-12)
-    with pytest.raises(DomainError):
-        langmuir_massieu(1e3, 2e3, u, T)  # more atoms than sites
-
-
 def test_isotherm_bounds_and_monotonicity():
     u = 4.5
     a_grid = np.geomspace(1e-3, 1e12, 40)
@@ -130,14 +101,6 @@ def test_isotherm_reference_report():
     assert "discrepancy" in rep["note"] or "5" in rep["note"]
 
 
-def test_p0_reference_relation():
-    # P_ideal / P0 = 1/A exactly, at any classical state
-    st = state_equations(REF)
-    p0 = p0_reference(REF.T, HE3.mass)
-    p_ideal = REF.N * KB * REF.T / REF.V
-    assert p_ideal / p0 == pytest.approx(1.0 / st.A, rel=1e-12)
-
-
 @pytest.mark.parametrize("b", np.geomspace(1e-3, 1.0, 7).tolist())
 @pytest.mark.parametrize("T", [0.1, 10.0, 100.0])
 def test_packet_spread_identity(b, T):
@@ -147,14 +110,3 @@ def test_packet_spread_identity(b, T):
         0.5 * b, rel=1e-12
     )
 
-
-def test_wall_flux_report():
-    rep = wall_flux_report(REF, wall_area=6 * 0.035**2)
-    assert rep.v_th == pytest.approx(287.5808359662578, rel=1e-12)
-    # every atom touches a wall roughly once per transit
-    assert rep.flux * rep.t_b == pytest.approx(REF.N, rel=1e-12)
-    assert rep.sites > 1e16                # ~8e16 trap sites on 73.5 cm^2
-    assert rep.per_site_per_transit < 1.0  # traffic is sparse per site
-    assert rep.free_per_occupied > 1.0
-    with pytest.raises(DomainError):
-        wall_flux_report(REF, wall_area=0.0)
