@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -62,6 +63,21 @@ def _write(text: str, path: str | None) -> None:
             fh.write(text)
     except OSError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+
+
+def _check_distinct(*outputs: tuple[str, str | None]) -> None:
+    """Domain error if two of ``outputs``, (option, path) pairs with "-"
+    for stdout and None for not written, would land in one file or both
+    on stdout."""
+    seen: dict[str, str] = {}
+    for option, path in outputs:
+        if path is None:
+            continue
+        where = "stdout" if path == "-" else os.path.realpath(path)
+        if where in seen:
+            raise DomainError(f"{seen[where]} and {option} both write to "
+                              f"{'stdout' if path == '-' else path}")
+        seen[where] = option
 
 
 def _json(obj: dict, indent: int | None = None) -> str:
@@ -332,6 +348,9 @@ def _write_events(manifest: dict, events: dict, path: str) -> None:
 
 
 def cmd_sim_relax(args: argparse.Namespace) -> int:
+    _check_distinct(("--output", "-" if args.output is None else args.output),
+                    ("--trace-output", args.trace_output or None),
+                    ("--events-output", args.events_output or None))
     if args.seeds < 1:
         raise DomainError("seeds must be at least 1")
     seeds = (
@@ -382,15 +401,18 @@ def cmd_sim_relax(args: argparse.Namespace) -> int:
 
 
 def cmd_sim_joule(args: argparse.Namespace) -> int:
+    trace_paths = ([args.trace_prefix + ".before.csv",
+                    args.trace_prefix + ".after.csv"]
+                   if args.trace_prefix else [])
+    _check_distinct(("--output", "-" if args.output is None else args.output),
+                    *(("--trace-prefix", path) for path in trace_paths))
     cfg = _sim_config(args, args.seed)
     report = simmod.run_joule_expansion(cfg, args.ratio)
     manifest = _manifest("sim joule", _sim_params(args, ratio=args.ratio),
                          seed=args.seed)
-    if args.trace_prefix:
-        _write_trace(manifest, report.trace_before,
-                     args.trace_prefix + ".before.csv")
-        _write_trace(manifest, report.trace_after,
-                     args.trace_prefix + ".after.csv")
+    for trace, path in zip((report.trace_before, report.trace_after),
+                           trace_paths):
+        _write_trace(manifest, trace, path)
     payload = {
         "manifest": manifest,
         "volume_ratio": report.volume_ratio,

@@ -23,7 +23,7 @@ EXACT_BINOMIAL_CAP: Final[int] = 10**6
 #: At or below this size the exact binomial log is taken straight off the
 #: big integer.  Above it, Python's O(n) multiply loop for ``math.comb``
 #: gets expensive (seconds near the cap on 3.10), so the log is assembled
-#: from the exact prime factorization of the three factorials instead.
+#: from the exact prime factorization of the binomial instead.
 _BIGINT_PATH_LIMIT: Final[int] = 4096
 
 
@@ -37,17 +37,6 @@ def _prime_log_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
     primes = np.flatnonzero(sieve).astype(np.int64)
     return primes, np.log2(primes.astype(np.float64))
 
-
-def _factorial_prime_exponents(n: int, primes: np.ndarray) -> np.ndarray:
-    """Exponent of each prime in n!, by Legendre's formula."""
-    exponents = np.zeros(primes.shape[0], dtype=np.int64)
-    powers = primes.copy()
-    live = np.flatnonzero(powers <= n)
-    while live.size:
-        exponents[live] += n // powers[live]
-        powers[live] *= primes[live]
-        live = live[powers[live] <= n]
-    return exponents
 
 #: Coefficient of the 1/(2A) term in the dilute expansion of the intensive
 #: net disorder, ``n (ln 2A + 1 + c1/(2A))``.  Frozen from the numerical
@@ -79,9 +68,21 @@ def log2_binomial_exact(m: int, n: int) -> float:
     primes, log2p = _prime_log_table(1 << (m - 1).bit_length())
     cut = int(np.searchsorted(primes, m, side="right"))
     primes, log2p = primes[:cut], log2p[:cut]
-    exponents = (_factorial_prime_exponents(m, primes)
-                 - _factorial_prime_exponents(n, primes)
-                 - _factorial_prime_exponents(m - n, primes))
+    # Legendre's formula gives the exponent of p in m!/(n!(m-n)!) as the
+    # sum over powers q = p^i <= m of m//q - n//q - (m-n)//q.  A prime
+    # above sqrt(m) has p^2 > m, so only its first term survives and all
+    # of them are one vector expression; the few below take the full sum.
+    w = m - n
+    split = int(np.searchsorted(primes, math.isqrt(m), side="right"))
+    exponents = np.empty(cut, dtype=np.int64)
+    for i, p in enumerate(primes[:split].tolist()):
+        e, q = 0, p
+        while q <= m:
+            e += m // q - n // q - w // q
+            q *= p
+        exponents[i] = e
+    big = primes[split:]
+    exponents[split:] = m // big - n // big - w // big
     return float(np.dot(exponents.astype(np.float64), log2p))
 
 

@@ -45,6 +45,10 @@ LIST_SIZE_CAP = 10**6
 
 _MAX_WIDTH = 62
 
+#: Values rendered, written or decoded per slice by the list codecs; a
+#: multiple of 8, so a slice of a packed body starts on a byte boundary.
+_CHUNK = 1 << 16
+
 
 def default_width(n: int) -> int:
     """Default bits per datum for an n-item list: ceil(log2 n), at least 1."""
@@ -102,16 +106,35 @@ def encode_list(values: Sequence[int] | np.ndarray, k: int | None = None,
     return EncodedList(n=n, k=k, values=vals, source_tag=source_tag)
 
 
-def _bits(values: np.ndarray, width: int) -> np.ndarray:
-    """Big-endian rendering of non-negative ``values`` at ``width`` bits
-    each: a uint8 array of 0/1 with values.size * width entries."""
-    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    return ((values[:, None] >> shifts) & 1).astype(np.uint8).ravel()
-
-
 def _packed_bytes(values: np.ndarray, width: int) -> bytes:
-    """The :func:`_bits` rendering packed eight bits to a byte, zero-padded."""
-    return np.packbits(_bits(values, width)).tobytes()
+    """Big-endian rendering of non-negative ``values`` at ``width`` bits
+    each, packed eight bits to a byte and zero-padded at the end.
+
+    Each value's bits are the last ``width`` of its 64-bit big-endian
+    word.  Values go ``_CHUNK`` at a time, a multiple of 8, so every
+    chunk but the last packs to whole bytes and no temporary grows with
+    the list.
+    """
+    parts = []
+    for start in range(0, values.size, _CHUNK):
+        words = values[start:start + _CHUNK].astype(">u8").view(np.uint8)
+        bits = np.unpackbits(words.reshape(-1, 8), axis=1)[:, 64 - width:]
+        parts.append(np.packbits(bits).tobytes())
+    return b"".join(parts)
+
+
+def _unpacked_values(packed: np.ndarray, n: int, width: int) -> np.ndarray:
+    """Inverse of :func:`_packed_bytes`: the n values held in ``packed``."""
+    values = np.empty(n, dtype=np.int64)
+    for start in range(0, n, _CHUNK):
+        m = min(_CHUNK, n - start)
+        first = start * width // 8
+        words = np.zeros((m, 64), dtype=np.uint8)
+        words[:, 64 - width:] = np.unpackbits(
+            packed[first:first + (m * width + 7) // 8], count=m * width,
+        ).reshape(m, width)
+        values[start:start + m] = np.packbits(words, axis=1).view(">u8")[:, 0]
+    return values
 
 
 def quantize(values: np.ndarray, k: int,
@@ -373,6 +396,23 @@ def prefix_trace(enc: EncodedList, points: int = 12,
 # ---------------------------------------------------------------------------
 # list files
 
+def _decimal_lines(values: np.ndarray) -> bytes:
+    """Non-negative ``values`` as ASCII decimal lines, each ending in a
+    newline: the digits of every value right-aligned in one uint8 table,
+    then read out without the leading zeros (a zero keeps its last)."""
+    width = len(str(int(values.max())))
+    text = np.empty((values.size, width + 1), dtype=np.uint8)
+    rest = values
+    for col in range(width - 1, -1, -1):
+        rest, text[:, col] = np.divmod(rest, 10)
+    keep = np.ones(text.shape, dtype=bool)
+    np.logical_or.accumulate(text[:, :width - 1] != 0, axis=1,
+                             out=keep[:, :width - 1])
+    text += ord("0")
+    text[:, width] = ord("\n")
+    return text[keep].tobytes()
+
+
 def write_list_file(path: str, enc: EncodedList, raw: bool = False) -> None:
     """Write a list file: header line ``n k source_tag`` then the values as
     newline-delimited decimals, or header ``n k source_tag raw`` then the
@@ -380,14 +420,14 @@ def write_list_file(path: str, enc: EncodedList, raw: bool = False) -> None:
     written raises FormatError."""
     tag = "_".join(enc.source_tag.split()) or "-"
     header = f"{enc.n} {enc.k} {tag}{' raw' if raw else ''}\n"
-    if raw:
-        body = _packed_bytes(enc.values, enc.k)
-    else:
-        body = ("\n".join(map(str, enc.values.tolist())) + "\n").encode("ascii")
     try:
         with open(path, "wb") as fh:
             fh.write(header.encode("ascii"))
-            fh.write(body)
+            if raw:
+                fh.write(_packed_bytes(enc.values, enc.k))
+            else:
+                for start in range(0, enc.n, _CHUNK):
+                    fh.write(_decimal_lines(enc.values[start:start + _CHUNK]))
     except OSError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -423,10 +463,7 @@ def read_list_file(path: str) -> EncodedList:
             raise FormatError(
                 f"{path}: raw body is {len(body)} bytes, expected {expected}"
             )
-        bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8),
-                             count=n * k)
-        weights = np.int64(1) << np.arange(k - 1, -1, -1, dtype=np.int64)
-        values = bits.reshape(n, k).astype(np.int64) @ weights
+        values = _unpacked_values(np.frombuffer(body, dtype=np.uint8), n, k)
     else:
         values = _decimal_body(body, n, path)
     try:

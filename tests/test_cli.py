@@ -382,3 +382,41 @@ def test_unwritable_output_exits_3(tmp_path, capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith(f"error: {written}: ") and err.count("\n") == 1
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the simulation ran")
+
+
+@pytest.mark.parametrize("argv", [
+    # one file named twice; a CSV trace and the JSON report in one stream
+    ("relax", "--trace-output", "t.csv", "--output", "t.csv"),
+    ("relax", "--trace-output", "-"),
+    ("relax", "--events-output", "-", "--output", "-"),
+    ("relax", "--trace-output", "e.csv", "--events-output", "./e.csv"),
+    ("relax", "--output", "r.json", "--trace-output", "-",
+     "--events-output", "-"),
+    ("joule", "--trace-prefix", "j", "--output", "j.before.csv"),
+    ("joule", "--trace-prefix", "j", "--output", "./j.after.csv"),
+])
+def test_colliding_outputs_exit_2_before_running(tmp_path, capsys,
+                                                 monkeypatch, argv):
+    monkeypatch.setattr("kolgas.sim.simulate", _must_not_run)
+    monkeypatch.setattr("kolgas.sim.run_joule_expansion", _must_not_run)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "sim", argv[0], *_SMALL_SIM, *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "both write to" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_trace_on_stdout_with_report_in_a_file(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    code, out, _ = run_cli(capsys, "sim", "relax", *_SMALL_SIM,
+                           "--trace-output", "-", "--output", str(report))
+    assert code == 0
+    assert out.splitlines()[1] == "t,D_hat,K_orient,K_nn,chi2_orient,chi2_pos"
+    jsonschema.validate(json.loads(report.read_text()),
+                        load_schema("relax.schema.json"))

@@ -3,11 +3,15 @@ for the two-term expansions, and the numerically hardened net-disorder
 forms against their textbook renderings."""
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kolgas.combinatorics import (
     EXACT_BINOMIAL_CAP,
     FIRST_ORDER_COEFF,
+    _prime_log_table,
     fd_half_log_bits,
     log2_binomial_be_expansion,
     log2_binomial_exact,
@@ -44,6 +48,47 @@ def test_exact_binomial_paths_agree(m, n):
     assert log2_binomial_exact(m, n) == pytest.approx(
         math.log2(math.comb(m, n)), rel=1e-13
     )
+
+
+def _factorial_prime_exponents(n, primes):
+    """Exponent of each prime in n!, by Legendre's formula."""
+    exponents = np.zeros(primes.shape[0], dtype=np.int64)
+    powers = primes.copy()
+    live = np.flatnonzero(powers <= n)
+    while live.size:
+        exponents[live] += n // powers[live]
+        powers[live] *= primes[live]
+        live = live[powers[live] <= n]
+    return exponents
+
+
+def _log2_binomial_three_factorials(m, n):
+    """The factored path as three whole Legendre sums, m! over n! (m-n)!;
+    the exact binomial must give this very float."""
+    primes, log2p = _prime_log_table(1 << (m - 1).bit_length())
+    cut = int(np.searchsorted(primes, m, side="right"))
+    primes, log2p = primes[:cut], log2p[:cut]
+    exponents = (_factorial_prime_exponents(m, primes)
+                 - _factorial_prime_exponents(n, primes)
+                 - _factorial_prime_exponents(m - n, primes))
+    return float(np.dot(exponents.astype(np.float64), log2p))
+
+
+@settings(deadline=None)
+@given(st.integers(4097, EXACT_BINOMIAL_CAP).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(1, m - 1))))
+def test_factored_binomial_is_bit_identical(mn):
+    m, n = mn
+    assert log2_binomial_exact(m, n) == _log2_binomial_three_factorials(m, n)
+
+
+# m = p^2 for a prime p: p itself is the one prime at sqrt(m), and the only
+# one whose exponent needs the p^2 term
+@pytest.mark.parametrize("m", [67**2, 997**2])
+@pytest.mark.parametrize("part", ["one", "all_but_one", "half"])
+def test_factored_binomial_at_a_prime_square(m, part):
+    n = {"one": 1, "all_but_one": m - 1, "half": m // 2}[part]
+    assert log2_binomial_exact(m, n) == _log2_binomial_three_factorials(m, n)
 
 
 @pytest.mark.parametrize("m, n", [

@@ -2,6 +2,7 @@
 scoring, the two reference corpora, and the gap classifier."""
 import lzma
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -13,9 +14,12 @@ from kolgas.calibration import load_calibration
 from kolgas.constants import species_lookup
 from kolgas.errors import DomainError, FormatError, UnknownEstimatorError
 from kolgas.randomness import (
+    _CHUNK,
     DEFAULT_ESTIMATORS,
+    LIST_SIZE_CAP,
     EncodedList,
     _log2_binom_any,
+    _packed_bytes,
     default_width,
     encode_list,
     estimate_complexity,
@@ -271,6 +275,71 @@ def test_read_list_file_rejects_truncated_raw(tmp_path):
     path.write_bytes(blob[:-3])
     with pytest.raises(FormatError):
         read_list_file(str(path))
+
+
+# --- chunked list codecs against whole-list references ----------------------
+
+def _unchunked_packed_bytes(values, width) -> bytes:
+    """The whole list rendered through one (n, width) array of bits."""
+    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+    bits = values[:, None] >> shifts
+    bits &= 1
+    return np.packbits(bits.astype(np.uint8).ravel()).tobytes()
+
+
+def _full_width_values(rng, n, width):
+    top = rng.integers(0, np.iinfo(np.int64).max, size=n, dtype=np.int64,
+                       endpoint=True)
+    return top >> (63 - width)
+
+
+# delta renders at k + 1 bits, so widths run one past _MAX_WIDTH
+@pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1,
+                               2 * _CHUNK + 5])
+def test_packed_bytes_match_unchunked_rendering(n):
+    rng = np.random.default_rng(n)
+    for width in range(1, 64):
+        values = _full_width_values(rng, n, width)
+        assert (_packed_bytes(values, width)
+                == _unchunked_packed_bytes(values, width)), width
+
+
+def test_decimal_list_file_bytes_across_chunks(tmp_path):
+    values = _full_width_values(np.random.default_rng(4), _CHUNK + 2, 62)
+    values[_CHUNK - 1:_CHUNK + 1] = 0
+    enc = encode_list(values, k=62, source_tag="rng")
+    path = tmp_path / "list.dat"
+    write_list_file(str(path), enc)
+    lines = "".join(f"{v}\n" for v in enc.values.tolist())
+    assert path.read_bytes() == f"{enc.n} 62 rng\n{lines}".encode("ascii")
+
+
+@pytest.mark.parametrize("k", [1, 13, 62])
+def test_raw_list_file_round_trip_across_chunks(tmp_path, k):
+    rng = np.random.default_rng(k)
+    enc = encode_list(_full_width_values(rng, _CHUNK + 3, k), k=k)
+    path = tmp_path / "list.dat"
+    write_list_file(str(path), enc, raw=True)
+    header = f"{enc.n} {k} list raw\n".encode("ascii")
+    assert path.read_bytes() == header + _unchunked_packed_bytes(enc.values, k)
+    assert np.array_equal(read_list_file(str(path)).values, enc.values)
+
+
+@pytest.mark.parametrize("write", ["packed", "decimal"])
+def test_list_codecs_memory_stays_bounded(tmp_path, write):
+    # rendering the whole list through one (n, k) int64 array peaks at
+    # 172 MiB, and joining 10^6 decimal strings near 100 MiB
+    enc = rng_list(LIST_SIZE_CAP, 20, np.random.default_rng(6))
+    tracemalloc.start()
+    try:
+        if write == "packed":
+            _packed_bytes(enc.values, enc.k)
+        else:
+            write_list_file(str(tmp_path / "list.dat"), enc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20
 
 
 # --- properties against an explicit bit-array reference ----------------------
