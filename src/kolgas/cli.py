@@ -229,6 +229,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # randomness
 
 def cmd_randomness_generate(args: argparse.Namespace) -> int:
+    _check_distinct(("--output", args.output), ("the JSON receipt", "-"))
     if args.kind == "rng":
         if args.seed < 0:
             raise DomainError("seed must be nonnegative")
@@ -500,17 +501,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--box-side", type=float, default=0.035)
     p_gen.add_argument("--raw", action="store_true",
                        help="packed binary body instead of decimal lines")
-    p_gen.add_argument("--output", required=True)
+    p_gen.add_argument("--output", required=True,
+                       help="list file path (the JSON receipt goes to "
+                            "stdout)")
     p_gen.set_defaults(func=cmd_randomness_generate)
 
     p_audit = rand_sub.add_parser("audit", help="complexity report")
-    p_audit.add_argument("--input", required=True)
+    p_audit.add_argument("--input", required=True,
+                         help="list file path, or - for stdin")
     p_audit.add_argument("--estimator", default="best")
     p_audit.add_argument("--output", default=None)
     p_audit.set_defaults(func=cmd_randomness_audit)
 
     p_gap = rand_sub.add_parser("gap", help="prefix-trace classification")
-    p_gap.add_argument("--input", required=True)
+    p_gap.add_argument("--input", required=True,
+                       help="list file path, or - for stdin")
     p_gap.add_argument("--points", type=int, default=12)
     p_gap.add_argument("--estimator", default="best")
     p_gap.add_argument("--output", default=None)

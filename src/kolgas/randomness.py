@@ -20,9 +20,9 @@ travels in the file header.
 """
 from __future__ import annotations
 
-import io
 import lzma
 import math
+import sys
 import zlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -111,15 +111,16 @@ def _packed_bytes(values: np.ndarray, width: int) -> bytes:
     each, packed eight bits to a byte and zero-padded at the end.
 
     Each value's bits are the last ``width`` of its 64-bit big-endian
-    word.  Values go ``_CHUNK`` at a time, a multiple of 8, so every
-    chunk but the last packs to whole bytes and no temporary grows with
-    the list.
+    word, so only the word's last ceil(width/8) bytes are unpacked.
+    Values go ``_CHUNK`` at a time, a multiple of 8, so every chunk but
+    the last packs to whole bytes and no temporary grows with the list.
     """
+    used = (width + 7) // 8
     parts = []
     for start in range(0, values.size, _CHUNK):
         words = values[start:start + _CHUNK].astype(">u8").view(np.uint8)
-        bits = np.unpackbits(words.reshape(-1, 8), axis=1)[:, 64 - width:]
-        parts.append(np.packbits(bits).tobytes())
+        bits = np.unpackbits(words.reshape(-1, 8)[:, 8 - used:], axis=1)
+        parts.append(np.packbits(bits[:, 8 * used - width:]).tobytes())
     return b"".join(parts)
 
 
@@ -170,15 +171,51 @@ def _log2_binom_any(m: int, j: int) -> float:
     return max(0.0, log2_binomial_fd_expansion(float(m), float(j)))
 
 
-def _k_zlib(enc: EncodedList) -> float:
-    return 8.0 * len(zlib.compress(_packed_bytes(enc.values, enc.k), 9))
+# Each estimator in ``_ESTIMATORS`` measures a list and its prefixes at
+# once: given the values, the width k and ascending prefix sizes, it
+# returns the bits of its code for values[:m] at each m in ``sizes``.
+# zlib and delta make one compressor pass; the rest measure each prefix
+# afresh through ``_each_prefix``.
+
+def _k_zlib(values: np.ndarray, width: int, sizes: list[int]) -> list[float]:
+    # One compressor takes the packed longest prefix once; each prefix
+    # finishes on a copy, after its partial last byte masked to the zero
+    # padding of its own packing, so each length is that of
+    # zlib.compress(prefix, 9).
+    packed = memoryview(_packed_bytes(values[:sizes[-1]], width))
+    comp = zlib.compressobj(9)
+    emitted = fed = 0
+    out = []
+    for i, m in enumerate(sizes):
+        whole, rest = divmod(m * width, 8)
+        emitted += len(comp.compress(packed[fed:whole]))
+        fed = whole
+        tail = comp if i == len(sizes) - 1 else comp.copy()
+        last = bytes([packed[whole] & 0xFF00 >> rest]) if rest else b""
+        out.append(8.0 * (emitted + len(tail.compress(last))
+                          + len(tail.flush())))
+    return out
+
+
+def _k_delta(values: np.ndarray, width: int, sizes: list[int]) -> list[float]:
+    # The deltas of a prefix are the prefix of the deltas.  Each delta d
+    # is zigzag-coded in place, 2d for d >= 0 and -2d - 1 below, as
+    # (d << 1) ^ (d >> 63).
+    vals = values[:sizes[-1]]
+    zigzag = np.empty_like(vals)
+    zigzag[0] = vals[0]
+    np.subtract(vals[1:], vals[:-1], out=zigzag[1:])
+    sign = zigzag >> 63
+    zigzag <<= 1
+    zigzag ^= sign
+    return _k_zlib(zigzag, width + 1, sizes)
 
 
 _LZMA_FILTERS = [{"id": lzma.FILTER_LZMA2, "preset": 6}]
 
 
-def _k_lzma(enc: EncodedList) -> float:
-    data = lzma.compress(_packed_bytes(enc.values, enc.k),
+def _k_lzma(values: np.ndarray, width: int) -> float:
+    data = lzma.compress(_packed_bytes(values, width),
                          format=lzma.FORMAT_RAW, filters=_LZMA_FILTERS)
     return 8.0 * len(data)
 
@@ -187,24 +224,24 @@ def _popcount(values: np.ndarray) -> int:
     return int(np.bitwise_count(values).sum())
 
 
-def _k_entropy0(enc: EncodedList) -> float:
-    l = enc.l_primitive
-    return _log2_binom_any(l, _popcount(enc.values)) + math.log2(l + 1)
+def _k_entropy0(values: np.ndarray, width: int) -> float:
+    l = values.size * width
+    return _log2_binom_any(l, _popcount(values)) + math.log2(l + 1)
 
 
-def _k_entropy1(enc: EncodedList) -> float:
+def _k_entropy1(values: np.ndarray, width: int) -> float:
     # Each bit after the first is coded within the context of the bit
     # before it.  Context c holds the bits that follow a c, so its size is
     # the count of c among the first l-1 bits, and its ones are the
     # adjacent (c, 1) pairs.  (1, 1) pairs sit inside a datum or straddle
     # the boundary between two.
-    l = enc.l_primitive
-    v = enc.values
-    ones = _popcount(v)
-    first = int(v[0] >> (enc.k - 1))
-    last = int(v[-1] & 1)
-    ones_11 = (_popcount(v & (v >> 1))
-               + int(np.count_nonzero(v[:-1] & (v[1:] >> (enc.k - 1)))))
+    l = values.size * width
+    ones = _popcount(values)
+    first = int(values[0] >> (width - 1))
+    last = int(values[-1] & 1)
+    ones_11 = (_popcount(values & (values >> 1))
+               + int(np.count_nonzero(values[:-1]
+                                      & (values[1:] >> (width - 1)))))
     ones_before = ones - last
     cost = 1.0  # the first bit, literally
     cost += _log2_binom_any(l - 1 - ones_before, ones - first - ones_11)
@@ -212,20 +249,20 @@ def _k_entropy1(enc: EncodedList) -> float:
     return cost + 2.0 * math.log2(l + 1)
 
 
-def _k_delta(enc: EncodedList) -> float:
-    vals = enc.values
-    deltas = np.empty_like(vals)
-    deltas[0] = vals[0]
-    np.subtract(vals[1:], vals[:-1], out=deltas[1:])
-    zigzag = np.where(deltas >= 0, 2 * deltas, -2 * deltas - 1)
-    return 8.0 * len(zlib.compress(_packed_bytes(zigzag, enc.k + 1), 9))
+def _each_prefix(bits):
+    """The prefix form of an estimator ``bits(values, width)`` that has
+    no running state to share: it measures each prefix afresh."""
+    def over_prefixes(values: np.ndarray, width: int,
+                      sizes: list[int]) -> list[float]:
+        return [bits(values[:m], width) for m in sizes]
+    return over_prefixes
 
 
 _ESTIMATORS = {
     "zlib": _k_zlib,
-    "lzma": _k_lzma,
-    "entropy0": _k_entropy0,
-    "entropy1": _k_entropy1,
+    "lzma": _each_prefix(_k_lzma),
+    "entropy0": _each_prefix(_k_entropy0),
+    "entropy1": _each_prefix(_k_entropy1),
     "delta": _k_delta,
 }
 
@@ -244,15 +281,15 @@ class ComplexityReport:
     gap_class: str        # "random-like" or "structured"
 
 
-def estimate_complexity(enc: EncodedList,
-                        estimator: str = "best") -> ComplexityReport:
-    """Upper-bound the description length of ``enc`` in bits.
+def _prefix_estimates(enc: EncodedList, estimator: str,
+                      sizes: list[int]) -> list[tuple[float, str]]:
+    """(K_hat, winning estimator id) of the first m data of ``enc`` for
+    each m in the ascending ``sizes``, all at the list's width k.
 
     ``estimator`` is one of the ids above or ``"best"`` (minimum over the
-    default set).  The result includes the calibrated id overhead, so
-    K_hat can slightly exceed the literal length for incompressible data.
+    default set); each K_hat includes the calibrated id overhead.
     """
-    calib = load_calibration()
+    id_bits = load_calibration().estimator_id_bits
     if estimator == "best":
         candidates = DEFAULT_ESTIMATORS
     elif estimator in _ESTIMATORS:
@@ -262,15 +299,28 @@ def estimate_complexity(enc: EncodedList,
         raise UnknownEstimatorError(
             f"unknown estimator {estimator!r}; known: {known}"
         )
-    best_id, best_k = None, math.inf
+    best = [(math.inf, "")] * len(sizes)
     for name in candidates:
-        k_est = _ESTIMATORS[name](enc) + calib.estimator_id_bits
-        if k_est < best_k:
-            best_id, best_k = name, k_est
+        bits = _ESTIMATORS[name](enc.values, enc.k, sizes)
+        for i, b in enumerate(bits):
+            k_est = b + id_bits
+            if k_est < best[i][0]:
+                best[i] = (k_est, name)
+    return best
+
+
+def estimate_complexity(enc: EncodedList,
+                        estimator: str = "best") -> ComplexityReport:
+    """Upper-bound the description length of ``enc`` in bits.
+
+    ``estimator`` is one of the ids above or ``"best"`` (minimum over the
+    default set).  The result includes the calibrated id overhead, so
+    K_hat can slightly exceed the literal length for incompressible data.
+    """
+    [(best_k, best_id)] = _prefix_estimates(enc, estimator, [enc.n])
     deficiency = enc.l_primitive - best_k
-    gap_class = ("structured"
-                 if deficiency > calib.deficiency_threshold(enc.l_primitive)
-                 else "random-like")
+    threshold = load_calibration().deficiency_threshold(enc.l_primitive)
+    gap_class = "structured" if deficiency > threshold else "random-like"
     return ComplexityReport(
         k_hat=best_k,
         estimator_id=best_id,
@@ -379,18 +429,19 @@ def gap_classify(trace: Iterable[tuple[float, float]]) -> GapVerdict:
 def prefix_trace(enc: EncodedList, points: int = 12,
                  estimator: str = "best") -> list[tuple[float, float]]:
     """(literal length, K_hat) over linearly spaced prefixes of a list,
-    all encoded at the full list's datum width."""
+    all encoded at the full list's datum width, measured in one pass."""
     if points < 3:
         raise DomainError("prefix_trace needs at least 3 points")
-    values = enc.values
-    sizes = np.unique(np.linspace(max(8, enc.n // points), enc.n,
-                                  points).astype(int))
-    out = []
-    for m in sizes:
-        sub = encode_list(values[:m], k=enc.k, source_tag=enc.source_tag)
-        rep = estimate_complexity(sub, estimator)
-        out.append((float(sub.l_primitive), rep.k_hat))
-    return out
+    first = max(8, enc.n // points)
+    # Sizes run from first to n, so past |n - first| + 1 points every
+    # size between them is hit already and more points only cost memory.
+    count = min(points, abs(enc.n - first) + 1)
+    sizes = np.unique(np.linspace(first, enc.n, count).astype(int))
+    # A list shorter than 8 gets sizes past its end; each is the whole list.
+    sizes = np.minimum(sizes, enc.n).tolist()
+    estimates = _prefix_estimates(enc, estimator, sizes)
+    return [(float(m * enc.k), k_hat)
+            for m, (k_hat, _) in zip(sizes, estimates)]
 
 
 # ---------------------------------------------------------------------------
@@ -433,12 +484,15 @@ def write_list_file(path: str, enc: EncodedList, raw: bool = False) -> None:
 
 
 def read_list_file(path: str) -> EncodedList:
-    """Read a list file written by :func:`write_list_file`; exact round
-    trip for both bodies, which the header names.  Malformed or unreadable
-    files raise FormatError."""
+    """Read a list file written by :func:`write_list_file`, or from stdin
+    when ``path`` is "-"; exact round trip for both bodies, which the
+    header names.  Malformed or unreadable files raise FormatError."""
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        if path == "-":
+            blob = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                blob = fh.read()
     except OSError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     newline = blob.find(b"\n")
@@ -452,38 +506,106 @@ def read_list_file(path: str) -> EncodedList:
         n, k = int(fields[0]), int(fields[1])
     except ValueError as exc:
         raise FormatError(f"{path}: non-integer header counts") from exc
-    if n <= 0 or not (1 <= k <= _MAX_WIDTH):
+    if not (1 <= n <= LIST_SIZE_CAP and 1 <= k <= _MAX_WIDTH):
         raise FormatError(f"{path}: header counts out of range (n={n}, k={k})")
     tag = fields[2].decode("ascii", errors="replace")
-    body = blob[newline + 1:]
 
     if raw:
         expected = (n * k + 7) // 8
-        if len(body) != expected:
+        size = len(blob) - newline - 1
+        if size != expected:
             raise FormatError(
-                f"{path}: raw body is {len(body)} bytes, expected {expected}"
+                f"{path}: raw body is {size} bytes, expected {expected}"
             )
-        values = _unpacked_values(np.frombuffer(body, dtype=np.uint8), n, k)
+        values = _unpacked_values(
+            np.frombuffer(blob, dtype=np.uint8, offset=newline + 1), n, k)
     else:
-        values = _decimal_body(body, n, path)
+        values = _decimal_body(blob, newline + 1, n, path)
     try:
         return encode_list(values, k=k, source_tag=tag)
     except DomainError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def _decimal_body(body: bytes, n: int, path: str) -> np.ndarray:
-    # loadtxt warns on a body with no data, so that case is caught first.
-    if not body.strip():
-        raise FormatError(f"{path}: decimal body is empty, header says {n}")
-    try:
-        table = np.loadtxt(io.BytesIO(body), dtype=np.int64, ndmin=2,
-                           comments=None)
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad decimal body: {exc}") from exc
-    if table.shape != (n, 1):
+#: Digits in a datum that always fits int64, leading zeros included.
+_SAFE_DIGITS = 18
+
+
+def _decimal_body(blob: bytes, start: int, n: int, path: str) -> np.ndarray:
+    """The n data of the decimal body that starts at ``blob[start]``, one
+    unsigned decimal per line:
+
+        line = [ \\t]* ( "+"? digit+ [ \\t]* )? "\\r"? "\\n"
+
+    where blank lines are skipped and the last line may lack its "\\n".
+    The body goes in slices of whole lines, about 8 ``_CHUNK`` bytes each,
+    so no temporary grows with the list."""
+    values = np.empty(n, dtype=np.int64)
+    window = 8 * _CHUNK
+    count = 0
+    while start < len(blob):
+        if start + window >= len(blob):
+            stop = len(blob)
+        else:
+            # after the window's last line break, or the first one past it
+            stop = (blob.rfind(b"\n", start, start + window) + 1
+                    or blob.find(b"\n", start + window) + 1 or len(blob))
+        data = _decimal_values(
+            np.frombuffer(blob, np.uint8, stop - start, start), path)
+        if count + data.size > n:
+            raise FormatError(f"{path}: body has more than {n} decimal "
+                              f"data, header says {n}")
+        values[count:count + data.size] = data
+        count += data.size
+        start = stop
+    if count != n:
         raise FormatError(
-            f"{path}: body has {table.shape[0]} decimal lines of "
-            f"{table.shape[1]} data, header says {n} lines of 1"
-        )
-    return table[:, 0]
+            f"{path}: body has {count} decimal data, header says {n}")
+    return values
+
+
+def _decimal_values(text: np.ndarray, path: str) -> np.ndarray:
+    """The data of ``text``, whole lines of a decimal body as uint8."""
+    digits = text - np.uint8(ord("0"))
+    is_digit = digits < 10
+    edges = np.flatnonzero(np.diff(is_digit, prepend=False, append=False))
+    starts, ends = edges[0::2], edges[1::2]
+    plus = np.flatnonzero(text == ord("+"))
+    cr = np.flatnonzero(text == ord("\r"))
+    lf = np.flatnonzero(text == ord("\n"))
+    blanks = np.count_nonzero(text == ord(" ")) + np.count_nonzero(
+        text == ord("\t"))
+    # the text with a LF past its end, so a datum or CR there ends a line
+    closed = np.append(text, np.uint8(ord("\n")))
+    grammatical = (
+        # every byte is a digit, blank, tab, "+", CR or LF
+        np.count_nonzero(is_digit) + blanks + plus.size + cr.size + lf.size
+        == text.size
+        # a "+" leads a datum, at a line start or after a blank or tab
+        and np.append(is_digit, False)[plus + 1].all()
+        and ((plus == 0) | np.isin(text[plus - 1], list(b" \t\n"))).all()
+        # a CR ends its line
+        and (closed[cr + 1] == ord("\n")).all()
+        # a datum has its line to itself: CR or LF follows it, or else no
+        # other datum comes before the next LF
+        and (np.isin(closed[ends], list(b"\r\n")).all()
+             or (np.diff(np.searchsorted(lf, starts)) > 0).all()))
+    if not grammatical:
+        raise FormatError(
+            f"{path}: bad decimal body: each line must hold one unsigned "
+            "decimal or nothing, with blanks or tabs around it")
+    values = np.zeros(starts.size, dtype=np.int64)
+    width = ends - starts
+    for back in range(min(int(width.max(initial=0)), _SAFE_DIGITS), 0, -1):
+        # ends - back > -text.size, as some datum has `back` digits
+        digit = np.take(digits, ends - back)
+        digit *= width >= back
+        values *= 10
+        values += digit
+    for i in np.flatnonzero(width > _SAFE_DIGITS).tolist():
+        value = int(text[starts[i]:ends[i]].tobytes())
+        if value > np.iinfo(np.int64).max:
+            raise FormatError(
+                f"{path}: a datum of {width[i]} digits exceeds int64")
+        values[i] = value
+    return values

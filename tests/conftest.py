@@ -1,14 +1,24 @@
-"""Shared fixtures plus the acceptance-criteria summary hook.
+"""Shared fixtures, the hypothesis profiles, and the acceptance-criteria
+summary hook.
 
 test_acceptance.py records one (pass/fail, detail) entry per criterion
 through the ``acceptance`` fixture; after the run pytest prints a
 one-line verdict per criterion so the whole gate is readable at a
 glance.
+
+``HYPOTHESIS_PROFILE=ci`` selects a derandomized profile: every run
+draws the same examples, so a failing property fails again on rerun.
 """
 import json
+import os
 import pathlib
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("ci", derandomize=True, database=None,
+                          print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 _ACCEPTANCE: dict[int, tuple[bool, str]] = {}
 

@@ -1,8 +1,10 @@
 """Command-line behaviour: artifact schemas, manifests, exit codes, and
 byte-level determinism of reruns."""
+import io
 import json
 import os
 import pathlib
+import sys
 
 import jsonschema
 import pytest
@@ -161,6 +163,53 @@ def test_generate_rng_default_width_fits_n(tmp_path, capsys, n, k):
                            "--n", str(n), "--output", str(tmp_path / "r.lst"))
     assert code == 0
     assert json.loads(out)["k"] == k
+
+
+def test_generate_output_to_stdout_exits_2(tmp_path, capsys, monkeypatch):
+    # stdout carries the JSON receipt, so the list cannot go there too
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "randomness", "generate", "--kind",
+                             "rng", "--n", "10", "--output", "-")
+    assert code == 2
+    assert out == ""
+    assert "both write to stdout" in err
+    assert not (tmp_path / "-").exists()
+
+
+@pytest.mark.parametrize("command", ["audit", "gap"])
+@pytest.mark.parametrize("raw", [False, True])
+def test_input_dash_reads_stdin(tmp_path, capsys, monkeypatch, command,
+                                raw):
+    f = tmp_path / "x.lst"
+    run_cli(capsys, "randomness", "generate", "--kind", "smooth-box",
+            "--n", "300", *(["--raw"] if raw else []), "--output", str(f))
+    code, out, _ = run_cli(capsys, "randomness", command, "--input", str(f))
+    assert code == 0
+    from_file = json.loads(out)
+    monkeypatch.setattr(sys, "stdin",
+                        io.TextIOWrapper(io.BytesIO(f.read_bytes())))
+    code, out, _ = run_cli(capsys, "randomness", command, "--input", "-")
+    assert code == 0
+    from_stdin = json.loads(out)
+    assert from_stdin.pop("manifest")["parameters"]["input"] == "-"
+    from_file.pop("manifest")
+    assert from_stdin == from_file
+
+
+def test_gap_points_beyond_the_list_size(tmp_path, capsys):
+    # past 13 points a 20-entry list already has every size from 8 to 20
+    f = tmp_path / "x.lst"
+    run_cli(capsys, "randomness", "generate", "--kind", "rng", "--n", "20",
+            "--seed", "5", "--output", str(f))
+    traces = []
+    for points in ("13", str(10**9)):
+        code, out, _ = run_cli(capsys, "randomness", "gap", "--input",
+                               str(f), "--points", points)
+        assert code == 0
+        gap = json.loads(out)
+        traces.append((gap["prefix_bits"], gap["k_hat_bits"]))
+    assert traces[0] == traces[1]
+    assert traces[0][0] == [8 * 5 + 5 * i for i in range(13)]
 
 
 def test_audit_malformed_exits_3(tmp_path, capsys):

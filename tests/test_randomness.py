@@ -1,5 +1,6 @@
 """Encoding, the computable description-length estimators, deficiency
 scoring, the two reference corpora, and the gap classifier."""
+import io
 import lzma
 import math
 import tracemalloc
@@ -18,8 +19,10 @@ from kolgas.randomness import (
     DEFAULT_ESTIMATORS,
     LIST_SIZE_CAP,
     EncodedList,
+    _decimal_body,
     _log2_binom_any,
     _packed_bytes,
+    _prefix_estimates,
     default_width,
     encode_list,
     estimate_complexity,
@@ -256,6 +259,14 @@ def test_decimal_list_file_bytes(tmp_path):
     "2 8 tag\n1\nx\n",               # non-integer datum
     "2 8 tag\n1\n300\n",             # datum overflows the stated width
     "2 8 tag\n1\n99999999999999999999\n",  # datum overflows int64
+    "2 8 tag\n1\n9999999999999999999\n",   # 19 digits, above 2^63 - 1
+    "2 8 tag\n1\n-0\n",                    # a sign other than "+"
+    "2 8 tag\n1\n2\x0b\n",                  # whitespace other than blank/tab
+    "2 8 tag\n1\r2\n",                     # a CR inside a line
+    "2 8 tag\n1\n+ 2\n",                   # "+" apart from its datum
+    "2 8 tag\n1 2\n\n",                    # two data on one line
+    "2 8 tag\n1\n2\n3\n",                  # more data than the header says
+    "1000001 8 tag\n1\n",                   # n above LIST_SIZE_CAP
     "2 8 tag blob\n\x01\x02",          # unknown body token
     "2 8 tag raw extra\n\x01\x02",     # too many header fields
 ])
@@ -413,3 +424,116 @@ def test_list_file_round_trips_values(tmp_path, enc, raw):
     assert (back.n, back.k) == (enc.n, enc.k)
     assert back.values.dtype == np.int64
     assert np.array_equal(back.values, enc.values)
+
+
+# --- one pass over prefixes against one-shot estimates -----------------------
+
+@st.composite
+def lists_with_prefix_sizes(draw):
+    """A random or sorted list, with ascending prefix sizes that end at n."""
+    k = draw(st.integers(1, 62))
+    n = draw(st.integers(1, 200))
+    values = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=n,
+                           max_size=n))
+    if draw(st.booleans()):
+        values.sort()
+    sizes = draw(st.lists(st.integers(1, n), max_size=6, unique=True))
+    return (encode_list(np.array(values, dtype=np.int64), k=k),
+            sorted(set(sizes) | {n}))
+
+
+@settings(deadline=None)
+@given(lists_with_prefix_sizes())
+def test_prefix_estimates_match_one_shot_reference(case):
+    enc, sizes = case
+    id_bits = load_calibration().estimator_id_bits
+    prefixes = [encode_list(enc.values[:m], k=enc.k) for m in sizes]
+    for name in ("zlib", "lzma", "entropy0", "entropy1", "delta"):
+        got = [k_hat for k_hat, _ in _prefix_estimates(enc, name, sizes)]
+        assert got == [_reference_estimate(name, p) + id_bits
+                       for p in prefixes], name
+
+
+@pytest.mark.parametrize("k", [1, 3, 13, 62])
+def test_prefix_trace_matches_estimates_of_each_prefix(k):
+    # n * k is not a multiple of 8, nor are most prefix lengths
+    enc = encode_list(_full_width_values(np.random.default_rng(k), 1001, k),
+                      k=k)
+    for estimator in ("best",) + DEFAULT_ESTIMATORS + ("lzma",):
+        trace = prefix_trace(enc, points=12, estimator=estimator)
+        sizes = [int(l) // k for l, _ in trace]
+        assert any(m * k % 8 for m in sizes)
+        assert trace == [
+            (float(m * k), estimate_complexity(
+                encode_list(enc.values[:m], k=k), estimator).k_hat)
+            for m in sizes
+        ]
+
+
+def test_prefix_trace_caps_points_at_the_list_size():
+    enc = rng_list(20, 5, np.random.default_rng(1))
+    assert prefix_trace(enc, points=10**9) == prefix_trace(enc, points=13)
+
+
+# --- the decimal body grammar against np.loadtxt -----------------------------
+
+@st.composite
+def decimal_bodies(draw):
+    """Bodies in the grammar, each with at least one datum."""
+    blank = st.text(alphabet=" \t", max_size=3)
+    lines = []
+    for value in draw(st.lists(st.integers(0, 2**63 - 1), min_size=1,
+                               max_size=30)):
+        for _ in range(draw(st.integers(0, 2))):
+            lines.append(draw(blank))
+        sign = draw(st.sampled_from(("", "+")))
+        zeros = "0" * draw(st.sampled_from((0, 0, 1, 25)))
+        lines.append(f"{draw(blank)}{sign}{zeros}{value}{draw(blank)}")
+    ends = draw(st.lists(st.sampled_from(("\n", "\r\n")),
+                         min_size=len(lines), max_size=len(lines)))
+    body = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        body = body.rstrip("\n")
+    return body.encode("ascii")
+
+
+def _loadtxt_values(body: bytes) -> np.ndarray:
+    return np.loadtxt(io.BytesIO(body), dtype=np.int64, ndmin=2,
+                      comments=None)[:, 0]
+
+
+@settings(deadline=None)
+@given(decimal_bodies())
+def test_decimal_body_matches_loadtxt(body):
+    expected = _loadtxt_values(body)
+    got = _decimal_body(body, 0, expected.size, "body")
+    assert got.dtype == np.int64
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("body, value", [
+    (b"9223372036854775807\n", 2**63 - 1),
+    (b"00000000009223372036854775807\n", 2**63 - 1),
+    (b"9223372036854775808\n", None),
+    (b"9999999999999999999\n", None),
+    (b"18446744073709551617\n", None),  # 2^64 + 1, which wraps to 1
+])
+def test_decimal_body_int64_edge(body, value):
+    if value is None:
+        with pytest.raises(FormatError, match="exceeds int64"):
+            _decimal_body(body, 0, 1, "body")
+    else:
+        assert _decimal_body(body, 0, 1, "body").tolist() == [value]
+
+
+def test_decimal_body_matches_loadtxt_across_slices():
+    # about 1.5 MB, so several slices, then one line longer than a slice
+    rng = np.random.default_rng(9)
+    values = _full_width_values(rng, 120_000, 40)
+    pad = [" " * int(i) for i in rng.integers(0, 4, size=values.size)]
+    lines = [f"{a}+{v}{b}\r\n" if v % 3 == 0 else f"{a}{v}{b}\n"
+             for a, v, b in zip(pad, values.tolist(), reversed(pad))]
+    lines.append(" " * (9 * _CHUNK) + "7\n\n")
+    body = "".join(lines).encode("ascii")
+    assert np.array_equal(_decimal_body(body, 0, values.size + 1, "body"),
+                          _loadtxt_values(body))
