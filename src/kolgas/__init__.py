@@ -16,7 +16,13 @@ from .combinatorics import (
     net_disorder_fd,
     net_disorder_intensive,
 )
-from .constants import CODATA, Constants, SpeciesSpec, species_lookup
+from .constants import (
+    H_PLANCK,
+    K_BOLTZMANN,
+    U_AMU,
+    SpeciesSpec,
+    species_lookup,
+)
 from .errors import (
     DegeneracyError,
     DomainError,
@@ -71,7 +77,7 @@ __all__ = [
     "Calibration", "load_calibration",
     "fd_half_log_bits", "log2_binomial_be_expansion", "log2_binomial_exact",
     "log2_binomial_fd_expansion", "net_disorder_fd", "net_disorder_intensive",
-    "CODATA", "Constants", "SpeciesSpec", "species_lookup",
+    "H_PLANCK", "K_BOLTZMANN", "U_AMU", "SpeciesSpec", "species_lookup",
     "DegeneracyError", "DomainError", "FormatError", "KolgasError",
     "NoPlateauError", "UnknownEstimatorError", "UnknownSpeciesError",
     "ComplexityReport", "EncodedList", "encode_list", "estimate_complexity",

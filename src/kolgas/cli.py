@@ -29,12 +29,16 @@ import numpy as np
 from . import randomness as rnd
 from . import sim as simmod
 from .calibration import load_calibration
-from .constants import CODATA, SpeciesSpec, species_lookup
+from .constants import K_BOLTZMANN, SpeciesSpec, species_lookup
 from .errors import DomainError, FormatError, NoPlateauError
-from .thermo import GasSpec, ThermoState, species_statistics, state_equations
+from .thermo import (STATISTICS, GasSpec, ThermoState, species_statistics,
+                     state_equations)
 from .wall import classify_regime
 
 ARTIFACT_VERSION = "2"
+
+#: Most rows a sweep tabulates.
+SWEEP_POINTS_CAP = 10**6
 
 _ANGSTROM = 1e-10
 
@@ -115,10 +119,10 @@ def _state_payload(state: ThermoState, spec: GasSpec) -> dict:
         "gamma": state.gamma,
         "free_energy_J": state.F,
         "entropy_J_per_K": state.S,
-        "entropy_per_particle_kb": state.S / (CODATA.k_B * spec.N),
+        "entropy_per_particle_kb": state.S / (K_BOLTZMANN * spec.N),
         "pressure_Pa": state.P,
         "chemical_potential_J": state.mu,
-        "chemical_potential_over_kt": state.mu / (CODATA.k_B * spec.T),
+        "chemical_potential_over_kt": state.mu / (K_BOLTZMANN * spec.T),
         "internal_energy_J": state.U,
         "heat_capacity_v_J_per_K": state.c_V,
         "energy_exponents": {"T": state.e_T, "V": state.e_V, "N": state.e_N},
@@ -195,8 +199,8 @@ _SWEEP_COLUMNS = ("lambda_th_m", "slot_count", "slots_per_particle", "kappa",
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.var not in ("T", "V", "N"):
         raise DomainError("sweep variable must be one of T, V, N")
-    if args.points < 2:
-        raise DomainError("need at least 2 sweep points")
+    if not 2 <= args.points <= SWEEP_POINTS_CAP:
+        raise DomainError(f"sweep points must be in 2..{SWEEP_POINTS_CAP}")
     if args.start <= 0 or args.stop <= 0:
         raise DomainError("sweep endpoints must be positive")
     species = species_lookup(args.gas)
@@ -242,7 +246,6 @@ def cmd_randomness_generate(args: argparse.Namespace) -> int:
                                   k=args.k)
     else:
         raise DomainError("kind must be rng or smooth-box")
-    rnd.write_list_file(args.output, enc, raw=args.raw)
     payload = {
         "manifest": _manifest("randomness generate", {
             "kind": args.kind, "n": args.n, "k": enc.k,
@@ -252,7 +255,11 @@ def cmd_randomness_generate(args: argparse.Namespace) -> int:
         "n": enc.n, "k": enc.k, "l_primitive": enc.l_primitive,
         "source_tag": enc.source_tag,
     }
-    _emit_json(payload, None)
+    # The receipt is encoded first, so one that is not finite exits 2
+    # before the list file is written.
+    receipt = _json(payload, indent=2) + "\n"
+    rnd.write_list_file(args.output, enc, raw=args.raw)
+    _write(receipt, None)
     return 0
 
 
@@ -438,7 +445,7 @@ def _add_gas_state_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--volume", type=float, default=1.8e-4, help="volume, m^3")
     p.add_argument("--count", type=float, default=1.7e16,
                    help="particle count")
-    p.add_argument("--statistics", choices=("fermi", "bose"), default=None,
+    p.add_argument("--statistics", choices=STATISTICS, default=None,
                    help="occupation statistics (default: what the species' "
                         "spin implies, he3 fermi and he4 bose); a value the "
                         "spin rules out is an error")
@@ -455,7 +462,8 @@ def _add_sim_args(p: argparse.ArgumentParser, transits_help: str) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--transits", type=float, default=8.0, help=transits_help)
     p.add_argument("--samples-per-transit", type=float, default=8.0)
-    p.add_argument("--perturbation", type=float, default=0.8,
+    p.add_argument("--perturbation", type=float,
+                   default=simmod.SimConfig.perturbation,
                    help="site-normal tilt scale for specular_random_sites")
     p.add_argument("--output", default=None, help="JSON path (default stdout)")
 

@@ -5,7 +5,7 @@ Conventions
 * All quantities are SI internally.  Angstrom or bar appear only at I/O
   boundaries (CLI summaries, docstring examples).
 * ``h`` and ``k_B`` are the exact SI defining values; the atomic mass
-  constant is CODATA 2018.
+  constant is the 2018 recommended value.
 """
 from __future__ import annotations
 
@@ -20,21 +20,8 @@ H_PLANCK: Final[float] = 6.62607015e-34
 #: Boltzmann constant, J/K (exact).
 K_BOLTZMANN: Final[float] = 1.380649e-23
 
-#: Atomic mass constant, kg (CODATA 2018).
+#: Atomic mass constant, kg (2018 recommended value).
 U_AMU: Final[float] = 1.66053906660e-27
-
-
-@dataclass(frozen=True)
-class Constants:
-    """Immutable bundle of the constants used by the closed forms."""
-
-    h: float = H_PLANCK
-    k_B: float = K_BOLTZMANN
-    u_amu: float = U_AMU
-
-
-#: The one shared constants instance.
-CODATA: Final[Constants] = Constants()
 
 
 @dataclass(frozen=True)

@@ -36,9 +36,7 @@ from .combinatorics import (
     log2_binomial_fd_expansion,
 )
 from .errors import DomainError, FormatError, UnknownEstimatorError
-from .constants import CODATA
-
-_H = CODATA.h
+from .constants import H_PLANCK
 
 #: Largest list accepted by the spectrum generator and the encoders.
 LIST_SIZE_CAP = 10**6
@@ -338,9 +336,11 @@ def smooth_box_spectrum(count: int, side: float, mass: float) -> np.ndarray:
     sorted ascending with degenerate levels repeated, in J."""
     if not (0 < count <= LIST_SIZE_CAP):
         raise DomainError(f"count must be in 1..{LIST_SIZE_CAP}")
-    if side <= 0.0 or mass <= 0.0:
-        raise DomainError("smooth_box_spectrum needs side > 0 and mass > 0")
-    e0 = _H * _H / (8.0 * mass * side * side)
+    denom = 8.0 * mass * side * side
+    if not (side > 0.0 and 0.0 < denom < math.inf):
+        raise DomainError("smooth_box_spectrum needs side > 0 and mass > 0 "
+                          "with 8 m side^2 a positive finite float")
+    e0 = H_PLANCK * H_PLANCK / denom
     r = max(3, math.ceil((6.0 * count / math.pi) ** (1.0 / 3.0)) + 2)
     while True:
         axis = np.arange(1, r + 1, dtype=np.int64)
@@ -406,7 +406,7 @@ def gap_classify(trace: Iterable[tuple[float, float]]) -> GapVerdict:
         raise DomainError("gap_classify needs at least 3 trace points")
     l = np.array([p[0] for p in pts])
     d = l - np.array([p[1] for p in pts])
-    thresh = calib.deficiency_slope * l + calib.deficiency_offset_bits
+    thresh = calib.deficiency_threshold(l)
     if bool(np.all(d <= thresh)):
         return GapVerdict("random-like", None, _fit_slope(l, d)[0])
 
@@ -432,13 +432,11 @@ def prefix_trace(enc: EncodedList, points: int = 12,
     all encoded at the full list's datum width, measured in one pass."""
     if points < 3:
         raise DomainError("prefix_trace needs at least 3 points")
-    first = max(8, enc.n // points)
-    # Sizes run from first to n, so past |n - first| + 1 points every
-    # size between them is hit already and more points only cost memory.
-    count = min(points, abs(enc.n - first) + 1)
-    sizes = np.unique(np.linspace(first, enc.n, count).astype(int))
-    # A list shorter than 8 gets sizes past its end; each is the whole list.
-    sizes = np.minimum(sizes, enc.n).tolist()
+    first = min(max(8, enc.n // points), enc.n)
+    # Sizes run from first to n, so past n - first + 1 points every size
+    # between them is hit already and more points only cost memory.
+    count = min(points, enc.n - first + 1)
+    sizes = np.unique(np.linspace(first, enc.n, count).astype(int)).tolist()
     estimates = _prefix_estimates(enc, estimator, sizes)
     return [(float(m * enc.k), k_hat)
             for m, (k_hat, _) in zip(sizes, estimates)]

@@ -23,12 +23,11 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .calibration import load_calibration
-from .constants import CODATA, SpeciesSpec
+from .constants import K_BOLTZMANN, SpeciesSpec
 from .errors import DomainError, NoPlateauError
 from .randomness import default_width, encode_list, estimate_complexity, quantize
 from .thermo import GasSpec, rms_speed, species_statistics, state_equations
 
-_KB = CODATA.k_B
 
 WALL_MODELS = ("specular_random_sites", "langmuir_thermal", "smooth_specular")
 INIT_MODES = ("equilibrium", "beam", "half_box")
@@ -143,7 +142,7 @@ class SimState:
 
 def _maxwell_velocities(rng: np.random.Generator, n: int, T: float,
                         mass: float) -> np.ndarray:
-    sigma = math.sqrt(_KB * T / mass)
+    sigma = math.sqrt(K_BOLTZMANN * T / mass)
     return rng.normal(0.0, sigma, size=(n, 3))
 
 
@@ -211,7 +210,7 @@ def wall_scatter(state: SimState, idx: np.ndarray, axis: np.ndarray,
             v[pending[ok]] = refl[ok]
             pending = pending[~ok]
     else:  # langmuir_thermal
-        sigma = math.sqrt(_KB * cfg.T_wall / cfg.species.mass)
+        sigma = math.sqrt(K_BOLTZMANN * cfg.T_wall / cfg.species.mass)
         v = sigma * state.rng.normal(size=(m, 3))
         v[rows, axis] = sign * state.rng.rayleigh(sigma, size=m)
 

@@ -15,11 +15,9 @@ import math
 from dataclasses import dataclass
 
 from .combinatorics import net_disorder_intensive
-from .constants import CODATA, SpeciesSpec
+from .constants import H_PLANCK, K_BOLTZMANN, SpeciesSpec
 from .errors import DegeneracyError, DomainError
 
-_H = CODATA.h
-_KB = CODATA.k_B
 
 STATISTICS = ("fermi", "bose")
 
@@ -80,14 +78,15 @@ def thermal_length(T: float, mass: float) -> float:
     """Thermal de Broglie length sqrt( h^2 / (2 pi m k_B T) ), m."""
     if T <= 0.0 or mass <= 0.0:
         raise DomainError("thermal_length needs T > 0 and mass > 0")
-    return math.sqrt(_H * _H / (2.0 * math.pi * mass * _KB * T))
+    return math.sqrt(H_PLANCK * H_PLANCK
+                     / (2.0 * math.pi * mass * K_BOLTZMANN * T))
 
 
 def rms_speed(T: float, mass: float) -> float:
     """Root-mean-square thermal speed sqrt(3 k_B T / m), m/s."""
     if T <= 0.0 or mass <= 0.0:
         raise DomainError("rms_speed needs T > 0 and mass > 0")
-    return math.sqrt(3.0 * _KB * T / mass)
+    return math.sqrt(3.0 * K_BOLTZMANN * T / mass)
 
 
 def interparticle_length(spec: GasSpec) -> float:
@@ -133,7 +132,7 @@ def mu_be(a: float, T: float) -> float:
     """Chemical potential -k_B T ln(A + 1) for unrestricted occupation, J."""
     if a <= 0.0 or T <= 0.0:
         raise DomainError("mu_be needs A > 0 and T > 0")
-    return -_KB * T * math.log1p(a)
+    return -K_BOLTZMANN * T * math.log1p(a)
 
 
 def state_equations(spec: GasSpec) -> ThermoState:
@@ -159,19 +158,21 @@ def state_equations(spec: GasSpec) -> ThermoState:
             )
         kappa = kappa_fd(x)
         gamma = gamma_fd(x)
-        mu = -_KB * T * math.log(x - 1.0)
+        mu = -K_BOLTZMANN * T * math.log(x - 1.0)
         # d(Gamma)/dT at fixed V, N enters through x dGamma/dx = Gamma - x/(x-1).
-        c_V = 1.5 * N * _KB * gamma + 2.25 * N * _KB * (gamma - x / (x - 1.0))
+        c_V = (1.5 * N * K_BOLTZMANN * gamma
+               + 2.25 * N * K_BOLTZMANN * (gamma - x / (x - 1.0)))
     else:
         kappa = kappa_be(A)
         gamma = gamma_be(A)
         mu = mu_be(A, T)
-        c_V = 1.5 * N * _KB * gamma + 2.25 * N * _KB * (gamma - A / (A + 1.0))
+        c_V = (1.5 * N * K_BOLTZMANN * gamma
+               + 2.25 * N * K_BOLTZMANN * (gamma - A / (A + 1.0)))
 
-    F = -_KB * T * N * kappa
-    S = N * _KB * (kappa + 1.5 * gamma)
-    P = (N * _KB * T / V) * gamma
-    U = 1.5 * N * _KB * T * gamma
+    F = -K_BOLTZMANN * T * N * kappa
+    S = N * K_BOLTZMANN * (kappa + 1.5 * gamma)
+    P = (N * K_BOLTZMANN * T / V) * gamma
+    U = 1.5 * N * K_BOLTZMANN * T * gamma
     return ThermoState(
         lambda_th=lam,
         M=M,

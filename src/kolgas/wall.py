@@ -8,11 +8,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .constants import CODATA
+from .constants import H_PLANCK
 from .errors import DomainError
 from .thermo import GasSpec, interparticle_length, thermal_length
 
-_H = CODATA.h
 
 #: Upper end of the cool-gas window, K.
 T_COOL_MAX = 10.0
@@ -129,7 +128,7 @@ def packet_spread(b: float, T: float, mass: float) -> float:
     if b <= 0.0:
         raise DomainError("packet_spread needs b > 0")
     lam = thermal_length(T, mass)
-    v_packet = _H / (mass * lam)
+    v_packet = H_PLANCK / (mass * lam)
     t_b = b / v_packet
-    return _H * t_b / (2.0 * mass * lam)
+    return H_PLANCK * t_b / (2.0 * mass * lam)
 

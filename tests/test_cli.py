@@ -3,14 +3,12 @@ byte-level determinism of reruns."""
 import io
 import json
 import os
-import pathlib
 import sys
 
 import jsonschema
 import pytest
 
-import kolgas
-from kolgas.cli import main
+from kolgas.cli import SWEEP_POINTS_CAP, main
 
 from conftest import load_schema
 
@@ -114,6 +112,15 @@ def test_sweep_rejects_single_point(capsys):
     assert code == 2
 
 
+def test_sweep_rejects_points_above_the_cap(capsys):
+    # 10^9 rows would need gigabytes; the cap turns that into exit 2
+    code, out, err = run_cli(capsys, "sweep", "--var", "T", "--from", "3",
+                             "--to", "4", "--points", str(10**9))
+    assert code == 2
+    assert out == ""
+    assert str(SWEEP_POINTS_CAP) in err
+
+
 # --- randomness pipeline -----------------------------------------------------------
 
 def test_generate_audit_gap_pipeline(tmp_path, capsys):
@@ -176,6 +183,21 @@ def test_generate_output_to_stdout_exits_2(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "-").exists()
 
 
+@pytest.mark.parametrize("kind", ["rng", "smooth-box"])
+@pytest.mark.parametrize("side", ["nan", "inf"])
+def test_generate_non_finite_box_side_writes_no_file(tmp_path, capsys, kind,
+                                                     side):
+    # rng records the side in its receipt; smooth-box computes with it
+    f = tmp_path / "x.lst"
+    code, out, err = run_cli(capsys, "randomness", "generate", "--kind", kind,
+                             "--n", "100", "--box-side", side,
+                             "--output", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not f.exists()
+
+
 @pytest.mark.parametrize("command", ["audit", "gap"])
 @pytest.mark.parametrize("raw", [False, True])
 def test_input_dash_reads_stdin(tmp_path, capsys, monkeypatch, command,
@@ -212,6 +234,18 @@ def test_gap_points_beyond_the_list_size(tmp_path, capsys):
     assert traces[0][0] == [8 * 5 + 5 * i for i in range(13)]
 
 
+@pytest.mark.parametrize("n", [1, 5, 7])
+def test_gap_on_a_list_too_short_for_a_trace_exits_2(tmp_path, capsys, n):
+    # prefixes start at 8 entries, so fewer than 10 give under 3 points
+    f = tmp_path / "x.lst"
+    run_cli(capsys, "randomness", "generate", "--kind", "rng", "--n", str(n),
+            "--output", str(f))
+    code, out, err = run_cli(capsys, "randomness", "gap", "--input", str(f))
+    assert code == 2
+    assert out == ""
+    assert "3 trace points" in err
+
+
 def test_audit_malformed_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.lst"
     bad.write_text("not a header\n")
@@ -239,38 +273,6 @@ def test_audit_missing_file_exits_3(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "randomness", "audit",
                          "--input", str(tmp_path / "nope.lst"))
     assert code == 3
-
-
-@pytest.mark.parametrize("content", [None, "3", b"\xff\xfe"])
-def test_bad_calibration_file_exits_3(tmp_path, capsys, monkeypatch,
-                                      content):
-    # None: the path does not exist; then a JSON non-object; then non-UTF-8
-    path = tmp_path / "calibration.json"
-    if isinstance(content, str):
-        path.write_text(content)
-    elif content is not None:
-        path.write_bytes(content)
-    monkeypatch.setenv("QKM_CALIBRATION", str(path))
-    code, out, err = run_cli(capsys, "state")
-    assert code == 3
-    assert out == ""
-    assert str(path) in err and "Traceback" not in err
-
-
-def test_calibration_file_with_retired_keys_loads(tmp_path, capsys,
-                                                  monkeypatch):
-    # files written before composition_overhead_bits and
-    # machine_constant_bits were dropped still load: extra keys are ignored
-    bundled = json.loads(
-        (pathlib.Path(kolgas.__file__).parent / "calibration.json").read_text()
-    )
-    bundled.update(composition_overhead_bits=64.0, machine_constant_bits=1066)
-    path = tmp_path / "calibration.json"
-    path.write_text(json.dumps(bundled))
-    monkeypatch.setenv("QKM_CALIBRATION", str(path))
-    code, out, _ = run_cli(capsys, "state")
-    assert code == 0
-    assert json.loads(out)["manifest"]["calibration_version"] == "1"
 
 
 def test_audit_unknown_estimator_exits_2(tmp_path, capsys):

@@ -1,20 +1,26 @@
-import dataclasses
-
 import pytest
 
-from kolgas.constants import CODATA, SpeciesSpec, species_lookup
+from kolgas.calibration import Calibration, load_calibration
+from kolgas.constants import (H_PLANCK, K_BOLTZMANN, U_AMU, SpeciesSpec,
+                              species_lookup)
 from kolgas.errors import DomainError, UnknownSpeciesError
 
 
 def test_codata_values():
-    assert CODATA.h == 6.62607015e-34
-    assert CODATA.k_B == 1.380649e-23
-    assert CODATA.u_amu == 1.66053906660e-27
+    assert H_PLANCK == 6.62607015e-34
+    assert K_BOLTZMANN == 1.380649e-23
+    assert U_AMU == 1.66053906660e-27
 
 
-def test_codata_frozen():
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        CODATA.h = 1.0
+def test_calibration_values():
+    calib = load_calibration()
+    assert calib == Calibration(
+        version="1", estimator_id_bits=8, deficiency_slope=0.01,
+        deficiency_offset_bits=64.0, gap_slope_structured=0.10,
+        gap_slope_random=0.02, plateau_floor_fraction=0.25,
+        plateau_stability_fraction=0.10,
+    )
+    assert calib.deficiency_threshold(1000.0) == 0.01 * 1000.0 + 64.0
 
 
 @pytest.mark.parametrize("name, g, mass_u", [
@@ -25,7 +31,7 @@ def test_species_table(name, g, mass_u):
     sp = species_lookup(name)
     assert sp.name == name
     assert sp.spin_degeneracy == g
-    assert sp.mass == pytest.approx(mass_u * CODATA.u_amu, rel=1e-12)
+    assert sp.mass == pytest.approx(mass_u * U_AMU, rel=1e-12)
     # hard-sphere radius sits between the electronic radius and ~1 nm
     assert sp.a_B < sp.a_LJ < 1e-9
 

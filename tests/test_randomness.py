@@ -162,8 +162,11 @@ def test_smooth_box_spectrum_is_complete():
 def test_smooth_box_spectrum_domain():
     with pytest.raises(DomainError):
         smooth_box_spectrum(0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        smooth_box_spectrum(10, -1.0, 1.0)
+    # 1e-170 squares to 0.0 and 1e200 to inf: no finite level spacing
+    for side, mass in [(-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+                       (1.0, math.nan), (1e-170, 1.0), (1e200, 1.0)]:
+        with pytest.raises(DomainError):
+            smooth_box_spectrum(10, side, mass)
 
 
 # --- gap classification --------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from kolgas.constants import CODATA, species_lookup
+from kolgas.constants import K_BOLTZMANN as KB, species_lookup
 from kolgas.errors import DomainError, NoPlateauError
 from kolgas.thermo import GasSpec, state_equations
 from kolgas.sim import (
@@ -30,7 +30,6 @@ from kolgas.sim import (
     step_to,
 )
 
-KB = CODATA.k_B
 HE3 = species_lookup("he3")
 BOX = (0.035, 0.035, 0.035)
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as strat
 
-from kolgas.constants import CODATA, species_lookup
+from kolgas.constants import K_BOLTZMANN as KB, species_lookup
 from kolgas.errors import DegeneracyError, DomainError
 from kolgas.thermo import (
     GasSpec,
@@ -27,7 +27,6 @@ from kolgas.thermo import (
     thermal_length,
 )
 
-KB = CODATA.k_B
 
 HE3 = species_lookup("he3")
 
