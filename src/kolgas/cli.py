@@ -40,6 +40,9 @@ ARTIFACT_VERSION = "2"
 #: Most rows a sweep tabulates.
 SWEEP_POINTS_CAP = 10**6
 
+#: Most runs one ``sim relax --seeds`` batch makes.
+RELAX_SEEDS_CAP = 10**4
+
 _ANGSTROM = 1e-10
 
 
@@ -306,7 +309,8 @@ def cmd_randomness_gap(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # sim
 
-def _sim_config(args: argparse.Namespace, seed: int) -> simmod.SimConfig:
+def _sim_config(args: argparse.Namespace, seed: int,
+                keep_events: bool = False) -> simmod.SimConfig:
     if not args.samples_per_transit > 0.0:
         raise DomainError("samples-per-transit must be positive")
     if not math.isfinite(args.transits):
@@ -315,7 +319,7 @@ def _sim_config(args: argparse.Namespace, seed: int) -> simmod.SimConfig:
         n_particles=args.particles, box=(args.box_side,) * 3,
         T_wall=args.temp, species=species_lookup(args.gas),
         wall_model=args.wall_model, seed=seed, dt_out=1.0, duration=0.0,
-        perturbation=args.perturbation,
+        perturbation=args.perturbation, keep_events=keep_events,
     )
     return dataclasses.replace(cfg, dt_out=cfg.t_b / args.samples_per_transit,
                                duration=args.transits * cfg.t_b)
@@ -359,8 +363,8 @@ def cmd_sim_relax(args: argparse.Namespace) -> int:
     _check_distinct(("--output", "-" if args.output is None else args.output),
                     ("--trace-output", args.trace_output or None),
                     ("--events-output", args.events_output or None))
-    if args.seeds < 1:
-        raise DomainError("seeds must be at least 1")
+    if not 1 <= args.seeds <= RELAX_SEEDS_CAP:
+        raise DomainError(f"seeds must be in 1..{RELAX_SEEDS_CAP}")
     seeds = (
         [args.seed] if args.seeds == 1
         else [simmod.member_seed(args.seed, i) for i in range(args.seeds)]
@@ -371,8 +375,10 @@ def cmd_sim_relax(args: argparse.Namespace) -> int:
 
     runs = []
     last_run = None
-    for seed in seeds:
-        cfg = _sim_config(args, seed)
+    for i, seed in enumerate(seeds):
+        # only the last run's events are written
+        cfg = _sim_config(args, seed, keep_events=bool(args.events_output)
+                          and i == len(seeds) - 1)
         run = simmod.simulate(cfg, args.init)
         last_run = run
         entry = {

@@ -8,7 +8,7 @@ import sys
 import jsonschema
 import pytest
 
-from kolgas.cli import SWEEP_POINTS_CAP, main
+from kolgas.cli import RELAX_SEEDS_CAP, SWEEP_POINTS_CAP, main
 
 from conftest import load_schema
 
@@ -344,6 +344,19 @@ def test_sim_relax_seed_batch(capsys):
     doc = json.loads(out)
     seeds = [r["seed"] for r in doc["runs"]]
     assert len(set(seeds)) == 3
+
+
+@pytest.mark.parametrize("seeds", [RELAX_SEEDS_CAP + 1, 10**9])
+def test_sim_relax_rejects_seeds_above_the_cap(capsys, monkeypatch, seeds):
+    # 10^9 member seeds would be built one SeedSequence at a time before
+    # the first run; the cap turns that into exit 2 before any of them
+    monkeypatch.setattr("kolgas.sim.member_seed", _must_not_run)
+    monkeypatch.setattr("kolgas.sim.simulate", _must_not_run)
+    code, out, err = run_cli(capsys, *RELAX_ARGS, "--seeds", str(seeds))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(RELAX_SEEDS_CAP) in err
 
 
 def test_sim_relax_deterministic_stdout(capsys):

@@ -6,6 +6,8 @@ they are deterministic, not flaky."""
 import dataclasses
 import hashlib
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from kolgas import sim as simmod
 from kolgas.constants import K_BOLTZMANN as KB, species_lookup
 from kolgas.errors import DomainError, NoPlateauError
 from kolgas.thermo import GasSpec, state_equations
@@ -35,7 +38,9 @@ BOX = (0.035, 0.035, 0.035)
 
 
 def make_config(n=800, wall_model="specular_random_sites", seed=0,
-                samples_per_transit=8, transits=8.0, **kw):
+                samples_per_transit=8, transits=8.0, keep_events=True, **kw):
+    # keeps the wall-event log, so that any test may read events()
+    kw["keep_events"] = keep_events
     base = SimConfig(n_particles=n, box=BOX, T_wall=10.0, species=HE3,
                      wall_model=wall_model, seed=seed, dt_out=1.0,
                      duration=0.0, **kw)
@@ -207,6 +212,17 @@ def test_event_log_contents():
     assert np.all(ev["speed"] > 0.0)
 
 
+def test_event_log_is_opt_in():
+    cfg = make_config(n=300, seed=2, transits=3.0, keep_events=False)
+    run = simulate(cfg, "equilibrium")
+    logged = simulate(dataclasses.replace(cfg, keep_events=True),
+                      "equilibrium")
+    assert run.final_state.n_events == logged.final_state.n_events > 0
+    assert run.final_state._event_chunks == []
+    with pytest.raises(DomainError, match="no wall-event log"):
+        run.final_state.events()
+
+
 def test_bit_identical_reruns():
     cfg = make_config(n=500, seed=11, transits=4.0)
     a = simulate(cfg, "beam")
@@ -360,3 +376,94 @@ def test_joule_rejects_compression():
     cfg = make_config(n=400)
     with pytest.raises(DomainError):
         run_joule_expansion(cfg, 0.8)
+
+
+# --- sampler process -----------------------------------------------------------
+
+def assert_same_trace(a, b):
+    for f in dataclasses.fields(DisorderTrace):
+        x, y = np.asarray(getattr(a, f.name)), np.asarray(getattr(b, f.name))
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
+
+
+@pytest.fixture
+def sampler():
+    """The live sampler process of this interpreter."""
+    live = simmod._sampler()
+    if live is None:
+        pytest.skip("no sampler here: one usable CPU or no fork")
+    return live
+
+
+def in_process(monkeypatch):
+    monkeypatch.setattr(simmod, "_sampler", lambda: None)
+
+
+@pytest.mark.parametrize("model", WALL_MODELS)
+def test_sampler_trace_matches_in_process(model, sampler, monkeypatch):
+    cfg = make_config(n=600, wall_model=model, seed=4, transits=3.0,
+                      keep_events=False)
+    shared = simulate(cfg, "beam")
+    in_process(monkeypatch)
+    alone = simulate(cfg, "beam")
+    assert_same_trace(shared.trace, alone.trace)
+    assert shared.final_state.n_events == alone.final_state.n_events
+
+
+def test_sampler_joule_matches_in_process(sampler, monkeypatch):
+    # stage 2 swaps state.config and samples against reference_box
+    cfg = make_config(n=500, seed=21, samples_per_transit=4, transits=4.0,
+                      keep_events=False)
+    shared = run_joule_expansion(cfg, 3.0)
+    in_process(monkeypatch)
+    alone = run_joule_expansion(cfg, 3.0)
+    assert_same_trace(shared.trace_before, alone.trace_before)
+    assert_same_trace(shared.trace_after, alone.trace_after)
+    assert shared.delta_d_hat == alone.delta_d_hat
+
+
+def test_sampler_terminated_between_runs(sampler):
+    cfg = make_config(n=400, seed=9, transits=2.0, keep_events=False)
+    first = simulate(cfg, "beam")
+    sampler.process.terminate()
+    sampler.process.join(timeout=10)
+    assert not sampler.process.is_alive()
+    again = simulate(cfg, "beam")
+    assert_same_trace(first.trace, again.trace)
+    fresh = simmod._sampler()
+    assert fresh is not None and fresh.process.is_alive()
+    assert fresh.process.pid != sampler.process.pid
+
+
+def test_sampler_killed_mid_run(sampler, monkeypatch):
+    # the rows the dead sampler owed are computed in this process
+    cfg = make_config(n=400, seed=10, transits=2.0, keep_events=False)
+    first = simulate(cfg, "beam")
+    step_to_ = simmod.step_to
+    calls = []
+
+    def killing_step_to(state, t):
+        calls.append(t)
+        if len(calls) == 2:
+            os.kill(sampler.process.pid, signal.SIGKILL)
+        return step_to_(state, t)
+
+    monkeypatch.setattr(simmod, "step_to", killing_step_to)
+    again = simulate(cfg, "beam")
+    assert_same_trace(first.trace, again.trace)
+    sampler.process.join(timeout=10)
+    assert not sampler.process.is_alive()
+
+
+@pytest.mark.parametrize("transits", [0.0, 1.0])
+def test_sampler_error_reaches_caller(transits, sampler, monkeypatch):
+    # one particle has no nearest neighbour; with no transits the only row
+    # is the sampler's
+    cfg = make_config(n=1, seed=3, transits=transits, keep_events=False)
+    with pytest.raises(DomainError, match="nearest-neighbour"):
+        simulate(cfg, "beam")
+    # no reply is left over for the next run to read
+    cfg = make_config(n=300, seed=3, transits=1.0, keep_events=False)
+    shared = simulate(cfg, "beam")
+    in_process(monkeypatch)
+    assert_same_trace(shared.trace, simulate(cfg, "beam").trace)
