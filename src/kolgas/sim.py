@@ -26,6 +26,7 @@ import pickle
 import signal
 import struct
 import threading
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -377,7 +378,17 @@ class _Sampler:
         self.process = ctx.Process(
             target=_serve, args=(self.shared, self.posted, self.done),
             daemon=True)
-        self.process.start()
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when the OS counts more than one thread
+            # just after a fork.  ``_sampler`` forks only with no other
+            # Python thread, but the OS count also holds native BLAS pools.
+            # numpy's and scipy's OpenBLAS join theirs in a pthread_atfork
+            # handler before the fork, and the child calls no BLAS; still,
+            # a joined thread can be counted for a moment after the join.
+            warnings.filterwarnings(
+                "ignore", r"This process .*is multi-threaded, use of fork\(\)",
+                DeprecationWarning)
+            self.process.start()
         self.owner = os.getpid()
         self.alive = True
 
@@ -460,10 +471,12 @@ _SAMPLER: _Sampler | None = None
 
 def _sampler() -> _Sampler | None:
     """The live sampler, forked on first use and after one dies.  None
-    where a second process cannot help (one usable CPU) or where forking
-    is unsafe: no ``fork`` start method, or other threads running whose
-    locks a forked child would inherit.  Fork rather than spawn, because a
-    spawned child would import numpy and scipy again."""
+    where a second process cannot help (one usable CPU, or no
+    ``os.sched_getaffinity`` to tell), may not be started (this process is
+    a daemon, such as a ``multiprocessing.Pool`` worker), or where forking
+    is unsafe: no ``fork`` start method, or other Python threads running
+    whose locks a forked child would inherit.  Fork rather than spawn,
+    because a spawned child would import numpy and scipy again."""
     global _SAMPLER
     current = _SAMPLER
     if current is not None and current.owner == os.getpid():
@@ -471,9 +484,10 @@ def _sampler() -> _Sampler | None:
             return current
         current.close()
     _SAMPLER = None
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    if (cpus < 2 or "fork" not in multiprocessing.get_all_start_methods()
+    if (not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2
+            or multiprocessing.current_process().daemon
+            or "fork" not in multiprocessing.get_all_start_methods()
             or threading.active_count() > 1):
         return None
     _SAMPLER = _Sampler()

@@ -6,8 +6,10 @@ they are deterministic, not flaky."""
 import dataclasses
 import hashlib
 import math
+import multiprocessing
 import os
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -453,6 +455,61 @@ def test_sampler_killed_mid_run(sampler, monkeypatch):
     assert_same_trace(first.trace, again.trace)
     sampler.process.join(timeout=10)
     assert not sampler.process.is_alive()
+
+
+def test_sampler_forks_past_the_threaded_fork_warning(sampler, monkeypatch):
+    # Python 3.12+ warns after a fork while the OS counts more than one
+    # thread, which numpy's BLAS pool can make it do; pytest turns that
+    # warning into an error, so the sampler must fork past it
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn(f"This process (pid={os.getpid()}) is "
+                          "multi-threaded, use of fork() may lead to "
+                          "deadlocks in the child.", DeprecationWarning)
+        return pid
+
+    sampler.close()
+    monkeypatch.setattr(os, "fork", warning_fork)
+    fresh = simmod._sampler()
+    monkeypatch.undo()
+    assert fresh is not None and fresh.process.is_alive()
+    cfg = make_config(n=300, seed=5, transits=1.0, keep_events=False)
+    shared = simulate(cfg, "beam")
+    in_process(monkeypatch)
+    assert_same_trace(shared.trace, simulate(cfg, "beam").trace)
+
+
+def _simulate_in(conn, cfg):
+    try:
+        conn.send(("ok", simulate(cfg, "beam").trace))
+    except BaseException as exc:
+        conn.send(("error", repr(exc)))
+
+
+# the fork that makes the daemonic process is the test's own, not the sampler's
+@pytest.mark.filterwarnings(
+    r"ignore:This process .*is multi-threaded:DeprecationWarning")
+def test_simulate_in_a_daemonic_process(monkeypatch):
+    # a multiprocessing.Pool worker is a daemon, and daemons may not start
+    # children, so simulate there runs without the sampler
+    cfg = make_config(n=300, seed=6, transits=1.0, keep_events=False)
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_simulate_in, args=(send, cfg), daemon=True)
+    child.start()
+    try:
+        assert receive.poll(120), "no reply from the daemonic process"
+        status, value = receive.recv()
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+    assert status == "ok", value
+    in_process(monkeypatch)
+    assert_same_trace(value, simulate(cfg, "beam").trace)
 
 
 @pytest.mark.parametrize("transits", [0.0, 1.0])
