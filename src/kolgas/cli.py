@@ -243,12 +243,10 @@ def cmd_randomness_generate(args: argparse.Namespace) -> int:
         rng = np.random.default_rng(np.random.SeedSequence(args.seed))
         k = args.k if args.k is not None else rnd.default_width(args.n)
         enc = rnd.rng_list(args.n, k, rng)
-    elif args.kind == "smooth-box":
+    else:  # smooth-box, the only other --kind choice
         species = species_lookup(args.gas)
         enc = rnd.smooth_box_list(args.n, args.box_side, species.mass,
                                   k=args.k)
-    else:
-        raise DomainError("kind must be rng or smooth-box")
     payload = {
         "manifest": _manifest("randomness generate", {
             "kind": args.kind, "n": args.n, "k": enc.k,

@@ -26,6 +26,10 @@ EXACT_BINOMIAL_CAP: Final[int] = 10**6
 #: from the exact prime factorization of the binomial instead.
 _BIGINT_PATH_LIMIT: Final[int] = 4096
 
+#: Most terms one ``np.dot`` sums.  OpenBLAS splits a longer dot product
+#: across its threads, so its float would depend on the thread count.
+_DOT_SLICE: Final[int] = 10**4
+
 
 @lru_cache(maxsize=8)
 def _prime_log_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -50,7 +54,9 @@ def log2_binomial_exact(m: int, n: int) -> float:
     Supported for 0 <= n <= m <= 10**6; larger inputs belong to the
     expansion routines.  Small arguments take the log of the big integer
     directly; large ones sum exact prime-factorization exponents against
-    log2(p), whose only rounding is the final float dot product.
+    log2(p), whose only rounding is the final float dot product, summed
+    in slices of ``_DOT_SLICE`` terms so that it does not depend on the
+    BLAS thread count.
     """
     if not (isinstance(m, int) and isinstance(n, int)):
         raise DomainError("log2_binomial_exact needs integer arguments")
@@ -83,7 +89,9 @@ def log2_binomial_exact(m: int, n: int) -> float:
         exponents[i] = e
     big = primes[split:]
     exponents[split:] = m // big - n // big - w // big
-    return float(np.dot(exponents.astype(np.float64), log2p))
+    terms = exponents.astype(np.float64)
+    return float(sum(np.dot(terms[i:i + _DOT_SLICE], log2p[i:i + _DOT_SLICE])
+                     for i in range(0, cut, _DOT_SLICE)))
 
 
 def fd_half_log_bits(m: float, n: float) -> float:

@@ -22,9 +22,7 @@ import math
 import mmap
 import multiprocessing
 import os
-import pickle
 import signal
-import struct
 import threading
 import warnings
 from dataclasses import dataclass, field, replace
@@ -126,14 +124,13 @@ def member_seed(base_seed: int, index: int) -> int:
 @dataclass
 class SimState:
     """Mutable particle state plus the wall-event count and, if the config
-    keeps it, the wall-event log.  ``rng`` is None in a snapshot that is
-    only sampled."""
+    keeps it, the wall-event log."""
 
     config: SimConfig
     time: float
     pos: np.ndarray        # (n, 3), m
     vel: np.ndarray        # (n, 3), m/s
-    rng: np.random.Generator | None
+    rng: np.random.Generator
     _event_chunks: list = field(default_factory=list)
     n_events: int = 0
 
@@ -300,38 +297,39 @@ def _chi2_uniform(values: np.ndarray, lo: float, hi: float, bins: int) -> float:
     return float(np.sum((counts - expected) ** 2) / expected)
 
 
-def sample_disorder(state: SimState,
+def sample_disorder(pos: np.ndarray, vel: np.ndarray,
+                    box: tuple[float, float, float],
                     reference_box: tuple[float, float, float] | None = None,
                     ) -> tuple[float, float, float, float, float]:
-    """One trace row for the current state:
-    (d_hat, k_orient, k_nn, chi2_orient, chi2_pos).
+    """One trace row for particles at ``pos`` moving at ``vel`` in
+    ``box``: (d_hat, k_orient, k_nn, chi2_orient, chi2_pos).
 
-    ``reference_box`` fixes the quantization scale of the neighbour list;
-    pass the largest box of a multi-stage run so samples are comparable
-    across stages.
+    ``reference_box`` (default ``box``) fixes the quantization scale of
+    the neighbour list; pass the largest box of a multi-stage run so
+    samples are comparable across stages.
     """
-    cfg = state.config
-    if cfg.n_particles < 2:
+    n = len(pos)
+    if n < 2:
         raise DomainError("the nearest-neighbour list needs 2 or more "
                           "particles")
-    k = default_width(cfg.n_particles)
-    ref = np.asarray(reference_box if reference_box is not None else cfg.box)
-    diag = float(np.linalg.norm(ref))
+    k = default_width(n)
+    diag = float(np.linalg.norm(reference_box if reference_box is not None
+                                else box))
 
-    speed = np.linalg.norm(state.vel, axis=1)
-    u = state.vel[:, 2] / np.where(speed > 0.0, speed, 1.0)
+    speed = np.linalg.norm(vel, axis=1)
+    u = vel[:, 2] / np.where(speed > 0.0, speed, 1.0)
     enc_o = encode_list(quantize(u, k, bounds=(-1.0, 1.0)), k=k,
                         source_tag="orientation")
     k_orient = estimate_complexity(enc_o).k_hat
 
-    nn_dist = cKDTree(state.pos).query(state.pos, k=2)[0][:, 1]
+    nn_dist = cKDTree(pos).query(pos, k=2)[0][:, 1]
     enc_nn = encode_list(quantize(nn_dist, k, bounds=(0.0, diag)), k=k,
                          source_tag="nn-distance")
     k_nn = estimate_complexity(enc_nn).k_hat
 
     chi_o = _chi2_uniform(u, -1.0, 1.0, _ORIENT_BINS)
     chi_p = sum(
-        _chi2_uniform(state.pos[:, a], 0.0, cfg.box[a], _POS_BINS)
+        _chi2_uniform(pos[:, a], 0.0, box[a], _POS_BINS)
         for a in range(3)
     )
     return k_orient + k_nn, k_orient, k_nn, chi_o, chi_p
@@ -346,37 +344,47 @@ class SimRun:
     t_b: float
 
 
-#: Bytes of the shared buffer that carries a snapshot to the sampler
-#: process (48 bytes a particle for positions and velocities, plus the
-#: pickled config), and of the buffer that carries its reply back.
-_REQUEST_BYTES = 48 * N_PARTICLES_CAP + 2**16
-_REPLY_BYTES = 2**16
+#: Layout of the float64 words shared with the sampler process: the five
+#: numbers of the row, the particle count, the box and the reference box,
+#: then the positions and the velocities of up to N_PARTICLES_CAP particles.
+_ROW, _N, _BOX, _REF = slice(0, 5), 5, slice(6, 9), slice(9, 12)
+_POS = 12
+_VEL = _POS + 3 * N_PARTICLES_CAP
+_WORDS = _VEL + 3 * N_PARTICLES_CAP
+
+
+def _snapshot(words: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Views of the positions, velocities, box and reference box of an
+    ``n``-particle snapshot in the shared words."""
+    return (words[_POS:_POS + 3 * n].reshape(n, 3),
+            words[_VEL:_VEL + 3 * n].reshape(n, 3), words[_BOX], words[_REF])
 
 
 class _Sampler:
     """A forked process that samples snapshots of the state while the
     caller steps on.
 
-    At most one row is owed at a time.  The snapshot and the reply travel
+    At most one row is owed at a time.  The snapshot and the row travel
     through shared memory, and each side wakes the other by a semaphore
     post: on Linux, a wake-up through a pipe or socket moves the sleeper
     onto the waker's CPU, where the two then run in turn, while a post
     wakes it on the CPU it last ran on.  (With a pipe, runs at n=10^3
     were 5-9% slower than sampling in-process on a 2-CPU machine.)
 
-    If the process dies, the owed row is computed in this process from
-    the snapshot still in the buffer, the sampler closes, and
+    If the process dies, or exits because sampling raised, the owed row
+    is sampled in this process from the snapshot still in the buffer
+    (raising the same error if there was one), the sampler closes, and
     ``_sampler`` forks a fresh one for the next run.  A run that fails
-    while a row is owed closes the sampler too, so no reply is left over
+    while a row is owed closes the sampler too, so no row is left over
     for the next run to read.
     """
 
     def __init__(self) -> None:
         ctx = multiprocessing.get_context("fork")
-        self.shared = mmap.mmap(-1, _REQUEST_BYTES + _REPLY_BYTES)
+        self.words = np.frombuffer(mmap.mmap(-1, 8 * _WORDS), dtype=np.float64)
         self.posted, self.done = ctx.Semaphore(0), ctx.Semaphore(0)
         self.process = ctx.Process(
-            target=_serve, args=(self.shared, self.posted, self.done),
+            target=_serve, args=(self.words, self.posted, self.done),
             daemon=True)
         with warnings.catch_warnings():
             # Python 3.12+ warns when the OS counts more than one thread
@@ -390,62 +398,37 @@ class _Sampler:
                 DeprecationWarning)
             self.process.start()
         self.owner = os.getpid()
-        self.alive = True
 
     def submit(self, state: SimState,
                reference_box: tuple[float, float, float] | None) -> None:
         """Hand a snapshot of ``state`` over to be sampled."""
-        _put(self.shared, 0, _REQUEST_BYTES,
-             (state.config, state.time, state.pos, state.vel, reference_box))
+        n = len(state.pos)
+        self.words[_N] = n
+        pos, vel, box, ref = _snapshot(self.words, n)
+        pos[:], vel[:], box[:] = state.pos, state.vel, state.config.box
+        ref[:] = box if reference_box is None else reference_box
         self.posted.release()
 
     def result(self) -> tuple[float, float, float, float, float]:
-        """The owed row, from the process or, if it died, from here.  An
-        error the sampling raised is raised again here."""
+        """The owed row, from the process or, if it has exited, from
+        here."""
         while not self.done.acquire(timeout=0.1):
             if not self.process.is_alive():
                 self.close()
-                return _sample_request(_get(self.shared, 0))
-        ok, value = _get(self.shared, _REQUEST_BYTES)
-        if not ok:
-            raise value
-        return value
+                return sample_disorder(
+                    *_snapshot(self.words, int(self.words[_N])))
+        return tuple(self.words[_ROW].tolist())
 
     def close(self) -> None:
         """Stop the process; this sampler samples nothing more."""
-        self.alive = False
         self.process.kill()
         self.process.join()
 
 
-def _put(buffer: mmap.mmap, offset: int, size: int, obj) -> None:
-    """Pickle ``obj`` into the ``size`` bytes of ``buffer`` at ``offset``,
-    length first."""
-    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    if 8 + len(data) > size:
-        raise ValueError(f"{len(data)} pickled bytes do not fit {size}")
-    struct.pack_into("<Q", buffer, offset, len(data))
-    buffer[offset + 8:offset + 8 + len(data)] = data
-
-
-def _get(buffer: mmap.mmap, offset: int):
-    """The object ``_put`` stored at ``offset``."""
-    (size,) = struct.unpack_from("<Q", buffer, offset)
-    return pickle.loads(buffer[offset + 8:offset + 8 + size])
-
-
-def _sample_request(request: tuple) -> tuple[float, float, float, float, float]:
-    """``sample_disorder`` of a snapshot stored by ``_Sampler.submit``."""
-    config, time, pos, vel, reference_box = request
-    return sample_disorder(SimState(config, time, pos, vel, rng=None),
-                           reference_box)
-
-
-def _serve(shared: mmap.mmap, posted, done) -> None:
-    """The sampler process: answer each snapshot with (True, row), or with
-    (False, exception) if sampling raised.  It exits when its parent has
-    gone, and if a reply does not fit its buffer, which makes the caller
-    sample that row itself."""
+def _serve(words: np.ndarray, posted, done) -> None:
+    """The sampler process: sample each snapshot into the row words.  It
+    exits when its parent has gone, and when sampling raises, which makes
+    the caller sample that row itself."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles ^C
     parent = os.getppid()
     while True:
@@ -454,13 +437,9 @@ def _serve(shared: mmap.mmap, posted, done) -> None:
                 return
             continue
         try:
-            reply = (True, _sample_request(_get(shared, 0)))
-        except Exception as exc:  # reported to the caller, who raises it
-            reply = (False, exc)
-        try:
-            _put(shared, _REQUEST_BYTES, _REPLY_BYTES, reply)
-        except Exception:  # unpicklable or too large: exit, and the
-            return         # caller, seeing no reply, samples the row itself
+            words[_ROW] = sample_disorder(*_snapshot(words, int(words[_N])))
+        except Exception:  # the caller, seeing no row, samples it again
+            return
         done.release()
 
 
@@ -480,7 +459,7 @@ def _sampler() -> _Sampler | None:
     global _SAMPLER
     current = _SAMPLER
     if current is not None and current.owner == os.getpid():
-        if current.alive and current.process.is_alive():
+        if current.process.is_alive():
             return current
         current.close()
     _SAMPLER = None
@@ -515,12 +494,14 @@ def simulate(config: SimConfig, init_mode: str,
     try:
         for t_k in times:
             step_to(state, float(t_k))
-            if sampler is not None and sampler.alive and owed is None:
+            if (sampler is not None and owed is None
+                    and sampler.process.is_alive()):
                 owed = len(rows)
                 rows.append(None)
                 sampler.submit(state, reference_box)
             else:
-                rows.append(sample_disorder(state, reference_box))
+                rows.append(sample_disorder(state.pos, state.vel,
+                                            state.config.box, reference_box))
                 if owed is not None:
                     rows[owed], owed = sampler.result(), None
         if owed is not None:

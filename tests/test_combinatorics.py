@@ -2,15 +2,21 @@
 for the two-term expansions, and the numerically hardened net-disorder
 forms against their textbook renderings."""
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kolgas
 from kolgas.combinatorics import (
     EXACT_BINOMIAL_CAP,
     FIRST_ORDER_COEFF,
+    _DOT_SLICE,
     _prime_log_table,
     fd_half_log_bits,
     log2_binomial_be_expansion,
@@ -63,15 +69,18 @@ def _factorial_prime_exponents(n, primes):
 
 
 def _log2_binomial_three_factorials(m, n):
-    """The factored path as three whole Legendre sums, m! over n! (m-n)!;
-    the exact binomial must give this very float."""
+    """The factored path as three whole Legendre sums, m! over n! (m-n)!,
+    dotted with log2(p) in the same slices; the exact binomial must give
+    this very float."""
     primes, log2p = _prime_log_table(1 << (m - 1).bit_length())
     cut = int(np.searchsorted(primes, m, side="right"))
     primes, log2p = primes[:cut], log2p[:cut]
     exponents = (_factorial_prime_exponents(m, primes)
                  - _factorial_prime_exponents(n, primes)
-                 - _factorial_prime_exponents(m - n, primes))
-    return float(np.dot(exponents.astype(np.float64), log2p))
+                 - _factorial_prime_exponents(m - n, primes)).astype(np.float64)
+    return float(sum(np.dot(exponents[i:i + _DOT_SLICE],
+                            log2p[i:i + _DOT_SLICE])
+                     for i in range(0, cut, _DOT_SLICE)))
 
 
 @settings(deadline=None)
@@ -80,6 +89,30 @@ def _log2_binomial_three_factorials(m, n):
 def test_factored_binomial_is_bit_identical(mn):
     m, n = mn
     assert log2_binomial_exact(m, n) == _log2_binomial_three_factorials(m, n)
+
+
+_BINOMIALS_SCRIPT = """
+import numpy as np
+from kolgas.combinatorics import log2_binomial_exact
+rng = np.random.default_rng(5)
+for m in (104_743, 110_000, 10**6):
+    for n in rng.integers(1, m, size=10).tolist():
+        print(log2_binomial_exact(m, n).hex())
+"""
+
+
+def test_exact_binomial_is_independent_of_blas_threads():
+    # above 10^4 primes (m >= 104 743) one dot product would be split
+    # across OpenBLAS threads, changing its rounding with the thread count
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(kolgas.__file__).parents[1]))
+    floats = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        floats.append(subprocess.run(
+            [sys.executable, "-c", _BINOMIALS_SCRIPT], env=env,
+            capture_output=True, text=True, check=True).stdout.split())
+    assert len(floats[0]) == 30 and floats[0] == floats[1]
 
 
 # m = p^2 for a prime p: p itself is the one prime at sqrt(m), and the only

@@ -100,7 +100,7 @@ def test_beam_init_is_maximally_ordered():
     # lattice positions: few distinct coordinates, no duplicates overall
     assert np.unique(state.pos[:, 0]).size <= 10
     assert np.unique(state.pos, axis=0).shape[0] == 1000
-    d_hat0 = sample_disorder(state)[0]
+    d_hat0 = sample_disorder(state.pos, state.vel, cfg.box)[0]
     assert d_hat0 < 0.05 * (2 * 1000 * 10)  # near-zero initial disorder
 
 
@@ -412,6 +412,17 @@ def test_sampler_trace_matches_in_process(model, sampler, monkeypatch):
     assert shared.final_state.n_events == alone.final_state.n_events
 
 
+def test_sampler_at_the_particle_cap(sampler, monkeypatch):
+    # with no transits the only row is the sampler's, so the snapshot
+    # fills the shared buffer to its bound
+    cfg = make_config(n=simmod.N_PARTICLES_CAP, seed=8, transits=0.0,
+                      keep_events=False)
+    shared = simulate(cfg, "equilibrium")
+    assert simmod._sampler() is sampler
+    in_process(monkeypatch)
+    assert_same_trace(shared.trace, simulate(cfg, "equilibrium").trace)
+
+
 def test_sampler_joule_matches_in_process(sampler, monkeypatch):
     # stage 2 swaps state.config and samples against reference_box
     cfg = make_config(n=500, seed=21, samples_per_transit=4, transits=4.0,
@@ -519,8 +530,15 @@ def test_sampler_error_reaches_caller(transits, sampler, monkeypatch):
     cfg = make_config(n=1, seed=3, transits=transits, keep_events=False)
     with pytest.raises(DomainError, match="nearest-neighbour"):
         simulate(cfg, "beam")
-    # no reply is left over for the next run to read
+    # the old sampler has exited, and a fresh one serves the next run with
+    # no row left over from the failed one
+    sampler.process.join(timeout=10)
+    assert not sampler.process.is_alive()
+    fresh = simmod._sampler()
+    assert fresh is not None and fresh.process.is_alive()
+    assert fresh.process.pid != sampler.process.pid
     cfg = make_config(n=300, seed=3, transits=1.0, keep_events=False)
     shared = simulate(cfg, "beam")
+    assert simmod._sampler() is fresh
     in_process(monkeypatch)
     assert_same_trace(shared.trace, simulate(cfg, "beam").trace)
