@@ -12,9 +12,9 @@ with the world happens at the walls.  Wall models:
 
 Everything is driven by one ``numpy`` generator seeded from the config,
 so a given (config, seed) reproduces event logs and traces bit for bit.
-Only stepping draws from it, so ``simulate`` hands every other trace row
-to a forked sampler process where a second CPU is free, and the rows come
-out the same wherever they were computed.
+Only stepping draws from it, so ``simulate`` hands trace rows to a forked
+sampler process where a second CPU is free, as many as it has room for,
+and the rows come out the same wherever they were computed.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ import os
 import signal
 import threading
 import warnings
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -344,45 +345,56 @@ class SimRun:
     t_b: float
 
 
-#: Layout of the float64 words shared with the sampler process: the five
-#: numbers of the row, the particle count, the box and the reference box,
-#: then the positions and the velocities of up to N_PARTICLES_CAP particles.
+#: Layout of one snapshot slot of float64 words shared with the sampler
+#: process: the five numbers of the row, the particle count, the box and
+#: the reference box, then the positions and the velocities of up to
+#: N_PARTICLES_CAP particles.
 _ROW, _N, _BOX, _REF = slice(0, 5), 5, slice(6, 9), slice(9, 12)
 _POS = 12
 _VEL = _POS + 3 * N_PARTICLES_CAP
 _WORDS = _VEL + 3 * N_PARTICLES_CAP
 
+#: Snapshot slots, so the sampler can start the next row as soon as it
+#: has finished one, while this process is still stepping.
+_SLOTS = 2
 
-def _snapshot(words: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """Views of the positions, velocities, box and reference box of an
-    ``n``-particle snapshot in the shared words."""
-    return (words[_POS:_POS + 3 * n].reshape(n, 3),
-            words[_VEL:_VEL + 3 * n].reshape(n, 3), words[_BOX], words[_REF])
+
+def _snapshot(slot: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Views of the positions, velocities, box and reference box of the
+    snapshot in one slot of the shared words."""
+    n = int(slot[_N])
+    return (slot[_POS:_POS + 3 * n].reshape(n, 3),
+            slot[_VEL:_VEL + 3 * n].reshape(n, 3), slot[_BOX], slot[_REF])
 
 
 class _Sampler:
     """A forked process that samples snapshots of the state while the
     caller steps on.
 
-    At most one row is owed at a time.  The snapshot and the row travel
-    through shared memory, and each side wakes the other by a semaphore
-    post: on Linux, a wake-up through a pipe or socket moves the sleeper
-    onto the waker's CPU, where the two then run in turn, while a post
-    wakes it on the CPU it last ran on.  (With a pipe, runs at n=10^3
-    were 5-9% slower than sampling in-process on a 2-CPU machine.)
+    Up to ``_SLOTS`` rows are owed at a time, each in its own slot, and
+    the process samples them in the order they were submitted.  The
+    snapshots and the rows travel through shared memory, and each side
+    wakes the other by a semaphore post: on Linux, a wake-up through a
+    pipe or socket moves the sleeper onto the waker's CPU, where the two
+    then run in turn, while a post wakes it on the CPU it last ran on.
+    (With a pipe, runs at n=10^3 were 5-9% slower than sampling in-process
+    on a 2-CPU machine.)
 
-    If the process dies, or exits because sampling raised, the owed row
-    is sampled in this process from the snapshot still in the buffer
-    (raising the same error if there was one), the sampler closes, and
-    ``_sampler`` forks a fresh one for the next run.  A run that fails
-    while a row is owed closes the sampler too, so no row is left over
-    for the next run to read.
+    If the process dies, or exits because sampling raised, each owed row
+    is sampled in this process from the snapshot still in its slot,
+    oldest first (so the first failing row raises its own error), the
+    sampler closes, and ``_sampler`` forks a fresh one for the next run.
+    A run that fails while rows are owed closes the sampler too, so no
+    row is left over for the next run to read.
     """
 
     def __init__(self) -> None:
         ctx = multiprocessing.get_context("fork")
-        self.words = np.frombuffer(mmap.mmap(-1, 8 * _WORDS), dtype=np.float64)
+        self.words = np.frombuffer(
+            mmap.mmap(-1, 8 * _SLOTS * _WORDS),
+            dtype=np.float64).reshape(_SLOTS, _WORDS)
         self.posted, self.done = ctx.Semaphore(0), ctx.Semaphore(0)
+        self.submitted = self.collected = 0
         self.process = ctx.Process(
             target=_serve, args=(self.words, self.posted, self.done),
             daemon=True)
@@ -401,23 +413,34 @@ class _Sampler:
 
     def submit(self, state: SimState,
                reference_box: tuple[float, float, float] | None) -> None:
-        """Hand a snapshot of ``state`` over to be sampled."""
-        n = len(state.pos)
-        self.words[_N] = n
-        pos, vel, box, ref = _snapshot(self.words, n)
+        """Hand a snapshot of ``state`` over to be sampled; the caller
+        owes fewer than ``_SLOTS`` rows, so its slot is free."""
+        slot = self.words[self.submitted % _SLOTS]
+        slot[_N] = len(state.pos)
+        pos, vel, box, ref = _snapshot(slot)
         pos[:], vel[:], box[:] = state.pos, state.vel, state.config.box
         ref[:] = box if reference_box is None else reference_box
+        self.submitted += 1
         self.posted.release()
 
-    def result(self) -> tuple[float, float, float, float, float]:
-        """The owed row, from the process or, if it has exited, from
-        here."""
-        while not self.done.acquire(timeout=0.1):
+    def result(self, wait: bool = True,
+               ) -> tuple[float, float, float, float, float] | None:
+        """The oldest owed row: from the process once it is done, or from
+        here if the process has exited.  None if it is not done yet and
+        ``wait`` is false."""
+        slot = self.words[self.collected % _SLOTS]
+        while not self.done.acquire(block=wait, timeout=0.1):
             if not self.process.is_alive():
-                self.close()
-                return sample_disorder(
-                    *_snapshot(self.words, int(self.words[_N])))
-        return tuple(self.words[_ROW].tolist())
+                # every post comes before the exit, so look once more
+                # before sampling the row here
+                if not self.done.acquire(block=False):
+                    self.close()
+                    slot[_ROW] = sample_disorder(*_snapshot(slot))
+                break
+            if not wait:
+                return None
+        self.collected += 1
+        return tuple(slot[_ROW].tolist())
 
     def close(self) -> None:
         """Stop the process; this sampler samples nothing more."""
@@ -426,20 +449,24 @@ class _Sampler:
 
 
 def _serve(words: np.ndarray, posted, done) -> None:
-    """The sampler process: sample each snapshot into the row words.  It
-    exits when its parent has gone, and when sampling raises, which makes
-    the caller sample that row itself."""
+    """The sampler process: sample each snapshot, slot by slot in the
+    order they were posted, into its row words.  It exits when its parent
+    has gone, and when sampling raises, which makes the caller sample that
+    row itself."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles ^C
     parent = os.getppid()
+    served = 0
     while True:
         if not posted.acquire(timeout=1.0):
             if os.getppid() != parent:
                 return
             continue
+        slot = words[served % _SLOTS]
         try:
-            words[_ROW] = sample_disorder(*_snapshot(words, int(words[_N])))
+            slot[_ROW] = sample_disorder(*_snapshot(slot))
         except Exception:  # the caller, seeing no row, samples it again
             return
+        served += 1
         done.release()
 
 
@@ -480,8 +507,10 @@ def simulate(config: SimConfig, init_mode: str,
     every ``config.dt_out``.  Pass an existing ``state`` to continue a
     run (e.g. after swapping the box).
 
-    Every other row goes to the sampler process, if there is one, which
-    samples it while this process steps to the next row and samples that.
+    Each row goes to the sampler process, if there is one, while it has
+    a free slot, and is sampled here only when both are taken.  The last
+    row goes out only to an idle sampler: with a row still owed, this
+    process would otherwise wait while the sampler works through two.
     """
     if state is None:
         state = init_sim(config, init_mode)
@@ -490,24 +519,29 @@ def simulate(config: SimConfig, init_mode: str,
     times = t0 + np.arange(n_samples) * config.dt_out
     sampler = _sampler()
     rows: list = []
-    owed = None  # index of the row the sampler is working on
+    owed: deque[int] = deque()  # indices of the rows the sampler holds
     try:
-        for t_k in times:
+        for i, t_k in enumerate(times):
             step_to(state, float(t_k))
-            if (sampler is not None and owed is None
+            while owed:
+                row = sampler.result(wait=False)
+                if row is None:
+                    break
+                rows[owed.popleft()] = row
+            room = _SLOTS if i < n_samples - 1 else 1
+            if (sampler is not None and len(owed) < room
                     and sampler.process.is_alive()):
-                owed = len(rows)
+                owed.append(i)
                 rows.append(None)
                 sampler.submit(state, reference_box)
             else:
                 rows.append(sample_disorder(state.pos, state.vel,
                                             state.config.box, reference_box))
-                if owed is not None:
-                    rows[owed], owed = sampler.result(), None
-        if owed is not None:
-            rows[owed], owed = sampler.result(), None
+        while owed:
+            rows[owed[0]] = sampler.result()
+            owed.popleft()
     finally:
-        if owed is not None:
+        if owed:
             sampler.close()
     cols = np.array(rows)
     k = default_width(config.n_particles)

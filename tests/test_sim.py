@@ -3,12 +3,15 @@ models, disorder traces, relaxation timing, and the expansion experiment.
 
 Statistical checks run on fixed seeds with empirically frozen margins;
 they are deterministic, not flaky."""
+import contextlib
 import dataclasses
 import hashlib
 import math
 import multiprocessing
 import os
 import signal
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -542,3 +545,157 @@ def test_sampler_error_reaches_caller(transits, sampler, monkeypatch):
     assert simmod._sampler() is fresh
     in_process(monkeypatch)
     assert_same_trace(shared.trace, simulate(cfg, "beam").trace)
+
+
+# --- the sampler's two slots ----------------------------------------------------
+
+def alone_run(cfg, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(simmod, "_sampler", lambda: None)
+        return simulate(cfg, "beam")
+
+
+def count_parent_samples(monkeypatch):
+    """The positions of each row this process samples; a sampler forked
+    before the patch keeps the original function."""
+    calls = []
+    original = simmod.sample_disorder
+
+    def counting(*args):
+        calls.append(args[0].tobytes())
+        return original(*args)
+
+    monkeypatch.setattr(simmod, "sample_disorder", counting)
+    return calls
+
+
+@contextlib.contextmanager
+def stopped(sampler, monkeypatch):
+    """Hold the sampler process stopped; a live one resumes on exit, or
+    after 5 s, so that a run waiting on it fails instead of hanging."""
+    pid = sampler.process.pid
+
+    def resume():
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGCONT)
+
+    # the watchdog thread would turn the sampler off in _sampler()
+    monkeypatch.setattr(simmod, "_sampler", lambda: sampler)
+    watchdog = threading.Timer(5.0, resume)
+    os.kill(pid, signal.SIGSTOP)
+    watchdog.start()
+    try:
+        yield
+    finally:
+        watchdog.cancel()
+        watchdog.join(timeout=10)
+        if sampler.process.is_alive():
+            resume()
+
+
+def after_submit(sampler, monkeypatch, k, act):
+    """Call ``act`` just after the ``k``-th snapshot from now goes out."""
+    submit, count = sampler.submit, []
+
+    def counting_submit(state, reference_box):
+        submit(state, reference_box)
+        count.append(1)
+        if len(count) == k:
+            act()
+
+    monkeypatch.setattr(sampler, "submit", counting_submit)
+
+
+def test_stalled_sampler_does_not_stall_the_run(sampler, monkeypatch):
+    # a stopped sampler holds the first two rows, and this process samples
+    # every other row, the last one too; the sampler resumes only when the
+    # run first waits on it
+    cfg = make_config(n=300, seed=11, transits=2.0, keep_events=False)
+    alone = alone_run(cfg, monkeypatch)
+    result = sampler.result
+
+    def resuming_result(wait=True):
+        if not wait:
+            return result(wait=False)
+        os.kill(sampler.process.pid, signal.SIGCONT)
+        return result()
+
+    monkeypatch.setattr(sampler, "result", resuming_result)
+    calls = count_parent_samples(monkeypatch)
+    with stopped(sampler, monkeypatch):
+        shared = simulate(cfg, "beam")
+    sampled_here = len(calls)
+    assert sampled_here == alone.trace.t.size - 2
+    assert_same_trace(shared.trace, alone.trace)
+
+
+def test_idle_sampler_takes_the_rows(sampler, monkeypatch):
+    # stepping is slow, so the sampler is done with each row before the
+    # next one, the last row included
+    cfg = make_config(n=300, seed=12, transits=2.0, keep_events=False)
+    alone = alone_run(cfg, monkeypatch)
+    step_to_ = simmod.step_to
+
+    def slow_step_to(state, t):
+        time.sleep(0.05)
+        return step_to_(state, t)
+
+    monkeypatch.setattr(simmod, "step_to", slow_step_to)
+    calls = count_parent_samples(monkeypatch)
+    shared = simulate(cfg, "beam")
+    sampled_here = len(calls)
+    assert sampled_here <= 1
+    assert_same_trace(shared.trace, alone.trace)
+
+
+def test_sampler_killed_holding_two_rows(sampler, monkeypatch):
+    # the sampler is stopped, so it has sampled neither row when it dies;
+    # both are sampled here from their slots, and the rest too
+    cfg = make_config(n=300, seed=13, transits=1.0, keep_events=False)
+    alone = alone_run(cfg, monkeypatch)
+    after_submit(sampler, monkeypatch, 2,
+                 lambda: os.kill(sampler.process.pid, signal.SIGKILL))
+    calls = count_parent_samples(monkeypatch)
+    with stopped(sampler, monkeypatch):
+        shared = simulate(cfg, "beam")
+    sampled_here = len(calls)
+    assert sampled_here == alone.trace.t.size
+    sampler.process.join(timeout=10)
+    assert not sampler.process.is_alive()
+    assert_same_trace(shared.trace, alone.trace)
+
+
+def test_sampler_error_on_the_second_held_row(sampler, monkeypatch):
+    # a sampler forked with a sample_disorder that fails on row 1's
+    # positions holds rows 0 and 1; it samples row 0, exits on row 1, and
+    # this process samples row 1 again, which raises the same error
+    cfg = make_config(n=300, seed=14, transits=1.0, keep_events=False)
+    with monkeypatch.context() as m:
+        m.setattr(simmod, "_sampler", lambda: None)
+        seen = count_parent_samples(m)
+        alone = simulate(cfg, "beam")
+    row_1 = seen[1]
+    original = simmod.sample_disorder
+
+    def failing(pos, vel, box, reference_box=None):
+        if pos.tobytes() == row_1:
+            raise ArithmeticError("row 1 has no disorder")
+        return original(pos, vel, box, reference_box)
+
+    sampler.close()
+    with monkeypatch.context() as m:
+        m.setattr(simmod, "sample_disorder", failing)
+        held = simmod._sampler()
+        after_submit(held, m, 2,
+                     lambda: os.kill(held.process.pid, signal.SIGCONT))
+        with stopped(held, m), pytest.raises(
+                ArithmeticError, match="row 1 has no disorder"):
+            simulate(cfg, "beam")
+    held.process.join(timeout=10)
+    assert held.process.exitcode == 0  # it exited on the error, unkilled
+    fresh = simmod._sampler()
+    assert fresh is not None and fresh.process.is_alive()
+    assert fresh.process.pid != held.process.pid
+    shared = simulate(cfg, "beam")
+    assert simmod._sampler() is fresh
+    assert_same_trace(shared.trace, alone.trace)
