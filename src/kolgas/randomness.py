@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import lzma
 import math
+import os
 import sys
+import threading
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -104,22 +106,31 @@ def encode_list(values: Sequence[int] | np.ndarray, k: int | None = None,
     return EncodedList(n=n, k=k, values=vals, source_tag=source_tag)
 
 
-def _packed_bytes(values: np.ndarray, width: int) -> bytes:
+def _slices(values: np.ndarray) -> Iterator[np.ndarray]:
+    """``values`` as consecutive views of ``_CHUNK`` values, the last
+    one shorter, so no temporary made per slice grows with the list."""
+    return (values[start:start + _CHUNK]
+            for start in range(0, values.size, _CHUNK))
+
+
+def _pack(values: np.ndarray, width: int) -> bytes:
     """Big-endian rendering of non-negative ``values`` at ``width`` bits
     each, packed eight bits to a byte and zero-padded at the end.
 
     Each value's bits are the last ``width`` of its 64-bit big-endian
-    word, so only the word's last ceil(width/8) bytes are unpacked.
-    Values go ``_CHUNK`` at a time, a multiple of 8, so every chunk but
-    the last packs to whole bytes and no temporary grows with the list.
+    word, so only the word's last ceil(width/8) bytes are unpacked.  A
+    slice of ``_CHUNK`` values, a multiple of 8, packs to whole bytes,
+    so a list packs slice by slice.
     """
     used = (width + 7) // 8
-    parts = []
-    for start in range(0, values.size, _CHUNK):
-        words = values[start:start + _CHUNK].astype(">u8").view(np.uint8)
-        bits = np.unpackbits(words.reshape(-1, 8)[:, 8 - used:], axis=1)
-        parts.append(np.packbits(bits[:, 8 * used - width:]).tobytes())
-    return b"".join(parts)
+    words = values.astype(">u8").view(np.uint8)
+    bits = np.unpackbits(words.reshape(-1, 8)[:, 8 - used:], axis=1)
+    return np.packbits(bits[:, 8 * used - width:]).tobytes()
+
+
+def _packed_bytes(values: np.ndarray, width: int) -> bytes:
+    """:func:`_pack` of the whole list, made slice by slice."""
+    return b"".join(_pack(part, width) for part in _slices(values))
 
 
 def _unpacked_values(packed: np.ndarray, n: int, width: int) -> np.ndarray:
@@ -172,41 +183,69 @@ def _log2_binom_any(m: int, j: int) -> float:
 # Each estimator in ``_ESTIMATORS`` measures a list and its prefixes at
 # once: given the values, the width k and ascending prefix sizes, it
 # returns the bits of its code for values[:m] at each m in ``sizes``.
-# zlib and delta make one compressor pass; the rest measure each prefix
-# afresh through ``_each_prefix``.
+# zlib and delta make one compressor pass through ``_deflate_bits``,
+# which packs the list one ``_CHUNK`` slice at a time, so neither holds
+# a whole-list buffer; the rest measure each prefix afresh through
+# ``_each_prefix``.  For a long list, ``_prefix_estimates`` runs zlib in
+# a helper thread while delta and the entropy bounds run in the caller.
 
-def _k_zlib(values: np.ndarray, width: int, sizes: list[int]) -> list[float]:
-    # One compressor takes the packed longest prefix once; each prefix
-    # finishes on a copy, after its partial last byte masked to the zero
-    # padding of its own packing, so each length is that of
-    # zlib.compress(prefix, 9).
-    packed = memoryview(_packed_bytes(values[:sizes[-1]], width))
+def _deflate_bits(slices: Iterable[np.ndarray], width: int,
+                  sizes: list[int]) -> list[float]:
+    """Bits of zlib.compress(prefix, 9) for the packed rendering, at
+    ``width``, of the first m values of ``slices`` for each m in
+    ``sizes``; the slices hold exactly ``sizes[-1]`` values, each but
+    the last ``_CHUNK`` long.
+
+    One compressor takes each slice as it is packed.  Each prefix
+    finishes on a copy, after its partial last byte masked to the zero
+    padding of its own packing; that byte lies in the slice of the
+    prefix's last value, as every slice before the last packs to whole
+    bytes.
+    """
     comp = zlib.compressobj(9)
-    emitted = fed = 0
-    out = []
-    for i, m in enumerate(sizes):
-        whole, rest = divmod(m * width, 8)
-        emitted += len(comp.compress(packed[fed:whole]))
-        fed = whole
-        tail = comp if i == len(sizes) - 1 else comp.copy()
-        last = bytes([packed[whole] & 0xFF00 >> rest]) if rest else b""
-        out.append(8.0 * (emitted + len(tail.compress(last))
-                          + len(tail.flush())))
+    emitted = start = 0
+    out: list[float] = []
+    for part in slices:
+        packed = memoryview(_pack(part, width))
+        fed = 0
+        while len(out) < len(sizes) and sizes[len(out)] <= start + part.size:
+            whole, rest = divmod((sizes[len(out)] - start) * width, 8)
+            emitted += len(comp.compress(packed[fed:whole]))
+            fed = whole
+            tail = comp if len(out) == len(sizes) - 1 else comp.copy()
+            last = bytes([packed[whole] & 0xFF00 >> rest]) if rest else b""
+            out.append(8.0 * (emitted + len(tail.compress(last))
+                              + len(tail.flush())))
+        if len(out) < len(sizes):
+            emitted += len(comp.compress(packed[fed:]))
+        start += part.size
     return out
 
 
+def _k_zlib(values: np.ndarray, width: int, sizes: list[int]) -> list[float]:
+    return _deflate_bits(_slices(values[:sizes[-1]]), width, sizes)
+
+
+def _zigzag_slices(values: np.ndarray) -> Iterator[np.ndarray]:
+    """The deltas of ``values``, the first taken from 0, slice by slice.
+    Each delta d is zigzag-coded, 2d for d >= 0 and -2d - 1 below, as
+    (d << 1) ^ (d >> 63); a slice's first delta is taken from the last
+    value of the slice before it."""
+    prev = 0
+    for part in _slices(values):
+        zigzag = np.empty_like(part)
+        zigzag[0] = part[0] - prev
+        np.subtract(part[1:], part[:-1], out=zigzag[1:])
+        prev = part[-1]
+        sign = zigzag >> 63
+        zigzag <<= 1
+        zigzag ^= sign
+        yield zigzag
+
+
 def _k_delta(values: np.ndarray, width: int, sizes: list[int]) -> list[float]:
-    # The deltas of a prefix are the prefix of the deltas.  Each delta d
-    # is zigzag-coded in place, 2d for d >= 0 and -2d - 1 below, as
-    # (d << 1) ^ (d >> 63).
-    vals = values[:sizes[-1]]
-    zigzag = np.empty_like(vals)
-    zigzag[0] = vals[0]
-    np.subtract(vals[1:], vals[:-1], out=zigzag[1:])
-    sign = zigzag >> 63
-    zigzag <<= 1
-    zigzag ^= sign
-    return _k_zlib(zigzag, width + 1, sizes)
+    # The deltas of a prefix are the prefix of the deltas.
+    return _deflate_bits(_zigzag_slices(values[:sizes[-1]]), width + 1, sizes)
 
 
 _LZMA_FILTERS = [{"id": lzma.FILTER_LZMA2, "preset": 6}]
@@ -279,13 +318,61 @@ class ComplexityReport:
     gap_class: str        # "random-like" or "structured"
 
 
+#: Literal bits of a list from which the "best" estimate runs zlib in a
+#: helper thread beside delta: deflate releases the GIL, so on a second
+#: CPU the two compressor passes overlap.  With the second CPU idle the
+#: thread breaks even near 2^17 bits and saves a quarter or more from
+#: 2^18 on.  Simulator rows at the documented sizes (1.4e5 bits at 10^4
+#: particles) stay well below it, as the sampler process has the second
+#: CPU during a run; rows near N_PARTICLES_CAP (1.7e6 bits) and gap and
+#: audit lists at the benchmark's sizes (1.7e6 and 2e7 bits) are above.
+_HELPER_MIN_BITS = 1 << 20
+
+
+def two_cpus() -> bool:
+    """Whether this process may run on two CPUs or more; False where the
+    platform cannot tell (no ``os.sched_getaffinity``)."""
+    return (hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+class _Helper(threading.Thread):
+    """One estimator call run in a thread beside the caller.
+
+    ``result`` gives its bits, or raises in the caller the exception the
+    call raised, so no error ends the thread unhandled.
+    """
+
+    def __init__(self, estimator, *args) -> None:
+        super().__init__(name="kolgas-estimator")
+        self._call = estimator, args
+        self._bits: list[float] | None = None
+        self._error: BaseException | None = None
+
+    def run(self) -> None:
+        estimator, args = self._call
+        try:
+            self._bits = estimator(*args)
+        except BaseException as exc:  # raised again in the caller by result
+            self._error = exc
+
+    def result(self) -> list[float]:
+        """The bits, once the thread is joined."""
+        if self._error is not None:
+            raise self._error
+        return self._bits
+
+
 def _prefix_estimates(enc: EncodedList, estimator: str,
                       sizes: list[int]) -> list[tuple[float, str]]:
     """(K_hat, winning estimator id) of the first m data of ``enc`` for
     each m in the ascending ``sizes``, all at the list's width k.
 
     ``estimator`` is one of the ids above or ``"best"`` (minimum over the
-    default set); each K_hat includes the calibrated id overhead.
+    default set); each K_hat includes the calibrated id overhead.  The
+    "best" estimate of at least ``_HELPER_MIN_BITS`` bits, in a process
+    that may use two CPUs, runs zlib in a helper thread, joined before
+    this returns; the minimum is taken in candidate order either way.
     """
     id_bits = load_calibration().estimator_id_bits
     if estimator == "best":
@@ -297,10 +384,22 @@ def _prefix_estimates(enc: EncodedList, estimator: str,
         raise UnknownEstimatorError(
             f"unknown estimator {estimator!r}; known: {known}"
         )
+    helper = None
+    if (estimator == "best" and sizes[-1] * enc.k >= _HELPER_MIN_BITS
+            and two_cpus()):
+        helper = _Helper(_ESTIMATORS["zlib"], enc.values, enc.k, sizes)
+        helper.start()
+    try:
+        bits = {name: _ESTIMATORS[name](enc.values, enc.k, sizes)
+                for name in candidates if helper is None or name != "zlib"}
+    finally:
+        if helper is not None:
+            helper.join()
+    if helper is not None:
+        bits["zlib"] = helper.result()
     best = [(math.inf, "")] * len(sizes)
     for name in candidates:
-        bits = _ESTIMATORS[name](enc.values, enc.k, sizes)
-        for i, b in enumerate(bits):
+        for i, b in enumerate(bits[name]):
             k_est = b + id_bits
             if k_est < best[i][0]:
                 best[i] = (k_est, name)
@@ -472,11 +571,8 @@ def write_list_file(path: str, enc: EncodedList, raw: bool = False) -> None:
     try:
         with open(path, "wb") as fh:
             fh.write(header.encode("ascii"))
-            if raw:
-                fh.write(_packed_bytes(enc.values, enc.k))
-            else:
-                for start in range(0, enc.n, _CHUNK):
-                    fh.write(_decimal_lines(enc.values[start:start + _CHUNK]))
+            for part in _slices(enc.values):
+                fh.write(_pack(part, enc.k) if raw else _decimal_lines(part))
     except OSError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

@@ -34,7 +34,8 @@ from scipy.spatial import cKDTree
 from .calibration import load_calibration
 from .constants import K_BOLTZMANN, SpeciesSpec
 from .errors import DomainError, NoPlateauError
-from .randomness import default_width, encode_list, estimate_complexity, quantize
+from .randomness import (default_width, encode_list, estimate_complexity,
+                         quantize, two_cpus)
 from .thermo import GasSpec, rms_speed, species_statistics, state_equations
 
 
@@ -490,8 +491,7 @@ def _sampler() -> _Sampler | None:
             return current
         current.close()
     _SAMPLER = None
-    if (not hasattr(os, "sched_getaffinity")
-            or len(os.sched_getaffinity(0)) < 2
+    if (not two_cpus()
             or multiprocessing.current_process().daemon
             or "fork" not in multiprocessing.get_all_start_methods()
             or threading.active_count() > 1):

@@ -3,6 +3,9 @@ scoring, the two reference corpora, and the gap classifier."""
 import io
 import lzma
 import math
+import os
+import threading
+import time
 import tracemalloc
 import zlib
 
@@ -11,6 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kolgas import randomness as rndmod
+from kolgas import sim as simmod
 from kolgas.calibration import load_calibration
 from kolgas.constants import species_lookup
 from kolgas.errors import DomainError, FormatError, UnknownEstimatorError
@@ -540,3 +545,135 @@ def test_decimal_body_matches_loadtxt_across_slices():
     body = "".join(lines).encode("ascii")
     assert np.array_equal(_decimal_body(body, 0, values.size + 1, "body"),
                           _loadtxt_values(body))
+
+
+# --- compressor estimators across slices, with and without the helper -------
+
+def _force_helper(monkeypatch, on):
+    """Make every "best" estimate run zlib in the helper thread, or none."""
+    monkeypatch.setattr(rndmod, "_HELPER_MIN_BITS", 0 if on else math.inf)
+    monkeypatch.setattr(rndmod, "two_cpus", lambda: on)
+
+
+def _spy_estimators(monkeypatch):
+    """Record, per estimator id, the bits it returned and its thread."""
+    seen = {}
+    for name, estimator in list(rndmod._ESTIMATORS.items()):
+        def spy(values, width, sizes, name=name, estimator=estimator):
+            bits = estimator(values, width, sizes)
+            seen[name] = (bits, threading.current_thread())
+            return bits
+        monkeypatch.setitem(rndmod._ESTIMATORS, name, spy)
+    return seen
+
+
+def _one_shot_deflate_bits(values, width):
+    return 8.0 * len(zlib.compress(_unchunked_packed_bytes(values, width), 9))
+
+
+@pytest.mark.parametrize("order", ["random", "sorted"])
+@pytest.mark.parametrize("k", [1, 7, 13, 20, 62])
+def test_compressor_prefixes_across_slices(k, order, monkeypatch):
+    # a sorted list has small deltas, so a delta that loses its carry
+    # across a slice boundary changes the delta code's length
+    n = 2 * _CHUNK + 5
+    values = _full_width_values(np.random.default_rng(k), n, k)
+    if order == "sorted":
+        values.sort()
+    enc = encode_list(values, k=k)
+    sizes = [_CHUNK - 1, _CHUNK, _CHUNK + 1, n]
+    deltas = np.diff(values, prepend=0)
+    zigzag = np.where(deltas >= 0, 2 * deltas, -2 * deltas - 1)
+    reference = {
+        "zlib": [_one_shot_deflate_bits(values[:m], k) for m in sizes],
+        "delta": [_one_shot_deflate_bits(zigzag[:m], k + 1) for m in sizes],
+    }
+    id_bits = load_calibration().estimator_id_bits
+    for on in (True, False):
+        _force_helper(monkeypatch, on)
+        seen = _spy_estimators(monkeypatch)
+        best = _prefix_estimates(enc, "best", sizes)
+        assert (seen["zlib"][1] is not threading.main_thread()) == on
+        for name in ("zlib", "delta"):
+            assert seen[name][0] == reference[name], (name, on)
+            assert ([b for b, _ in _prefix_estimates(enc, name, sizes)]
+                    == [b + id_bits for b in reference[name]]), (name, on)
+        expected = []
+        for i in range(len(sizes)):
+            bits = [seen[name][0][i] + id_bits for name in DEFAULT_ESTIMATORS]
+            j = bits.index(min(bits))  # the first minimum wins a tie
+            expected.append((bits[j], DEFAULT_ESTIMATORS[j]))
+        assert best == expected, on
+        monkeypatch.undo()
+
+
+def test_helper_error_reaches_the_caller(monkeypatch):
+    ran_in = []
+
+    def broken(values, width, sizes):
+        # fail well after the caller's own estimators are done, so the
+        # error is there only if the caller waits for the thread
+        ran_in.append(threading.current_thread())
+        time.sleep(0.2)
+        raise ValueError("zlib estimator broke")
+
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    _force_helper(monkeypatch, True)
+    monkeypatch.setitem(rndmod._ESTIMATORS, "zlib", broken)
+    enc = rng_list(1000, 10, np.random.default_rng(2))
+    before = threading.active_count()
+    with pytest.raises(ValueError) as info:
+        estimate_complexity(enc)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "zlib estimator broke"
+    assert ran_in and ran_in[0] is not threading.main_thread()
+    assert threading.active_count() == before
+    assert unhandled == []
+
+
+def test_sampler_forks_after_a_threaded_audit(monkeypatch):
+    # _sampler() refuses to fork while another Python thread runs, so the
+    # helper must be gone when the estimate returns
+    live = simmod._sampler()
+    if live is None:
+        pytest.skip("no sampler here: one usable CPU or no fork")
+    live.close()
+    _force_helper(monkeypatch, True)
+    seen = _spy_estimators(monkeypatch)
+    estimate_complexity(rng_list(1000, 10, np.random.default_rng(3)))
+    assert seen["zlib"][1] is not threading.main_thread()
+    monkeypatch.undo()
+    fresh = simmod._sampler()
+    assert fresh is not None and fresh.process.is_alive()
+    assert fresh.process.pid != live.process.pid
+
+
+def test_one_cpu_starts_no_helper(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    seen = _spy_estimators(monkeypatch)
+    enc = rng_list(2 * _CHUNK, 20, np.random.default_rng(4))
+    assert enc.l_primitive >= rndmod._HELPER_MIN_BITS
+    estimate_complexity(enc)
+    assert seen["zlib"][1] is threading.main_thread()
+
+
+@pytest.mark.parametrize("estimator, helper, bound_mib", [
+    ("zlib", False, 6), ("delta", False, 6),
+    ("best", False, 16), ("best", True, 16),
+])
+def test_estimator_memory_stays_bounded(estimator, helper, bound_mib,
+                                        monkeypatch):
+    # packing slice by slice, zlib peaks near 3.8 MiB and delta near
+    # 4.9 MiB, where a whole packed copy of this list and a full-length
+    # zigzag array took 10.4 and 25.9 MiB; "best" adds entropy1's one
+    # full-length temporary (8.7 MiB) and, beside it, the helper's zlib
+    _force_helper(monkeypatch, helper)
+    enc = rng_list(LIST_SIZE_CAP, 20, np.random.default_rng(6))
+    tracemalloc.start()
+    try:
+        estimate_complexity(enc, estimator)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20
