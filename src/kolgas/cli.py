@@ -204,8 +204,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise DomainError("sweep variable must be one of T, V, N")
     if not 2 <= args.points <= SWEEP_POINTS_CAP:
         raise DomainError(f"sweep points must be in 2..{SWEEP_POINTS_CAP}")
-    if args.start <= 0 or args.stop <= 0:
-        raise DomainError("sweep endpoints must be positive")
+    if not (0.0 < args.start < math.inf and 0.0 < args.stop < math.inf):
+        raise DomainError("sweep endpoints must be positive and finite")
     species = species_lookup(args.gas)
     statistics = _statistics(args, species)
     grid = (np.geomspace if args.log else np.linspace)(
@@ -468,7 +468,8 @@ def _add_sim_args(p: argparse.ArgumentParser, transits_help: str) -> None:
     p.add_argument("--samples-per-transit", type=float, default=8.0)
     p.add_argument("--perturbation", type=float,
                    default=simmod.SimConfig.perturbation,
-                   help="site-normal tilt scale for specular_random_sites")
+                   help="site-normal tilt scale for specular_random_sites, "
+                        f"at most {simmod.PERTURBATION_CAP:g}")
     p.add_argument("--output", default=None, help="JSON path (default stdout)")
 
 

@@ -20,11 +20,11 @@ travels in the file header.
 """
 from __future__ import annotations
 
+import concurrent.futures
 import lzma
 import math
 import os
 import sys
-import threading
 import zlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -271,14 +271,17 @@ def _k_entropy1(values: np.ndarray, width: int) -> float:
     # before it.  Context c holds the bits that follow a c, so its size is
     # the count of c among the first l-1 bits, and its ones are the
     # adjacent (c, 1) pairs.  (1, 1) pairs sit inside a datum or straddle
-    # the boundary between two.
+    # the boundary between two; both are counted slice by slice, carrying
+    # the last bit of each slice into the next.
     l = values.size * width
-    ones = _popcount(values)
+    ones = ones_11 = last = 0
+    for part in _slices(values):
+        tops = part >> (width - 1)
+        ones += _popcount(part)
+        ones_11 += (_popcount(part & (part >> 1)) + (last & int(tops[0]))
+                    + int(np.count_nonzero(part[:-1] & tops[1:])))
+        last = int(part[-1] & 1)
     first = int(values[0] >> (width - 1))
-    last = int(values[-1] & 1)
-    ones_11 = (_popcount(values & (values >> 1))
-               + int(np.count_nonzero(values[:-1]
-                                      & (values[1:] >> (width - 1)))))
     ones_before = ones - last
     cost = 1.0  # the first bit, literally
     cost += _log2_binom_any(l - 1 - ones_before, ones - first - ones_11)
@@ -336,33 +339,6 @@ def two_cpus() -> bool:
             and len(os.sched_getaffinity(0)) >= 2)
 
 
-class _Helper(threading.Thread):
-    """One estimator call run in a thread beside the caller.
-
-    ``result`` gives its bits, or raises in the caller the exception the
-    call raised, so no error ends the thread unhandled.
-    """
-
-    def __init__(self, estimator, *args) -> None:
-        super().__init__(name="kolgas-estimator")
-        self._call = estimator, args
-        self._bits: list[float] | None = None
-        self._error: BaseException | None = None
-
-    def run(self) -> None:
-        estimator, args = self._call
-        try:
-            self._bits = estimator(*args)
-        except BaseException as exc:  # raised again in the caller by result
-            self._error = exc
-
-    def result(self) -> list[float]:
-        """The bits, once the thread is joined."""
-        if self._error is not None:
-            raise self._error
-        return self._bits
-
-
 def _prefix_estimates(enc: EncodedList, estimator: str,
                       sizes: list[int]) -> list[tuple[float, str]]:
     """(K_hat, winning estimator id) of the first m data of ``enc`` for
@@ -371,8 +347,9 @@ def _prefix_estimates(enc: EncodedList, estimator: str,
     ``estimator`` is one of the ids above or ``"best"`` (minimum over the
     default set); each K_hat includes the calibrated id overhead.  The
     "best" estimate of at least ``_HELPER_MIN_BITS`` bits, in a process
-    that may use two CPUs, runs zlib in a helper thread, joined before
-    this returns; the minimum is taken in candidate order either way.
+    that may use two CPUs, runs zlib in a one-worker thread pool, shut
+    down before this returns, even when an estimator raises; the minimum
+    is taken in candidate order either way.
     """
     id_bits = load_calibration().estimator_id_bits
     if estimator == "best":
@@ -384,19 +361,20 @@ def _prefix_estimates(enc: EncodedList, estimator: str,
         raise UnknownEstimatorError(
             f"unknown estimator {estimator!r}; known: {known}"
         )
-    helper = None
+
+    def measure(name: str) -> list[float]:
+        return _ESTIMATORS[name](enc.values, enc.k, sizes)
+
     if (estimator == "best" and sizes[-1] * enc.k >= _HELPER_MIN_BITS
             and two_cpus()):
-        helper = _Helper(_ESTIMATORS["zlib"], enc.values, enc.k, sizes)
-        helper.start()
-    try:
-        bits = {name: _ESTIMATORS[name](enc.values, enc.k, sizes)
-                for name in candidates if helper is None or name != "zlib"}
-    finally:
-        if helper is not None:
-            helper.join()
-    if helper is not None:
-        bits["zlib"] = helper.result()
+        with concurrent.futures.ThreadPoolExecutor(
+                1, "kolgas-estimator") as helper:
+            zlib_bits = helper.submit(measure, "zlib")
+            bits = {name: measure(name)
+                    for name in candidates if name != "zlib"}
+            bits["zlib"] = zlib_bits.result()
+    else:
+        bits = {name: measure(name) for name in candidates}
     best = [(math.inf, "")] * len(sizes)
     for name in candidates:
         for i, b in enumerate(bits[name]):
@@ -469,6 +447,8 @@ def smooth_box_list(n: int, side: float, mass: float,
     corpus.  Real energies are quantized to k levels over their own range."""
     if k is None:
         k = default_width(n)
+    if not 1 <= k <= _MAX_WIDTH:
+        raise DomainError(f"datum width {k} outside 1..{_MAX_WIDTH}")
     energies = smooth_box_spectrum(n, side, mass)
     return encode_list(quantize(energies, k), k=k, source_tag="smooth-box")
 

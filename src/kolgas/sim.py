@@ -47,6 +47,12 @@ N_PARTICLES_CAP = 10**5
 #: Most samples one disorder trace may hold (duration / dt_out + 1).
 TRACE_SAMPLES_CAP = 10**5
 
+#: Largest site-normal tilt scale.  A ``specular_random_sites`` scatter
+#: redraws a tilt until the reflected ray points inside, as a draw does
+#: with probability about 0.8 / perturbation (0.075 at 10); from about
+#: 1e154 on, the normal overflows and no draw ever does.
+PERTURBATION_CAP = 10.0
+
 _ORIENT_BINS = 16
 _POS_BINS = 8
 
@@ -58,8 +64,9 @@ class SimConfig:
 
     ``perturbation`` is the site-normal tilt scale (radians-like, the
     standard deviation of the tangential normal components) used by
-    ``specular_random_sites``.  ``keep_events`` keeps the wall-event log
-    that ``SimState.events`` returns; the event count is kept either way.
+    ``specular_random_sites``, at most ``PERTURBATION_CAP``.
+    ``keep_events`` keeps the wall-event log that ``SimState.events``
+    returns; the event count is kept either way.
     """
 
     n_particles: int
@@ -93,8 +100,9 @@ class SimConfig:
             raise DomainError("seed must fit in 64 bits")
         if self.dt_out <= 0.0 or self.duration < 0.0:
             raise DomainError("need dt_out > 0 and duration >= 0")
-        if self.perturbation < 0.0:
-            raise DomainError("perturbation must be nonnegative")
+        if not 0.0 <= self.perturbation <= PERTURBATION_CAP:
+            raise DomainError(
+                f"perturbation must be in 0..{PERTURBATION_CAP:g}")
         if not self.duration / self.dt_out + 1.0 <= TRACE_SAMPLES_CAP:
             raise DomainError(
                 f"a trace may hold at most {TRACE_SAMPLES_CAP} samples"
@@ -346,26 +354,23 @@ class SimRun:
     t_b: float
 
 
-#: Layout of one snapshot slot of float64 words shared with the sampler
-#: process: the five numbers of the row, the particle count, the box and
-#: the reference box, then the positions and the velocities of up to
-#: N_PARTICLES_CAP particles.
-_ROW, _N, _BOX, _REF = slice(0, 5), 5, slice(6, 9), slice(9, 12)
-_POS = 12
-_VEL = _POS + 3 * N_PARTICLES_CAP
-_WORDS = _VEL + 3 * N_PARTICLES_CAP
+#: One snapshot slot shared with the sampler process: the five numbers
+#: of the row, the particle count, the box and the reference box, then
+#: the positions and the velocities of up to N_PARTICLES_CAP particles.
+_SLOT = np.dtype([("row", "f8", 5), ("n", "i8"), ("box", "f8", 3),
+                  ("ref", "f8", 3), ("pos", "f8", (N_PARTICLES_CAP, 3)),
+                  ("vel", "f8", (N_PARTICLES_CAP, 3))])
 
 #: Snapshot slots, so the sampler can start the next row as soon as it
 #: has finished one, while this process is still stepping.
 _SLOTS = 2
 
 
-def _snapshot(slot: np.ndarray) -> tuple[np.ndarray, ...]:
+def _snapshot(slot: np.void) -> tuple[np.ndarray, ...]:
     """Views of the positions, velocities, box and reference box of the
-    snapshot in one slot of the shared words."""
-    n = int(slot[_N])
-    return (slot[_POS:_POS + 3 * n].reshape(n, 3),
-            slot[_VEL:_VEL + 3 * n].reshape(n, 3), slot[_BOX], slot[_REF])
+    snapshot in one shared slot."""
+    n = slot["n"]
+    return slot["pos"][:n], slot["vel"][:n], slot["box"], slot["ref"]
 
 
 class _Sampler:
@@ -391,13 +396,12 @@ class _Sampler:
 
     def __init__(self) -> None:
         ctx = multiprocessing.get_context("fork")
-        self.words = np.frombuffer(
-            mmap.mmap(-1, 8 * _SLOTS * _WORDS),
-            dtype=np.float64).reshape(_SLOTS, _WORDS)
+        self.slots = np.frombuffer(mmap.mmap(-1, _SLOTS * _SLOT.itemsize),
+                                   dtype=_SLOT)
         self.posted, self.done = ctx.Semaphore(0), ctx.Semaphore(0)
         self.submitted = self.collected = 0
         self.process = ctx.Process(
-            target=_serve, args=(self.words, self.posted, self.done),
+            target=_serve, args=(self.slots, self.posted, self.done),
             daemon=True)
         with warnings.catch_warnings():
             # Python 3.12+ warns when the OS counts more than one thread
@@ -416,8 +420,8 @@ class _Sampler:
                reference_box: tuple[float, float, float] | None) -> None:
         """Hand a snapshot of ``state`` over to be sampled; the caller
         owes fewer than ``_SLOTS`` rows, so its slot is free."""
-        slot = self.words[self.submitted % _SLOTS]
-        slot[_N] = len(state.pos)
+        slot = self.slots[self.submitted % _SLOTS]
+        slot["n"] = len(state.pos)
         pos, vel, box, ref = _snapshot(slot)
         pos[:], vel[:], box[:] = state.pos, state.vel, state.config.box
         ref[:] = box if reference_box is None else reference_box
@@ -429,19 +433,19 @@ class _Sampler:
         """The oldest owed row: from the process once it is done, or from
         here if the process has exited.  None if it is not done yet and
         ``wait`` is false."""
-        slot = self.words[self.collected % _SLOTS]
+        slot = self.slots[self.collected % _SLOTS]
         while not self.done.acquire(block=wait, timeout=0.1):
             if not self.process.is_alive():
                 # every post comes before the exit, so look once more
                 # before sampling the row here
                 if not self.done.acquire(block=False):
                     self.close()
-                    slot[_ROW] = sample_disorder(*_snapshot(slot))
+                    slot["row"] = sample_disorder(*_snapshot(slot))
                 break
             if not wait:
                 return None
         self.collected += 1
-        return tuple(slot[_ROW].tolist())
+        return tuple(slot["row"].tolist())
 
     def close(self) -> None:
         """Stop the process; this sampler samples nothing more."""
@@ -449,11 +453,11 @@ class _Sampler:
         self.process.join()
 
 
-def _serve(words: np.ndarray, posted, done) -> None:
+def _serve(slots: np.ndarray, posted, done) -> None:
     """The sampler process: sample each snapshot, slot by slot in the
-    order they were posted, into its row words.  It exits when its parent
-    has gone, and when sampling raises, which makes the caller sample that
-    row itself."""
+    order they were posted, into the row of its slot.  It exits when its
+    parent has gone, and when sampling raises, which makes the caller
+    sample that row itself."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles ^C
     parent = os.getppid()
     served = 0
@@ -462,9 +466,9 @@ def _serve(words: np.ndarray, posted, done) -> None:
             if os.getppid() != parent:
                 return
             continue
-        slot = words[served % _SLOTS]
+        slot = slots[served % _SLOTS]
         try:
-            slot[_ROW] = sample_disorder(*_snapshot(slot))
+            slot["row"] = sample_disorder(*_snapshot(slot))
         except Exception:  # the caller, seeing no row, samples it again
             return
         served += 1
@@ -518,7 +522,7 @@ def simulate(config: SimConfig, init_mode: str,
     n_samples = int(round(config.duration / config.dt_out)) + 1
     times = t0 + np.arange(n_samples) * config.dt_out
     sampler = _sampler()
-    rows: list = []
+    rows = np.empty((n_samples, 5))
     owed: deque[int] = deque()  # indices of the rows the sampler holds
     try:
         for i, t_k in enumerate(times):
@@ -532,26 +536,24 @@ def simulate(config: SimConfig, init_mode: str,
             if (sampler is not None and len(owed) < room
                     and sampler.process.is_alive()):
                 owed.append(i)
-                rows.append(None)
                 sampler.submit(state, reference_box)
             else:
-                rows.append(sample_disorder(state.pos, state.vel,
-                                            state.config.box, reference_box))
+                rows[i] = sample_disorder(state.pos, state.vel,
+                                          state.config.box, reference_box)
         while owed:
             rows[owed[0]] = sampler.result()
             owed.popleft()
     finally:
         if owed:
             sampler.close()
-    cols = np.array(rows)
     k = default_width(config.n_particles)
     trace = DisorderTrace(
         t=times - t0,
-        d_hat=cols[:, 0],
-        k_orient=cols[:, 1],
-        k_nn=cols[:, 2],
-        chi2_orient=cols[:, 3],
-        chi2_pos=cols[:, 4],
+        d_hat=rows[:, 0],
+        k_orient=rows[:, 1],
+        k_nn=rows[:, 2],
+        chi2_orient=rows[:, 3],
+        chi2_pos=rows[:, 4],
         l_total=2 * config.n_particles * k,
     )
     return SimRun(trace=trace, final_state=state, t_b=config.t_b)

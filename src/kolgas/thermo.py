@@ -78,8 +78,11 @@ def thermal_length(T: float, mass: float) -> float:
     """Thermal de Broglie length sqrt( h^2 / (2 pi m k_B T) ), m."""
     if T <= 0.0 or mass <= 0.0:
         raise DomainError("thermal_length needs T > 0 and mass > 0")
-    return math.sqrt(H_PLANCK * H_PLANCK
-                     / (2.0 * math.pi * mass * K_BOLTZMANN * T))
+    denom = 2.0 * math.pi * mass * K_BOLTZMANN * T
+    if not 0.0 < denom < math.inf:
+        raise DomainError(f"thermal_length at T={T:g} K needs 2 pi m k_B T "
+                          "to be a positive finite float")
+    return math.sqrt(H_PLANCK * H_PLANCK / denom)
 
 
 def rms_speed(T: float, mass: float) -> float:
@@ -145,6 +148,9 @@ def state_equations(spec: GasSpec) -> ThermoState:
         leave their domain.
     """
     lam = thermal_length(spec.T, spec.species.mass)
+    if lam**3 == 0.0:
+        raise DomainError(f"the thermal volume lambda_th^3 at T={spec.T:g} K "
+                          "underflows to 0")
     M = spec.V / lam**3
     A = M / spec.N
     N, T, V = spec.N, spec.T, spec.V

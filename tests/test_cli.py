@@ -3,11 +3,14 @@ byte-level determinism of reruns."""
 import io
 import json
 import os
+import pathlib
+import subprocess
 import sys
 
 import jsonschema
 import pytest
 
+import kolgas
 from kolgas.cli import RELAX_SEEDS_CAP, SWEEP_POINTS_CAP, main
 
 from conftest import load_schema
@@ -417,6 +420,16 @@ def test_sim_bad_particle_count_exits_2(capsys):
     ("sim", "relax", "--transits", "1e6"),
     ("sim", "relax", "--samples-per-transit", "1e9"),
     ("sim", "joule", "--ratio", "1e300"),
+    # 2 pi m k_B T underflows to 0, and lambda_th^3 does
+    ("state", "--temp", "1e-300"),
+    ("state", "--temp", "1e200"),
+    ("sweep", "--var", "T", "--from", "1", "--to", "1e308", "--points", "3"),
+    # checked before numpy computes with them, which would warn
+    ("sweep", "--var", "T", "--from", "1", "--to", "inf", "--points", "3"),
+    ("randomness", "generate", "--kind", "smooth-box", "--k", "63",
+     "--output", os.devnull),
+    ("randomness", "generate", "--kind", "smooth-box", "--k", "-1",
+     "--output", os.devnull),
 ])
 def test_non_finite_or_zero_input_exits_2(capsys, argv):
     if argv[0] == "sim":  # defaults first, so that argv's own values win
@@ -426,6 +439,24 @@ def test_non_finite_or_zero_input_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("perturbation", ["1e6", "1e100", "1e160", "1e308"])
+def test_perturbation_above_the_cap_exits_2(perturbation):
+    # past the cap a scatter redraws its tilt for a very long time, or for
+    # ever once the normal overflows, so the run goes in a child process
+    # whose timeout turns a hang into a failure
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(kolgas.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "kolgas.cli", "sim", "relax", "--wall-model",
+         "specular_random_sites", "--particles", "3", "--transits", "1",
+         "--perturbation", perturbation],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert (done.stderr.startswith("error: perturbation ")
+            and done.stderr.count("\n") == 1)
 
 
 _SMALL_SIM = ("--wall-model", "smooth_specular", "--particles", "50",

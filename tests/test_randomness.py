@@ -388,6 +388,15 @@ def _reference_zlib(bits) -> float:
     return 8.0 * len(zlib.compress(np.packbits(bits).tobytes(), 9))
 
 
+def _reference_entropy1(bits) -> float:
+    prev, cur = bits[:-1], bits[1:]
+    cost = 1.0
+    for ctx in (0, 1):
+        sel = cur[prev == ctx]
+        cost += _log2_binom_any(int(sel.size), int(sel.sum()))
+    return cost + 2.0 * math.log2(bits.size + 1)
+
+
 def _reference_estimate(name: str, enc) -> float:
     bits = _reference_bits(enc.values, enc.k)
     l = bits.size
@@ -400,12 +409,7 @@ def _reference_estimate(name: str, enc) -> float:
     if name == "entropy0":
         return _log2_binom_any(l, int(bits.sum())) + math.log2(l + 1)
     if name == "entropy1":
-        prev, cur = bits[:-1], bits[1:]
-        cost = 1.0
-        for ctx in (0, 1):
-            sel = cur[prev == ctx]
-            cost += _log2_binom_any(int(sel.size), int(sel.sum()))
-        return cost + 2.0 * math.log2(l + 1)
+        return _reference_entropy1(bits)
     assert name == "delta"
     vals = [int(v) for v in enc.values]
     deltas = [vals[0]] + [b - a for a, b in zip(vals, vals[1:])]
@@ -607,6 +611,24 @@ def test_compressor_prefixes_across_slices(k, order, monkeypatch):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("k", [1, 7, 20, 62])
+def test_entropy1_prefixes_across_slices(k):
+    # entropy1 counts its bit pairs slice by slice; a (1, 1) pair
+    # straddles each slice boundary here, so a lost carry shows
+    n = 2 * _CHUNK + 5
+    values = _full_width_values(np.random.default_rng(k), n, k)
+    for boundary in (_CHUNK, 2 * _CHUNK):
+        values[boundary - 1] |= 1
+        values[boundary] |= 1 << (k - 1)
+    sizes = [_CHUNK - 1, _CHUNK, _CHUNK + 1, n]
+    id_bits = load_calibration().estimator_id_bits
+    got = _prefix_estimates(encode_list(values, k=k), "entropy1", sizes)
+    assert [b for b, _ in got] == [
+        _reference_entropy1(np.unpackbits(np.frombuffer(
+            _unchunked_packed_bytes(values[:m], k), np.uint8), count=m * k))
+        + id_bits for m in sizes]
+
+
 def test_helper_error_reaches_the_caller(monkeypatch):
     ran_in = []
 
@@ -659,15 +681,17 @@ def test_one_cpu_starts_no_helper(monkeypatch):
 
 
 @pytest.mark.parametrize("estimator, helper, bound_mib", [
-    ("zlib", False, 6), ("delta", False, 6),
+    ("zlib", False, 6), ("delta", False, 6), ("entropy1", False, 2),
     ("best", False, 16), ("best", True, 16),
 ])
 def test_estimator_memory_stays_bounded(estimator, helper, bound_mib,
                                         monkeypatch):
     # packing slice by slice, zlib peaks near 3.8 MiB and delta near
     # 4.9 MiB, where a whole packed copy of this list and a full-length
-    # zigzag array took 10.4 and 25.9 MiB; "best" adds entropy1's one
-    # full-length temporary (8.7 MiB) and, beside it, the helper's zlib
+    # zigzag array took 10.4 and 25.9 MiB; entropy1 counts its bit pairs
+    # slice by slice too, at 1.1 MiB where two full-length temporaries
+    # took 8.7 MiB; "best" peaks at delta's 4.9 MiB, or 8.6 MiB with the
+    # helper's zlib beside it
     _force_helper(monkeypatch, helper)
     enc = rng_list(LIST_SIZE_CAP, 20, np.random.default_rng(6))
     tracemalloc.start()

@@ -68,6 +68,7 @@ def make_config(n=800, wall_model="specular_random_sites", seed=0,
     dict(dt_out=0.0),
     dict(duration=-1.0),
     dict(perturbation=-0.1),
+    dict(perturbation=11.0),
 ])
 def test_config_validation(kw):
     good = dict(n_particles=10, box=BOX, T_wall=10.0, species=HE3,
