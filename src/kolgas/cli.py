@@ -61,8 +61,8 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write(text: str, path: str | None) -> None:
-    if path is None or path == "-":
+def _write(text: str, path: str) -> None:
+    if path == "-":
         sys.stdout.write(text)
         return
     try:
@@ -97,12 +97,12 @@ def _json(obj: dict, indent: int | None = None) -> str:
         raise DomainError(f"result is not finite: {exc}") from exc
 
 
-def _emit_json(payload: dict, path: str | None) -> None:
+def _emit_json(payload: dict, path: str) -> None:
     _write(_json(payload, indent=2) + "\n", path)
 
 
 def _emit_csv(manifest: dict, header: str, rows: list[str],
-              path: str | None) -> None:
+              path: str) -> None:
     lines = [f"# manifest: {_json(manifest)}", header, *rows]
     _write("\n".join(lines) + "\n", path)
 
@@ -260,7 +260,7 @@ def cmd_randomness_generate(args: argparse.Namespace) -> int:
     # before the list file is written.
     receipt = _json(payload, indent=2) + "\n"
     rnd.write_list_file(args.output, enc, raw=args.raw)
-    _write(receipt, None)
+    _write(receipt, "-")
     return 0
 
 
@@ -350,15 +350,13 @@ def _write_trace(manifest: dict, trace: simmod.DisorderTrace,
 def _write_events(manifest: dict, events: dict, path: str) -> None:
     rows = [
         f"{_fmt(t)},{pid},{_fmt(th)},{_fmt(ph)},{_fmt(sp)}"
-        for t, pid, th, ph, sp in zip(
-            events["t"], events["particle_id"], events["exit_theta"],
-            events["exit_phi"], events["speed"])
+        for t, pid, th, ph, sp in zip(*events.values())
     ]
-    _emit_csv(manifest, "t,particle_id,exit_theta,exit_phi,speed", rows, path)
+    _emit_csv(manifest, ",".join(events), rows, path)
 
 
 def cmd_sim_relax(args: argparse.Namespace) -> int:
-    _check_distinct(("--output", "-" if args.output is None else args.output),
+    _check_distinct(("--output", args.output),
                     ("--trace-output", args.trace_output or None),
                     ("--events-output", args.events_output or None))
     if not 1 <= args.seeds <= RELAX_SEEDS_CAP:
@@ -416,7 +414,7 @@ def cmd_sim_joule(args: argparse.Namespace) -> int:
     trace_paths = ([args.trace_prefix + ".before.csv",
                     args.trace_prefix + ".after.csv"]
                    if args.trace_prefix else [])
-    _check_distinct(("--output", "-" if args.output is None else args.output),
+    _check_distinct(("--output", args.output),
                     *(("--trace-prefix", path) for path in trace_paths))
     cfg = _sim_config(args, args.seed)
     report = simmod.run_joule_expansion(cfg, args.ratio)
@@ -470,7 +468,7 @@ def _add_sim_args(p: argparse.ArgumentParser, transits_help: str) -> None:
                    default=simmod.SimConfig.perturbation,
                    help="site-normal tilt scale for specular_random_sites, "
                         f"at most {simmod.PERTURBATION_CAP:g}")
-    p.add_argument("--output", default=None, help="JSON path (default stdout)")
+    p.add_argument("--output", default="-", help="JSON path (default stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -485,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gas_state_args(p_state)
     p_state.add_argument("--vessel-side", type=float, default=None,
                          help="wall spacing for the length hierarchy, m")
-    p_state.add_argument("--output", default=None)
+    p_state.add_argument("--output", default="-")
     p_state.set_defaults(func=cmd_state)
 
     p_sweep = sub.add_parser("sweep", help="state table over one variable")
@@ -496,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--points", type=int, required=True)
     p_sweep.add_argument("--log", action="store_true",
                          help="geometric instead of linear spacing")
-    p_sweep.add_argument("--output", default=None)
+    p_sweep.add_argument("--output", default="-")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_rand = sub.add_parser("randomness", help="list artifacts and audits")
@@ -523,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--input", required=True,
                          help="list file path, or - for stdin")
     p_audit.add_argument("--estimator", default="best")
-    p_audit.add_argument("--output", default=None)
+    p_audit.add_argument("--output", default="-")
     p_audit.set_defaults(func=cmd_randomness_audit)
 
     p_gap = rand_sub.add_parser("gap", help="prefix-trace classification")
@@ -531,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="list file path, or - for stdin")
     p_gap.add_argument("--points", type=int, default=12)
     p_gap.add_argument("--estimator", default="best")
-    p_gap.add_argument("--output", default=None)
+    p_gap.add_argument("--output", default="-")
     p_gap.set_defaults(func=cmd_randomness_gap)
 
     p_sim = sub.add_parser("sim", help="event-driven gas runs")

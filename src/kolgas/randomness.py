@@ -27,7 +27,7 @@ import os
 import sys
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,30 +61,33 @@ def default_width(n: int) -> int:
 class EncodedList:
     """n data of k bits each: the integer list together with its width.
 
-    ``values`` is a one-dimensional int64 array of exactly n entries, each
-    in [0, 2^k).  Its fixed-width big-endian bit rendering, of literal
+    ``values`` is a one-dimensional int64 array of n entries, each in
+    [0, 2^k).  Its fixed-width big-endian bit rendering, of literal
     length ``l_primitive`` = n*k bits, is what the estimators measure.
     """
 
-    n: int
     k: int
     values: np.ndarray
     source_tag: str = "list"
 
     def __post_init__(self) -> None:
-        if self.n <= 0 or self.n > LIST_SIZE_CAP:
-            raise DomainError(f"list size {self.n} outside 1..{LIST_SIZE_CAP}")
-        if not (1 <= self.k <= _MAX_WIDTH):
-            raise DomainError(f"datum width {self.k} outside 1..{_MAX_WIDTH}")
         v = self.values
         if not (isinstance(v, np.ndarray) and v.dtype == np.int64
-                and v.shape == (self.n,)):
-            raise DomainError("values must be an int64 array of exactly n data")
+                and v.ndim == 1):
+            raise DomainError("values must be a one-dimensional int64 array")
+        if not 1 <= v.size <= LIST_SIZE_CAP:
+            raise DomainError(f"list size {v.size} outside 1..{LIST_SIZE_CAP}")
+        if not (1 <= self.k <= _MAX_WIDTH):
+            raise DomainError(f"datum width {self.k} outside 1..{_MAX_WIDTH}")
         if v.min() < 0 or int(v.max()) >> self.k:
             raise DomainError(
                 f"overflow: values must lie in [0, 2^{self.k}) "
                 f"for width k={self.k}"
             )
+
+    @property
+    def n(self) -> int:
+        return self.values.size
 
     @property
     def l_primitive(self) -> int:
@@ -100,10 +103,9 @@ def encode_list(values: Sequence[int] | np.ndarray, k: int | None = None,
     vals = np.asarray(values, dtype=np.int64)
     if vals.ndim != 1 or vals.size == 0:
         raise DomainError("values must be a nonempty one-dimensional list")
-    n = int(vals.size)
     if k is None:
-        k = default_width(n)
-    return EncodedList(n=n, k=k, values=vals, source_tag=source_tag)
+        k = default_width(vals.size)
+    return EncodedList(k=k, values=vals, source_tag=source_tag)
 
 
 def _slices(values: np.ndarray) -> Iterator[np.ndarray]:
@@ -557,22 +559,34 @@ def write_list_file(path: str, enc: EncodedList, raw: bool = False) -> None:
         raise FormatError(f"{path}: {exc}") from exc
 
 
+#: Longest header line read, its line break included.
+_HEADER_LIMIT = 1 << 12
+
+
 def read_list_file(path: str) -> EncodedList:
     """Read a list file written by :func:`write_list_file`, or from stdin
     when ``path`` is "-"; exact round trip for both bodies, which the
-    header names.  Malformed or unreadable files raise FormatError."""
+    header names.  Malformed or unreadable files raise FormatError.
+
+    The header is read and checked before any body.  A raw body is read
+    to one byte past the length the header gives it, and a decimal body
+    a window at a time, so an input with no end, such as /dev/zero,
+    fails without filling memory."""
     try:
         if path == "-":
-            blob = sys.stdin.buffer.read()
-        else:
-            with open(path, "rb") as fh:
-                blob = fh.read()
+            return _read_list(sys.stdin.buffer, path)
+        with open(path, "rb") as fh:
+            return _read_list(fh, path)
     except OSError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    newline = blob.find(b"\n")
-    if newline < 0:
+
+
+def _read_list(fh: BinaryIO, path: str) -> EncodedList:
+    """:func:`read_list_file` of the binary stream ``fh``."""
+    header = fh.readline(_HEADER_LIMIT)
+    if not header.endswith(b"\n"):
         raise FormatError(f"{path}: missing header line")
-    fields = blob[:newline].split()
+    fields = header.split()
     raw = len(fields) == 4 and fields[3] == b"raw"
     if len(fields) != 3 and not raw:
         raise FormatError(f"{path}: header must be 'n k source_tag [raw]'")
@@ -586,15 +600,15 @@ def read_list_file(path: str) -> EncodedList:
 
     if raw:
         expected = (n * k + 7) // 8
-        size = len(blob) - newline - 1
-        if size != expected:
+        body = fh.read(expected + 1)  # one byte past is enough to tell
+        if len(body) != expected:
+            size = len(body) if len(body) < expected else f"over {expected}"
             raise FormatError(
                 f"{path}: raw body is {size} bytes, expected {expected}"
             )
-        values = _unpacked_values(
-            np.frombuffer(blob, dtype=np.uint8, offset=newline + 1), n, k)
+        values = _unpacked_values(np.frombuffer(body, dtype=np.uint8), n, k)
     else:
-        values = _decimal_body(blob, newline + 1, n, path)
+        values = _decimal_body(fh, n, path)
     try:
         return encode_list(values, k=k, source_tag=tag)
     except DomainError as exc:
@@ -604,34 +618,42 @@ def read_list_file(path: str) -> EncodedList:
 #: Digits in a datum that always fits int64, leading zeros included.
 _SAFE_DIGITS = 18
 
+#: Bytes of a decimal body read at a time, then on to the end of the
+#: line they stop in.
+_WINDOW = 8 * _CHUNK
 
-def _decimal_body(blob: bytes, start: int, n: int, path: str) -> np.ndarray:
-    """The n data of the decimal body that starts at ``blob[start]``, one
-    unsigned decimal per line:
+#: Longest rest of a line read past a window.  The writer's lines hold
+#: at most 20 bytes; the reader leaves room for blanks and leading zeros,
+#: and takes a longer line for a format error, so that a body with no
+#: line break, such as /dev/zero, is read no further.
+_LINE_LIMIT = 16 * _CHUNK
+
+
+def _decimal_body(fh: BinaryIO, n: int, path: str) -> np.ndarray:
+    """The n data of the decimal body that ``fh`` reads on, one unsigned
+    decimal per line:
 
         line = [ \\t]* ( "+"? digit+ [ \\t]* )? "\\r"? "\\n"
 
     where blank lines are skipped and the last line may lack its "\\n".
-    The body goes in slices of whole lines, about 8 ``_CHUNK`` bytes each,
-    so no temporary grows with the list."""
+    The body is parsed in whole lines, ``_WINDOW`` bytes and the rest of
+    the line they stop in at a time, so no temporary grows with the list,
+    and the read ends at the first window that holds more than n data."""
     values = np.empty(n, dtype=np.int64)
-    window = 8 * _CHUNK
     count = 0
-    while start < len(blob):
-        if start + window >= len(blob):
-            stop = len(blob)
-        else:
-            # after the window's last line break, or the first one past it
-            stop = (blob.rfind(b"\n", start, start + window) + 1
-                    or blob.find(b"\n", start + window) + 1 or len(blob))
-        data = _decimal_values(
-            np.frombuffer(blob, np.uint8, stop - start, start), path)
+    while text := fh.read(_WINDOW):
+        if not text.endswith(b"\n"):
+            rest = fh.readline(_LINE_LIMIT)
+            if len(rest) == _LINE_LIMIT and not rest.endswith(b"\n"):
+                raise FormatError(f"{path}: a body line runs on past "
+                                  f"{_LINE_LIMIT} bytes")
+            text += rest
+        data = _decimal_values(np.frombuffer(text, np.uint8), path)
         if count + data.size > n:
             raise FormatError(f"{path}: body has more than {n} decimal "
                               f"data, header says {n}")
         values[count:count + data.size] = data
         count += data.size
-        start = stop
     if count != n:
         raise FormatError(
             f"{path}: body has {count} decimal data, header says {n}")

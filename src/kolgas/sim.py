@@ -145,23 +145,17 @@ class SimState:
     n_events: int = 0
 
     def events(self) -> dict[str, np.ndarray]:
-        """Wall events so far as column arrays: t, particle_id,
-        exit_theta, exit_phi, speed."""
+        """Wall events so far as column arrays, in this order: t,
+        particle_id, exit_theta, exit_phi, speed."""
         if not self.config.keep_events:
             raise DomainError("this run kept no wall-event log "
                               "(SimConfig.keep_events is off)")
-        if not self._event_chunks:
-            empty = np.empty(0)
-            return {"t": empty, "particle_id": np.empty(0, dtype=np.int64),
-                    "exit_theta": empty, "exit_phi": empty, "speed": empty}
-        cols = list(zip(*self._event_chunks))
-        return {
-            "t": np.concatenate(cols[0]),
-            "particle_id": np.concatenate(cols[1]),
-            "exit_theta": np.concatenate(cols[2]),
-            "exit_phi": np.concatenate(cols[3]),
-            "speed": np.concatenate(cols[4]),
-        }
+        empty = np.empty(0)
+        chunks = [(empty, np.empty(0, dtype=np.int64), empty, empty, empty),
+                  *self._event_chunks]
+        names = ("t", "particle_id", "exit_theta", "exit_phi", "speed")
+        return {name: np.concatenate(col)
+                for name, col in zip(names, zip(*chunks))}
 
 
 def _maxwell_velocities(rng: np.random.Generator, n: int, T: float,
@@ -193,16 +187,14 @@ def init_sim(config: SimConfig, mode: str) -> SimState:
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     n = config.n_particles
     box = np.asarray(config.box)
-    if mode == "equilibrium":
-        pos = rng.uniform(0.0, 1.0, size=(n, 3)) * box
-        vel = _maxwell_velocities(rng, n, config.T_wall, config.species.mass)
-    elif mode == "beam":
+    if mode == "beam":
         pos = _lattice_positions(n, config.box)
         vel = np.zeros((n, 3))
         vel[:, 0] = config.v_th
     else:
         pos = rng.uniform(0.0, 1.0, size=(n, 3)) * box
-        pos[:, 0] *= 0.5
+        if mode == "half_box":
+            pos[:, 0] *= 0.5
         vel = _maxwell_velocities(rng, n, config.T_wall, config.species.mass)
     return SimState(config=config, time=0.0, pos=pos, vel=vel, rng=rng)
 
@@ -309,22 +301,21 @@ def _chi2_uniform(values: np.ndarray, lo: float, hi: float, bins: int) -> float:
 
 def sample_disorder(pos: np.ndarray, vel: np.ndarray,
                     box: tuple[float, float, float],
-                    reference_box: tuple[float, float, float] | None = None,
+                    reference_box: tuple[float, float, float],
                     ) -> tuple[float, float, float, float, float]:
     """One trace row for particles at ``pos`` moving at ``vel`` in
     ``box``: (d_hat, k_orient, k_nn, chi2_orient, chi2_pos).
 
-    ``reference_box`` (default ``box``) fixes the quantization scale of
-    the neighbour list; pass the largest box of a multi-stage run so
-    samples are comparable across stages.
+    ``reference_box`` fixes the quantization scale of the neighbour list:
+    the largest box of a multi-stage run, so samples are comparable
+    across stages, or ``box`` itself.
     """
     n = len(pos)
     if n < 2:
         raise DomainError("the nearest-neighbour list needs 2 or more "
                           "particles")
     k = default_width(n)
-    diag = float(np.linalg.norm(reference_box if reference_box is not None
-                                else box))
+    diag = float(np.linalg.norm(reference_box))
 
     speed = np.linalg.norm(vel, axis=1)
     u = vel[:, 2] / np.where(speed > 0.0, speed, 1.0)
@@ -417,14 +408,14 @@ class _Sampler:
         self.owner = os.getpid()
 
     def submit(self, state: SimState,
-               reference_box: tuple[float, float, float] | None) -> None:
+               reference_box: tuple[float, float, float]) -> None:
         """Hand a snapshot of ``state`` over to be sampled; the caller
         owes fewer than ``_SLOTS`` rows, so its slot is free."""
         slot = self.slots[self.submitted % _SLOTS]
         slot["n"] = len(state.pos)
         pos, vel, box, ref = _snapshot(slot)
         pos[:], vel[:], box[:] = state.pos, state.vel, state.config.box
-        ref[:] = box if reference_box is None else reference_box
+        ref[:] = reference_box
         self.submitted += 1
         self.posted.release()
 
@@ -508,8 +499,9 @@ def simulate(config: SimConfig, init_mode: str,
              reference_box: tuple[float, float, float] | None = None,
              state: SimState | None = None) -> SimRun:
     """Run for ``config.duration`` seconds, sampling the disorder trace
-    every ``config.dt_out``.  Pass an existing ``state`` to continue a
-    run (e.g. after swapping the box).
+    every ``config.dt_out`` against ``reference_box`` (default the
+    state's box).  Pass an existing ``state`` to continue a run (e.g.
+    after swapping the box).
 
     Each row goes to the sampler process, if there is one, while it has
     a free slot, and is sampled here only when both are taken.  The last
@@ -518,6 +510,8 @@ def simulate(config: SimConfig, init_mode: str,
     """
     if state is None:
         state = init_sim(config, init_mode)
+    if reference_box is None:
+        reference_box = state.config.box
     t0 = state.time
     n_samples = int(round(config.duration / config.dt_out)) + 1
     times = t0 + np.arange(n_samples) * config.dt_out
@@ -624,9 +618,10 @@ def run_joule_expansion(config: SimConfig, volume_ratio: float) -> JouleReport:
     ``JOULE_SETTLE_TRANSITS`` transit times before the expansion and
     ``JOULE_EXPANDED_TRANSITS`` after it, sampled every ``config.dt_out``.
     Both stages quantize against the expanded box, so the measured
-    disorder change reflects the state and not the ruler.  Ratio 1 is the
-    degenerate no-op and reports zero change identically.  The closed-form
-    entropy step uses the statistics the species' spin implies.
+    disorder change reflects the state and not the ruler.  At ratio 1 the
+    expanded stage is the settled one, so each change is exactly zero.
+    The closed-form entropy step uses the statistics the species' spin
+    implies.
     """
     if not math.isfinite(volume_ratio) or volume_ratio < 1.0:
         raise DomainError("volume_ratio must be >= 1 (free expansion only)")
@@ -645,15 +640,12 @@ def run_joule_expansion(config: SimConfig, volume_ratio: float) -> JouleReport:
     s1 = state_equations(spec1)
 
     if volume_ratio == 1.0:
-        return JouleReport(
-            volume_ratio=1.0, d_hat_before=d1, d_hat_after=d1,
-            delta_d_hat=0.0, delta_s_per_particle_kb=0.0, ln_ratio=0.0,
-            trace_before=run1.trace, trace_after=run1.trace,
-        )
-
-    state = run1.final_state
-    state.config = stage2
-    run2 = simulate(stage2, "equilibrium", reference_box=expanded, state=state)
+        run2 = run1
+    else:
+        state = run1.final_state
+        state.config = stage2
+        run2 = simulate(stage2, "equilibrium", reference_box=expanded,
+                        state=state)
     d2 = float(run2.trace.d_hat[-JOULE_MEASURE_SAMPLES:].mean())
 
     spec2 = GasSpec(config.T_wall, stage2.volume, float(config.n_particles),

@@ -1,9 +1,11 @@
 """Command-line behaviour: artifact schemas, manifests, exit codes, and
 byte-level determinism of reruns."""
+import contextlib
 import io
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -276,6 +278,41 @@ def test_audit_missing_file_exits_3(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "randomness", "audit",
                          "--input", str(tmp_path / "nope.lst"))
     assert code == 3
+
+
+def _cap_address_space():
+    # 1 GiB, about three times what an audit at the list cap maps, so an
+    # input read without a bound ends in a MemoryError, not a full machine
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("feed, path", [
+    (None, "/dev/zero"),                   # no line break, so no header
+    (None, "/dev/urandom"),                # a first line that is no header
+    ("printf '2 8 tag\\n'; exec cat /dev/zero", "-"),   # an endless line
+    ("printf '2 8 tag raw\\n'; exec cat /dev/zero", "-"),  # raw, too long
+], ids=["zero", "urandom", "decimal-body", "raw-body"])
+def test_audit_endless_input_exits_3(feed, path):
+    # an input with no end fails on what its start shows, within the cap
+    if not (os.path.exists("/dev/zero") and os.path.exists("/dev/urandom")):
+        pytest.skip("no /dev/zero or /dev/urandom here")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(pathlib.Path(kolgas.__file__).parents[1]))
+    argv = [sys.executable, "-m", "kolgas.cli", "randomness", "audit",
+            "--input", path]
+    with contextlib.ExitStack() as stack:
+        stdin = None
+        if feed is not None:
+            feeder = stack.enter_context(
+                subprocess.Popen(["sh", "-c", feed], stdout=subprocess.PIPE))
+            stack.callback(feeder.kill)
+            stdin = feeder.stdout
+        done = subprocess.run(argv, stdin=stdin, env=env,
+                              capture_output=True, text=True, timeout=60,
+                              preexec_fn=_cap_address_space)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 def test_audit_unknown_estimator_exits_2(tmp_path, capsys):

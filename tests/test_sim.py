@@ -104,7 +104,7 @@ def test_beam_init_is_maximally_ordered():
     # lattice positions: few distinct coordinates, no duplicates overall
     assert np.unique(state.pos[:, 0]).size <= 10
     assert np.unique(state.pos, axis=0).shape[0] == 1000
-    d_hat0 = sample_disorder(state.pos, state.vel, cfg.box)[0]
+    d_hat0 = sample_disorder(state.pos, state.vel, cfg.box, cfg.box)[0]
     assert d_hat0 < 0.05 * (2 * 1000 * 10)  # near-zero initial disorder
 
 

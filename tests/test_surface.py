@@ -1,7 +1,8 @@
 """Every top-level function and class in src/kolgas has a caller beyond
 the unit tests: its own module, another kolgas module, the benchmark, or
 an acceptance criterion.  A helper only a unit test calls belongs in
-that test file."""
+that test file.  Each has one name, its module's: the package binds no
+second one."""
 import ast
 import pathlib
 
@@ -47,3 +48,15 @@ def test_every_definition_has_a_caller():
                     and node.name not in seen | _names(tree, skip=node)):
                 orphans.append(f"{path.stem}.{node.name}")
     assert orphans == []
+
+
+def test_package_binds_no_second_names():
+    # every public object has one name, its module's (kolgas.sim.simulate),
+    # so the package itself holds its docstring and __version__ alone
+    docstring, *body = _tree(ROOT / "src" / "kolgas" / "__init__.py").body
+    assert isinstance(docstring, ast.Expr)
+    others = [ast.unparse(node) for node in body
+              if not (isinstance(node, ast.Assign)
+                      and [ast.unparse(t) for t in node.targets]
+                      == ["__version__"])]
+    assert others == []
