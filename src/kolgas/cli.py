@@ -21,8 +21,10 @@ import argparse
 import dataclasses
 import json
 import math
+import operator
 import os
 import sys
+from typing import Iterable
 
 import numpy as np
 
@@ -45,6 +47,9 @@ RELAX_SEEDS_CAP = 10**4
 
 _ANGSTROM = 1e-10
 
+#: Lines a CSV writer joins into one write.
+_ROWS_PER_WRITE = 4096
+
 
 def _manifest(command: str, params: dict, seed: int | None = None) -> dict:
     """Provenance block embedded in every output artifact."""
@@ -57,17 +62,19 @@ def _manifest(command: str, params: dict, seed: int | None = None) -> dict:
     }
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _row_format(columns: int) -> str:
+    """``%`` format of a CSV row of floats, 17 digits each to read back."""
+    return ",".join(["%.17g"] * columns)
 
 
-def _write(text: str, path: str) -> None:
+def _write(chunks: Iterable[str], path: str) -> None:
+    """Write the strings ``chunks`` yields to ``path``, or stdout for -."""
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -98,36 +105,38 @@ def _json(obj: dict, indent: int | None = None) -> str:
 
 
 def _emit_json(payload: dict, path: str) -> None:
-    _write(_json(payload, indent=2) + "\n", path)
+    _write([_json(payload, indent=2) + "\n"], path)
 
 
 def _emit_csv(manifest: dict, header: str, rows: list[str],
               path: str) -> None:
+    """Write the manifest line, the header and ``rows``, a block at a time."""
     lines = [f"# manifest: {_json(manifest)}", header, *rows]
-    _write("\n".join(lines) + "\n", path)
+    _write(("\n".join(lines[i:i + _ROWS_PER_WRITE]) + "\n"
+            for i in range(0, len(lines), _ROWS_PER_WRITE)), path)
 
 
 # ---------------------------------------------------------------------------
 # state / sweep
 
+#: (name, ThermoState field) of each state column that both the ``state``
+#: report and the ``sweep`` table carry, in the table's column order.
+_STATE_COLUMNS = (("lambda_th_m", "lambda_th"), ("slot_count", "M"),
+                  ("slots_per_particle", "A"), ("kappa", "kappa"),
+                  ("gamma", "gamma"), ("free_energy_J", "F"),
+                  ("entropy_J_per_K", "S"), ("pressure_Pa", "P"),
+                  ("chemical_potential_J", "mu"), ("internal_energy_J", "U"),
+                  ("heat_capacity_v_J_per_K", "c_V"))
+
+
 def _state_payload(state: ThermoState, spec: GasSpec) -> dict:
     return {
+        **{name: getattr(state, field) for name, field in _STATE_COLUMNS},
         "T": spec.T, "V": spec.V, "N": spec.N,
         "statistics": spec.statistics,
-        "lambda_th_m": state.lambda_th,
         "lambda_th_angstrom": state.lambda_th / _ANGSTROM,
-        "slot_count": state.M,
-        "slots_per_particle": state.A,
-        "kappa": state.kappa,
-        "gamma": state.gamma,
-        "free_energy_J": state.F,
-        "entropy_J_per_K": state.S,
         "entropy_per_particle_kb": state.S / (K_BOLTZMANN * spec.N),
-        "pressure_Pa": state.P,
-        "chemical_potential_J": state.mu,
         "chemical_potential_over_kt": state.mu / (K_BOLTZMANN * spec.T),
-        "internal_energy_J": state.U,
-        "heat_capacity_v_J_per_K": state.c_V,
         "energy_exponents": {"T": state.e_T, "V": state.e_V, "N": state.e_N},
         "lambda_V_m": state.lambda_V,
     }
@@ -193,12 +202,6 @@ def cmd_state(args: argparse.Namespace) -> int:
     return 0
 
 
-_SWEEP_COLUMNS = ("lambda_th_m", "slot_count", "slots_per_particle", "kappa",
-                  "gamma", "free_energy_J", "entropy_J_per_K", "pressure_Pa",
-                  "chemical_potential_J", "internal_energy_J",
-                  "heat_capacity_v_J_per_K")
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.var not in ("T", "V", "N"):
         raise DomainError("sweep variable must be one of T, V, N")
@@ -211,24 +214,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid = (np.geomspace if args.log else np.linspace)(
         args.start, args.stop, args.points
     )
-    base = {"T": args.temp, "V": args.volume, "N": args.count}
+    names, fields = zip(*_STATE_COLUMNS)
+    columns = operator.attrgetter(*fields)
+    row = _row_format(1 + len(fields))
+    point = {"T": args.temp, "V": args.volume, "N": args.count}
     rows = []
-    for value in grid:
-        pt = dict(base)
-        pt[args.var] = float(value)
-        spec = GasSpec(pt["T"], pt["V"], pt["N"], species, statistics)
-        payload = _state_payload(state_equations(spec), spec)
-        rows.append(",".join(
-            [_fmt(float(value))] + [_fmt(payload[c]) for c in _SWEEP_COLUMNS]
-        ))
+    for value in grid.tolist():
+        point[args.var] = value
+        state = state_equations(GasSpec(point["T"], point["V"], point["N"],
+                                         species, statistics))
+        rows.append(row % (value, *columns(state)))
     manifest = _manifest("sweep", {
         "gas": species.name, "var": args.var, "from": args.start,
         "to": args.stop, "points": args.points, "log": bool(args.log),
         "temp": args.temp, "volume": args.volume, "count": args.count,
         "statistics": statistics,
     })
-    _emit_csv(manifest, ",".join((args.var,) + _SWEEP_COLUMNS), rows,
-              args.output)
+    _emit_csv(manifest, ",".join((args.var, *names)), rows, args.output)
     return 0
 
 
@@ -260,7 +262,7 @@ def cmd_randomness_generate(args: argparse.Namespace) -> int:
     # before the list file is written.
     receipt = _json(payload, indent=2) + "\n"
     rnd.write_list_file(args.output, enc, raw=args.raw)
-    _write(receipt, "-")
+    _write([receipt], "-")
     return 0
 
 
@@ -339,19 +341,16 @@ _TRACE_HEADER = "t,D_hat,K_orient,K_nn,chi2_orient,chi2_pos"
 
 def _write_trace(manifest: dict, trace: simmod.DisorderTrace,
                  path: str) -> None:
-    rows = [
-        ",".join(_fmt(v) for v in row)
-        for row in zip(trace.t, trace.d_hat, trace.k_orient, trace.k_nn,
-                       trace.chi2_orient, trace.chi2_pos)
-    ]
+    columns = (trace.t, trace.d_hat, trace.k_orient, trace.k_nn,
+               trace.chi2_orient, trace.chi2_pos)
+    row = _row_format(len(columns))
+    rows = [row % v for v in zip(*(col.tolist() for col in columns))]
     _emit_csv(manifest, _TRACE_HEADER, rows, path)
 
 
 def _write_events(manifest: dict, events: dict, path: str) -> None:
-    rows = [
-        f"{_fmt(t)},{pid},{_fmt(th)},{_fmt(ph)},{_fmt(sp)}"
-        for t, pid, th, ph, sp in zip(*events.values())
-    ]
+    row = "%.17g,%d," + _row_format(3)  # particle_id is the one integer
+    rows = [row % v for v in zip(*(c.tolist() for c in events.values()))]
     _emit_csv(manifest, ",".join(events), rows, path)
 
 

@@ -628,6 +628,11 @@ _WINDOW = 8 * _CHUNK
 #: line break, such as /dev/zero, is read no further.
 _LINE_LIMIT = 16 * _CHUNK
 
+#: Most line breaks a decimal body holds, blank lines counted: room for
+#: every datum of the longest list and a blank line after each, and an
+#: end to a body of endless blank lines, which hold no datum.
+_BODY_LINES = 2 * LIST_SIZE_CAP
+
 
 def _decimal_body(fh: BinaryIO, n: int, path: str) -> np.ndarray:
     """The n data of the decimal body that ``fh`` reads on, one unsigned
@@ -638,9 +643,10 @@ def _decimal_body(fh: BinaryIO, n: int, path: str) -> np.ndarray:
     where blank lines are skipped and the last line may lack its "\\n".
     The body is parsed in whole lines, ``_WINDOW`` bytes and the rest of
     the line they stop in at a time, so no temporary grows with the list,
-    and the read ends at the first window that holds more than n data."""
+    and the read ends at the first window that holds more than n data or
+    takes the body past ``_BODY_LINES`` line breaks."""
     values = np.empty(n, dtype=np.int64)
-    count = 0
+    count = lines = 0
     while text := fh.read(_WINDOW):
         if not text.endswith(b"\n"):
             rest = fh.readline(_LINE_LIMIT)
@@ -648,7 +654,11 @@ def _decimal_body(fh: BinaryIO, n: int, path: str) -> np.ndarray:
                 raise FormatError(f"{path}: a body line runs on past "
                                   f"{_LINE_LIMIT} bytes")
             text += rest
-        data = _decimal_values(np.frombuffer(text, np.uint8), path)
+        data, breaks = _decimal_values(np.frombuffer(text, np.uint8), path)
+        lines += breaks
+        if lines > _BODY_LINES:
+            raise FormatError(f"{path}: body runs on past {_BODY_LINES} "
+                              "lines")
         if count + data.size > n:
             raise FormatError(f"{path}: body has more than {n} decimal "
                               f"data, header says {n}")
@@ -660,8 +670,9 @@ def _decimal_body(fh: BinaryIO, n: int, path: str) -> np.ndarray:
     return values
 
 
-def _decimal_values(text: np.ndarray, path: str) -> np.ndarray:
-    """The data of ``text``, whole lines of a decimal body as uint8."""
+def _decimal_values(text: np.ndarray, path: str) -> tuple[np.ndarray, int]:
+    """The data of ``text``, whole lines of a decimal body as uint8, and
+    the count of its line breaks."""
     digits = text - np.uint8(ord("0"))
     is_digit = digits < 10
     edges = np.flatnonzero(np.diff(is_digit, prepend=False, append=False))
@@ -704,4 +715,4 @@ def _decimal_values(text: np.ndarray, path: str) -> np.ndarray:
             raise FormatError(
                 f"{path}: a datum of {width[i]} digits exceeds int64")
         values[i] = value
-    return values
+    return values, lf.size

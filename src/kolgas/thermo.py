@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .combinatorics import net_disorder_intensive
 from .constants import H_PLANCK, K_BOLTZMANN, SpeciesSpec
@@ -40,8 +41,8 @@ class GasSpec:
     statistics: str = "fermi"
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(x) and x > 0.0
-                   for x in (self.T, self.V, self.N)):
+        if not (0.0 < self.T < math.inf and 0.0 < self.V < math.inf
+                and 0.0 < self.N < math.inf):
             raise DomainError("GasSpec needs finite T > 0, V > 0, N > 0")
         if self.statistics not in STATISTICS:
             raise DomainError(
@@ -49,8 +50,7 @@ class GasSpec:
             )
 
 
-@dataclass(frozen=True)
-class ThermoState:
+class ThermoState(NamedTuple):
     """Full set of state quantities for one macrostate.
 
     ``lambda_V`` is the volumetric pattern length (N lambda_th^3)^(1/3),

@@ -1,6 +1,7 @@
 """Command-line behaviour: artifact schemas, manifests, exit codes, and
 byte-level determinism of reruns."""
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -10,10 +11,15 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as strat
 
 import kolgas
 from kolgas.cli import RELAX_SEEDS_CAP, SWEEP_POINTS_CAP, main
+from kolgas.constants import species_lookup
+from kolgas.thermo import GasSpec, state_equations
 
 from conftest import load_schema
 
@@ -124,6 +130,73 @@ def test_sweep_rejects_points_above_the_cap(capsys):
     assert code == 2
     assert out == ""
     assert str(SWEEP_POINTS_CAP) in err
+
+
+# SHA-256 of stdout, taken from the code that formatted each field with
+# format(x, ".17g") and wrote the file as one string; the 5000-row V
+# sweep spans more than one of the writer's blocks
+@pytest.mark.parametrize("argv, digest", [
+    (("--gas", "he3", "--var", "T", "--from", "2", "--to", "40",
+      "--points", "7", "--log"),
+     "12f79a3ba07faa956061164232f3d62eca950d2e8931d31d3c01afc959ed7cce"),
+    (("--gas", "he4", "--var", "V", "--from", "1e-6", "--to", "1e-2",
+      "--points", "5000"),
+     "07a4edf2ac300be2ecef8b6582e8435eb3134828cd024ac9432679c25e9f8017"),
+    (("--gas", "he4", "--var", "N", "--from", "1e10", "--to", "1e18",
+      "--points", "7", "--log"),
+     "e08f8d7d12f38d6a505c56daf3ba14e575f81f1221464817f061b55101389fb6"),
+    (("--gas", "he3", "--var", "N", "--from", "1e10", "--to", "1e18",
+      "--points", "7"),
+     "1b5f3e45aeea4ffa4a16ee64034761269bb4689a573b7a7798f51d1b60d1a5fc"),
+], ids=["he3-T-log", "he4-V-linear", "he4-N-log", "he3-N-linear"])
+def test_sweep_pinned_bytes(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, "sweep", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+# every grid point of these ranges is far from degeneracy for both gases
+_SWEEP_RANGES = {"T": (0.0, 2.0), "V": (-8.0, 0.0), "N": (3.0, 20.0)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(var=strat.sampled_from("TVN"), gas=strat.sampled_from(["he3", "he4"]),
+       ends=strat.tuples(strat.floats(0.0, 1.0), strat.floats(0.0, 1.0)),
+       points=strat.integers(2, 20), log=strat.booleans())
+def test_sweep_rows_match_per_field_format(var, gas, ends, points, log):
+    lo, hi = _SWEEP_RANGES[var]
+    start, stop = (10.0 ** (lo + (hi - lo) * u) for u in ends)
+    argv = ["sweep", "--gas", gas, "--var", var, "--from", repr(start),
+            "--to", repr(stop), "--points", str(points)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv + ["--log"] * log) == 0
+    rows = out.getvalue().splitlines()[2:]
+    species = species_lookup(gas)
+    statistics = "fermi" if gas == "he3" else "bose"
+    expected = []
+    for value in (np.geomspace if log else np.linspace)(start, stop, points):
+        point = {"T": 10.0, "V": 1.8e-4, "N": 1.7e16, var: float(value)}
+        st = state_equations(GasSpec(point["T"], point["V"], point["N"],
+                                     species, statistics))
+        expected.append(",".join(format(x, ".17g") for x in (
+            float(value), st.lambda_th, st.M, st.A, st.kappa, st.gamma,
+            st.F, st.S, st.P, st.mu, st.U, st.c_V)))
+    assert rows == expected
+
+
+def test_sweep_degenerate_mid_grid_exits_2_and_writes_nothing(tmp_path,
+                                                              capsys):
+    # 2A falls below 1 at N = 1e26, the 11th of 13 rows
+    out = tmp_path / "sweep.csv"
+    code, stdout, err = run_cli(capsys, "sweep", "--var", "N", "--from",
+                                "1e16", "--to", "1e28", "--points", "13",
+                                "--log", "--output", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: degenerate regime")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 # --- randomness pipeline -----------------------------------------------------------
@@ -291,7 +364,8 @@ def _cap_address_space():
     (None, "/dev/urandom"),                # a first line that is no header
     ("printf '2 8 tag\\n'; exec cat /dev/zero", "-"),   # an endless line
     ("printf '2 8 tag raw\\n'; exec cat /dev/zero", "-"),  # raw, too long
-], ids=["zero", "urandom", "decimal-body", "raw-body"])
+    ("printf '2 8 tag\\n'; exec yes ''", "-"),   # blank lines, no datum
+], ids=["zero", "urandom", "decimal-body", "raw-body", "blank-lines"])
 def test_audit_endless_input_exits_3(feed, path):
     # an input with no end fails on what its start shows, within the cap
     if not (os.path.exists("/dev/zero") and os.path.exists("/dev/urandom")):

@@ -130,7 +130,7 @@ def test_legendre_consistency_exact():
 
 def test_legendre_rejects_inconsistent_state():
     st = state_equations(REF)
-    bad = st.__class__(**{**st.__dict__, "U": st.U * 1.001})
+    bad = st._replace(U=st.U * 1.001)
     with pytest.raises(DomainError):
         _legendre_potentials(bad, REF)
 
