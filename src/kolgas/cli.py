@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import operator
 import os
 import sys
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -69,14 +70,19 @@ def _row_format(columns: int) -> str:
 
 def _write(chunks: Iterable[str], path: str) -> None:
     """Write the strings ``chunks`` yields to ``path``, or stdout for -."""
-    if path == "-":
-        sys.stdout.writelines(chunks)
-        return
     try:
+        if path == "-":
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+            return
         with open(path, "w", encoding="ascii") as fh:
             fh.writelines(chunks)
     except OSError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+        if path == "-":  # the exit flush of what is left must not fail too
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        name = "stdout" if path == "-" else path
+        raise FormatError(f"{name}: {exc}") from exc
 
 
 def _check_distinct(*outputs: tuple[str, str | None]) -> None:
@@ -108,12 +114,19 @@ def _emit_json(payload: dict, path: str) -> None:
     _write([_json(payload, indent=2) + "\n"], path)
 
 
-def _emit_csv(manifest: dict, header: str, rows: list[str],
+def _emit_csv(manifest: dict, header: str, rows: Iterable[str],
               path: str) -> None:
     """Write the manifest line, the header and ``rows``, a block at a time."""
-    lines = [f"# manifest: {_json(manifest)}", header, *rows]
-    _write(("\n".join(lines[i:i + _ROWS_PER_WRITE]) + "\n"
-            for i in range(0, len(lines), _ROWS_PER_WRITE)), path)
+    lines = itertools.chain((f"# manifest: {_json(manifest)}", header), rows)
+    blocks = iter(lambda: list(itertools.islice(lines, _ROWS_PER_WRITE)), [])
+    _write(("\n".join(block) + "\n" for block in blocks), path)
+
+
+def _column_rows(row: str, *columns: np.ndarray) -> Iterator[str]:
+    """``row % values`` for each row of ``columns``, a block at a time."""
+    for i in range(0, len(columns[0]), _ROWS_PER_WRITE):
+        block = (column[i:i + _ROWS_PER_WRITE].tolist() for column in columns)
+        yield from (row % values for values in zip(*block))
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +227,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid = (np.geomspace if args.log else np.linspace)(
         args.start, args.stop, args.points
     )
+    point = {"T": args.temp, "V": args.volume, "N": args.count}
+
+    def state(value: float) -> ThermoState:
+        point[args.var] = value
+        return state_equations(GasSpec(*point.values(), species, statistics))
+
+    # Each row's checks are monotone in the swept variable: extremes decide.
+    for value in grid[sorted((grid.argmin(), grid.argmax()))].tolist():
+        state(value)
     names, fields = zip(*_STATE_COLUMNS)
     columns = operator.attrgetter(*fields)
     row = _row_format(1 + len(fields))
-    point = {"T": args.temp, "V": args.volume, "N": args.count}
-    rows = []
-    for value in grid.tolist():
-        point[args.var] = value
-        state = state_equations(GasSpec(point["T"], point["V"], point["N"],
-                                         species, statistics))
-        rows.append(row % (value, *columns(state)))
+    rows = (row % (value, *columns(state(value))) for value in grid.tolist())
     manifest = _manifest("sweep", {
         "gas": species.name, "var": args.var, "from": args.start,
         "to": args.stop, "points": args.points, "log": bool(args.log),
@@ -343,15 +359,14 @@ def _write_trace(manifest: dict, trace: simmod.DisorderTrace,
                  path: str) -> None:
     columns = (trace.t, trace.d_hat, trace.k_orient, trace.k_nn,
                trace.chi2_orient, trace.chi2_pos)
-    row = _row_format(len(columns))
-    rows = [row % v for v in zip(*(col.tolist() for col in columns))]
-    _emit_csv(manifest, _TRACE_HEADER, rows, path)
+    _emit_csv(manifest, _TRACE_HEADER,
+              _column_rows(_row_format(len(columns)), *columns), path)
 
 
 def _write_events(manifest: dict, events: dict, path: str) -> None:
     row = "%.17g,%d," + _row_format(3)  # particle_id is the one integer
-    rows = [row % v for v in zip(*(c.tolist() for c in events.values()))]
-    _emit_csv(manifest, ",".join(events), rows, path)
+    _emit_csv(manifest, ",".join(events), _column_rows(row, *events.values()),
+              path)
 
 
 def cmd_sim_relax(args: argparse.Namespace) -> int:

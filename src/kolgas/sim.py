@@ -29,7 +29,6 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .calibration import load_calibration
 from .constants import K_BOLTZMANN, SpeciesSpec
@@ -323,6 +322,7 @@ def sample_disorder(pos: np.ndarray, vel: np.ndarray,
                         source_tag="orientation")
     k_orient = estimate_complexity(enc_o).k_hat
 
+    from scipy.spatial import cKDTree  # here, so only sampling loads scipy
     nn_dist = cKDTree(pos).query(pos, k=2)[0][:, 1]
     enc_nn = encode_list(quantize(nn_dist, k, bounds=(0.0, diag)), k=k,
                          source_tag="nn-distance")
@@ -386,6 +386,7 @@ class _Sampler:
     """
 
     def __init__(self) -> None:
+        import scipy.spatial  # noqa: F401  before the fork, not in the child
         ctx = multiprocessing.get_context("fork")
         self.slots = np.frombuffer(mmap.mmap(-1, _SLOTS * _SLOT.itemsize),
                                    dtype=_SLOT)

@@ -148,10 +148,15 @@ def state_equations(spec: GasSpec) -> ThermoState:
         leave their domain.
     """
     lam = thermal_length(spec.T, spec.species.mass)
-    if lam**3 == 0.0:
+    try:
+        lam3 = lam**3
+    except OverflowError as exc:
+        raise DomainError(f"the thermal volume lambda_th^3 at T={spec.T:g} K "
+                          "overflows") from exc
+    if lam3 == 0.0:
         raise DomainError(f"the thermal volume lambda_th^3 at T={spec.T:g} K "
                           "underflows to 0")
-    M = spec.V / lam**3
+    M = spec.V / lam3
     A = M / spec.N
     N, T, V = spec.N, spec.T, spec.V
 

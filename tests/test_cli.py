@@ -1,14 +1,18 @@
 """Command-line behaviour: artifact schemas, manifests, exit codes, and
 byte-level determinism of reruns."""
 import contextlib
+import functools
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import resource
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -17,8 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as strat
 
 import kolgas
-from kolgas.cli import RELAX_SEEDS_CAP, SWEEP_POINTS_CAP, main
+from kolgas.cli import (_ROWS_PER_WRITE, RELAX_SEEDS_CAP, SWEEP_POINTS_CAP,
+                        _write_events, main)
 from kolgas.constants import species_lookup
+from kolgas.errors import DomainError
 from kolgas.thermo import GasSpec, state_equations
 
 from conftest import load_schema
@@ -155,6 +161,25 @@ def test_sweep_pinned_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
+def _sweep_rows(var, gas, start, stop, points, log):
+    """The rows of a sweep from the default state, each field formatted
+    by itself with format(x, ".17g"); None if any row leaves the domain."""
+    species = species_lookup(gas)
+    statistics = "fermi" if gas == "he3" else "bose"
+    expected = []
+    for value in (np.geomspace if log else np.linspace)(start, stop, points):
+        point = {"T": 10.0, "V": 1.8e-4, "N": 1.7e16, var: float(value)}
+        try:
+            st = state_equations(GasSpec(point["T"], point["V"], point["N"],
+                                         species, statistics))
+        except DomainError:
+            return None
+        expected.append(",".join(format(x, ".17g") for x in (
+            float(value), st.lambda_th, st.M, st.A, st.kappa, st.gamma,
+            st.F, st.S, st.P, st.mu, st.U, st.c_V)))
+    return expected
+
+
 # every grid point of these ranges is far from degeneracy for both gases
 _SWEEP_RANGES = {"T": (0.0, 2.0), "V": (-8.0, 0.0), "N": (3.0, 20.0)}
 
@@ -172,17 +197,66 @@ def test_sweep_rows_match_per_field_format(var, gas, ends, points, log):
     with contextlib.redirect_stdout(out):
         assert main(argv + ["--log"] * log) == 0
     rows = out.getvalue().splitlines()[2:]
-    species = species_lookup(gas)
-    statistics = "fermi" if gas == "he3" else "bose"
-    expected = []
-    for value in (np.geomspace if log else np.linspace)(start, stop, points):
-        point = {"T": 10.0, "V": 1.8e-4, "N": 1.7e16, var: float(value)}
-        st = state_equations(GasSpec(point["T"], point["V"], point["N"],
-                                     species, statistics))
-        expected.append(",".join(format(x, ".17g") for x in (
-            float(value), st.lambda_th, st.M, st.A, st.kappa, st.gamma,
-            st.F, st.S, st.P, st.mu, st.U, st.c_V)))
-    assert rows == expected
+    assert rows == _sweep_rows(var, gas, start, stop, points, log)
+
+
+@functools.cache
+def _domain_edge(var, gas, inside, outside):
+    """The last value, going from ``inside`` towards ``outside``, at which
+    the default state with ``var`` at that value is in the domain."""
+    def ok(value):
+        return _sweep_rows(var, gas, value, value, 2, False) is not None
+
+    assert ok(inside) and not ok(outside)
+    while True:
+        middle = math.sqrt(inside) * math.sqrt(outside)
+        if not min(inside, outside) < middle < max(inside, outside):
+            return inside
+        inside, outside = (middle, outside) if ok(middle) else (inside, middle)
+
+
+#: (var, gas, inside, outside) around each edge of a default-state
+#: sweep's domain: 2A = 1 for he3 in T and N, lambda_th^3 underflowing at
+#: high T, and A underflowing for he4 at low T.
+_DOMAIN_EDGES = [("T", "he3", 10.0, 1e-9), ("N", "he3", 1.7e16, 1e30),
+                 ("T", "he3", 10.0, 1e300), ("T", "he4", 10.0, 1e300),
+                 ("T", "he4", 10.0, 1e-300)]
+
+#: decimal exponents of a grid end's distance from its edge: decades,
+#: about a thousand floats, or none
+_EDGE_SHIFT = strat.one_of(strat.floats(-2.0, 2.0),
+                           strat.floats(-1e-13, 1e-13), strat.just(0.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge=strat.sampled_from(_DOMAIN_EDGES),
+       shifts=strat.tuples(_EDGE_SHIFT, _EDGE_SHIFT),
+       points=strat.integers(2, 20), log=strat.booleans(),
+       to_file=strat.booleans())
+def test_sweep_near_a_domain_edge_writes_every_row_or_nothing(
+        edge, shifts, points, log, to_file):
+    # the grid's two extremes decide it, so a sweep that fails on any row
+    # fails before it opens its output
+    var, gas = edge[:2]
+    value = _domain_edge(*edge)
+    start, stop = (value * 10.0 ** shift for shift in shifts)
+    expected = _sweep_rows(var, gas, start, stop, points, log)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "sweep.csv"
+        argv = ["sweep", "--gas", gas, "--var", var, "--from", repr(start),
+                "--to", repr(stop), "--points", str(points),
+                *["--log"] * log, *["--output", str(path)] * to_file]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if expected is None:
+            assert code == 2
+            assert out.getvalue() == "" and not path.exists()
+            assert err.getvalue().startswith("error: ")
+        else:
+            assert code == 0
+            text = path.read_text() if to_file else out.getvalue()
+            assert text.splitlines()[2:] == expected
 
 
 def test_sweep_degenerate_mid_grid_exits_2_and_writes_nothing(tmp_path,
@@ -197,6 +271,42 @@ def test_sweep_degenerate_mid_grid_exits_2_and_writes_nothing(tmp_path,
     assert err.startswith("error: degenerate regime")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # 2A falls below 1 at the 11th of 13 rows, and at the last of 13
+    ("--var", "N", "--from", "1e16", "--to", "1e28", "--points", "13",
+     "--log"),
+    ("--var", "T", "--from", "40", "--to", "1e-5", "--points", "13"),
+])
+def test_sweep_degenerate_at_one_end_stops_after_two_states(capsys,
+                                                            monkeypatch,
+                                                            argv):
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return state_equations(spec)
+
+    monkeypatch.setattr("kolgas.cli.state_equations", counting)
+    code, out, err = run_cli(capsys, "sweep", *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: degenerate regime")
+    assert len(calls) <= 2
+
+
+def test_sweep_memory_stays_bounded():
+    # rows are formatted and written a block at a time; holding the whole
+    # 10^5-row table before writing it peaked at 33.9 MiB
+    argv = ["sweep", "--var", "T", "--from", "2", "--to", "40", "--points",
+            "100000", "--output", os.devnull]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
 
 
 # --- randomness pipeline -----------------------------------------------------------
@@ -541,6 +651,10 @@ def test_sim_bad_particle_count_exits_2(capsys):
      "--output", os.devnull),
     ("randomness", "generate", "--kind", "smooth-box", "--k", "-1",
      "--output", os.devnull),
+    # lambda_th^3 overflows
+    ("state", "--temp", "1e-238"),
+    ("sweep", "--gas", "he4", "--var", "T", "--from", "1e-238", "--to", "10",
+     "--points", "3"),
 ])
 def test_non_finite_or_zero_input_exits_2(capsys, argv):
     if argv[0] == "sim":  # defaults first, so that argv's own values win
@@ -590,6 +704,62 @@ def test_unwritable_output_exits_3(tmp_path, capsys, argv):
     assert err.startswith(f"error: {written}: ") and err.count("\n") == 1
 
 
+def _kolgas(*argv, **kwargs) -> subprocess.Popen:
+    """``python -m kolgas.cli`` with ``argv`` in a fresh process, its
+    stdout block-buffered as by default."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(pathlib.Path(kolgas.__file__).parents[1]))
+    return subprocess.Popen([sys.executable, "-m", "kolgas.cli", *argv],
+                            env=env, **kwargs)
+
+
+@pytest.mark.parametrize("sink", ["closed-pipe", "full-device"])
+def test_unwritable_stdout_exits_3(sink):
+    # a reader that goes away early, and a device with no room: one error
+    # line, no traceback, and no second complaint from the exit flush
+    if sink == "closed-pipe":
+        with _kolgas("sweep", "--var", "T", "--from", "2", "--to", "40",
+                     "--points", "100000", stdout=subprocess.PIPE,
+                     stderr=subprocess.PIPE) as proc:
+            proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+    else:
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full here")
+        with open("/dev/full", "w") as full, \
+                _kolgas("state", stdout=full, stderr=subprocess.PIPE) as proc:
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+    assert code == 3
+    assert err.startswith("error: stdout: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_non_sim_commands_do_not_load_scipy(tmp_path):
+    # only sampling needs scipy.spatial, which costs start-up its import
+    script = "\n".join([
+        "import sys",
+        "from kolgas.cli import main",
+        "for argv in sys.argv[1:]:",
+        "    assert main(argv.split()) == 0, argv",
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']",
+        "sys.exit(f'loaded: {loaded}' if loaded else 0)",
+    ])
+    lst = tmp_path / "rng.lst"
+    done = subprocess.run(
+        [sys.executable, "-c", script, "state",
+         "sweep --var T --from 2 --to 40 --points 50",
+         f"randomness generate --kind rng --n 10000 --output {lst}",
+         f"randomness audit --input {lst}"],
+        env=dict(os.environ,
+                 PYTHONPATH=str(pathlib.Path(kolgas.__file__).parents[1])),
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def _must_not_run(*args, **kwargs):
     raise AssertionError("the simulation ran")
 
@@ -626,3 +796,39 @@ def test_trace_on_stdout_with_report_in_a_file(tmp_path, capsys):
     assert out.splitlines()[1] == "t,D_hat,K_orient,K_nn,chi2_orient,chi2_pos"
     jsonschema.validate(json.loads(report.read_text()),
                         load_schema("relax.schema.json"))
+
+
+def _synthetic_events(n):
+    rng = np.random.default_rng(8)
+    return {"t": np.cumsum(rng.random(n)),
+            "particle_id": rng.integers(0, 10**5, n),
+            "exit_theta": rng.random(n) * np.pi,
+            "exit_phi": rng.random(n) * 2.0 * np.pi,
+            "speed": rng.random(n)}
+
+
+@pytest.mark.parametrize("n", [0, 1, _ROWS_PER_WRITE - 3, _ROWS_PER_WRITE - 2,
+                               2 * _ROWS_PER_WRITE + 5])
+def test_events_csv_rows_across_blocks(tmp_path, n):
+    # the manifest and header lines share the first block with the rows
+    events = _synthetic_events(n)
+    path = tmp_path / "events.csv"
+    _write_events({"command": "test"}, events, str(path))
+    lines = path.read_text().splitlines()
+    assert lines[1] == "t,particle_id,exit_theta,exit_phi,speed"
+    assert lines[2:] == [
+        f"{format(t, '.17g')},{pid},{','.join(format(x, '.17g') for x in r)}"
+        for t, pid, *r in zip(*(c.tolist() for c in events.values()))]
+
+
+def test_events_csv_memory_stays_bounded():
+    # a block of each column is converted to Python at a time; converting
+    # whole columns and holding every row string first peaked at 293 MiB
+    events = _synthetic_events(10**6)
+    tracemalloc.start()
+    try:
+        _write_events({"command": "test"}, events, os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20

@@ -9,7 +9,10 @@ import hashlib
 import math
 import multiprocessing
 import os
+import pathlib
 import signal
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -23,6 +26,7 @@ from scipy import stats
 from kolgas import sim as simmod
 from kolgas.constants import K_BOLTZMANN as KB, species_lookup
 from kolgas.errors import DomainError, NoPlateauError
+from kolgas.randomness import two_cpus
 from kolgas.thermo import GasSpec, state_equations
 from kolgas.sim import (
     INIT_MODES,
@@ -403,6 +407,31 @@ def sampler():
 
 def in_process(monkeypatch):
     monkeypatch.setattr(simmod, "_sampler", lambda: None)
+
+
+def test_sampler_forks_with_scipy_loaded():
+    # sim loads scipy.spatial only to sample, and the sampler before it
+    # forks, so its child never imports scipy itself
+    if not two_cpus():
+        pytest.skip("no sampler here: one usable CPU")
+    script = "\n".join([
+        "import sys",
+        "from multiprocessing.context import ForkProcess",
+        "from kolgas import sim",
+        "assert 'scipy' not in sys.modules",
+        "start = ForkProcess.start",
+        "def checked_start(self):",
+        "    assert 'scipy.spatial' in sys.modules, 'forked without scipy'",
+        "    start(self)",
+        "ForkProcess.start = checked_start",
+        "assert sim._sampler() is not None",
+    ])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ,
+                 PYTHONPATH=str(pathlib.Path(simmod.__file__).parents[1])),
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("model", WALL_MODELS)
