@@ -233,11 +233,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         point[args.var] = value
         return state_equations(GasSpec(*point.values(), species, statistics))
 
-    # Each row's checks are monotone in the swept variable: extremes decide.
-    for value in grid[sorted((grid.argmin(), grid.argmax()))].tolist():
-        state(value)
     names, fields = zip(*_STATE_COLUMNS)
     columns = operator.attrgetter(*fields)
+    # Each row's checks, and whether its columns are finite, are monotone
+    # in the swept variable: the extremes decide.
+    for value in grid[sorted((grid.argmin(), grid.argmax()))].tolist():
+        if not all(map(math.isfinite, columns(state(value)))):
+            raise DomainError(f"result is not finite at {args.var}={value:g}")
     row = _row_format(1 + len(fields))
     rows = (row % (value, *columns(state(value))) for value in grid.tolist())
     manifest = _manifest("sweep", {
@@ -363,16 +365,18 @@ def _write_trace(manifest: dict, trace: simmod.DisorderTrace,
               _column_rows(_row_format(len(columns)), *columns), path)
 
 
-def _write_events(manifest: dict, events: dict, path: str) -> None:
+def _write_events(manifest: dict, log: list, path: str) -> None:
+    """Write a run's wall-event log, ``SimState.event_log``, chunk by chunk."""
     row = "%.17g,%d," + _row_format(3)  # particle_id is the one integer
-    _emit_csv(manifest, ",".join(events), _column_rows(row, *events.values()),
-              path)
+    rows = itertools.chain.from_iterable(
+        _column_rows(row, *chunk) for chunk in log)
+    _emit_csv(manifest, ",".join(simmod.EVENT_COLUMNS), rows, path)
 
 
 def cmd_sim_relax(args: argparse.Namespace) -> int:
     _check_distinct(("--output", args.output),
-                    ("--trace-output", args.trace_output or None),
-                    ("--events-output", args.events_output or None))
+                    ("--trace-output", args.trace_output),
+                    ("--events-output", args.events_output))
     if not 1 <= args.seeds <= RELAX_SEEDS_CAP:
         raise DomainError(f"seeds must be in 1..{RELAX_SEEDS_CAP}")
     seeds = (
@@ -387,8 +391,8 @@ def cmd_sim_relax(args: argparse.Namespace) -> int:
     last_run = None
     for i, seed in enumerate(seeds):
         # only the last run's events are written
-        cfg = _sim_config(args, seed, keep_events=bool(args.events_output)
-                          and i == len(seeds) - 1)
+        cfg = _sim_config(args, seed, keep_events=(
+            args.events_output is not None and i == len(seeds) - 1))
         run = simmod.simulate(cfg, args.init)
         last_run = run
         entry = {
@@ -410,10 +414,10 @@ def cmd_sim_relax(args: argparse.Namespace) -> int:
 
     # Side files go first, so one that cannot be written exits 3 before
     # any report reaches stdout.
-    if args.trace_output:
+    if args.trace_output is not None:
         _write_trace(manifest, last_run.trace, args.trace_output)
-    if args.events_output:
-        _write_events(manifest, last_run.final_state.events(),
+    if args.events_output is not None:
+        _write_events(manifest, last_run.final_state.event_log,
                       args.events_output)
     payload = {
         "manifest": manifest,
@@ -427,7 +431,7 @@ def cmd_sim_relax(args: argparse.Namespace) -> int:
 def cmd_sim_joule(args: argparse.Namespace) -> int:
     trace_paths = ([args.trace_prefix + ".before.csv",
                     args.trace_prefix + ".after.csv"]
-                   if args.trace_prefix else [])
+                   if args.trace_prefix is not None else [])
     _check_distinct(("--output", args.output),
                     *(("--trace-prefix", path) for path in trace_paths))
     cfg = _sim_config(args, args.seed)

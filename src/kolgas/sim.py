@@ -23,6 +23,7 @@ import mmap
 import multiprocessing
 import os
 import signal
+import sys
 import threading
 import warnings
 from collections import deque
@@ -52,6 +53,15 @@ TRACE_SAMPLES_CAP = 10**5
 #: 1e154 on, the normal overflows and no draw ever does.
 PERTURBATION_CAP = 10.0
 
+#: Standard deviations of the thermal velocity distribution out to which
+#: every squared speed must stay finite; this bounds ``T_wall`` from above
+#: (about 1.4e301 K for he3).  Past it a thermal wall's speeds, and the
+#: norms sampling takes of them, overflow to inf.
+THERMAL_TAIL_SIGMAS = 40.0
+
+#: The columns of each entry of the wall-event log, ``SimState.event_log``.
+EVENT_COLUMNS = ("t", "particle_id", "exit_theta", "exit_phi", "speed")
+
 _ORIENT_BINS = 16
 _POS_BINS = 8
 
@@ -64,8 +74,8 @@ class SimConfig:
     ``perturbation`` is the site-normal tilt scale (radians-like, the
     standard deviation of the tangential normal components) used by
     ``specular_random_sites``, at most ``PERTURBATION_CAP``.
-    ``keep_events`` keeps the wall-event log that ``SimState.events``
-    returns; the event count is kept either way.
+    ``keep_events`` keeps the wall-event log in ``SimState.event_log``;
+    the event count is kept either way.
     """
 
     n_particles: int
@@ -93,6 +103,12 @@ class SimConfig:
             raise DomainError("box must be three positive edge lengths")
         if self.T_wall <= 0.0:
             raise DomainError("T_wall must be positive")
+        t_max = (sys.float_info.max * self.species.mass
+                 / (3.0 * THERMAL_TAIL_SIGMAS**2 * K_BOLTZMANN))
+        if self.T_wall > t_max:
+            raise DomainError(
+                f"T_wall must be at most {t_max:.3g} K for "
+                f"{self.species.name}, or thermal speeds overflow")
         if self.wall_model not in WALL_MODELS:
             raise DomainError(f"wall_model must be one of {WALL_MODELS}")
         if self.seed < 0 or self.seed >= 2**64:
@@ -133,28 +149,16 @@ def member_seed(base_seed: int, index: int) -> int:
 @dataclass
 class SimState:
     """Mutable particle state plus the wall-event count and, if the config
-    keeps it, the wall-event log."""
+    keeps it, the wall-event log: one tuple of ``EVENT_COLUMNS`` arrays
+    per ``wall_scatter`` call, in call order."""
 
     config: SimConfig
     time: float
     pos: np.ndarray        # (n, 3), m
     vel: np.ndarray        # (n, 3), m/s
     rng: np.random.Generator
-    _event_chunks: list = field(default_factory=list)
+    event_log: list = field(default_factory=list)
     n_events: int = 0
-
-    def events(self) -> dict[str, np.ndarray]:
-        """Wall events so far as column arrays, in this order: t,
-        particle_id, exit_theta, exit_phi, speed."""
-        if not self.config.keep_events:
-            raise DomainError("this run kept no wall-event log "
-                              "(SimConfig.keep_events is off)")
-        empty = np.empty(0)
-        chunks = [(empty, np.empty(0, dtype=np.int64), empty, empty, empty),
-                  *self._event_chunks]
-        names = ("t", "particle_id", "exit_theta", "exit_phi", "speed")
-        return {name: np.concatenate(col)
-                for name, col in zip(names, zip(*chunks))}
 
 
 def _maxwell_velocities(rng: np.random.Generator, n: int, T: float,
@@ -235,7 +239,7 @@ def wall_scatter(state: SimState, idx: np.ndarray, axis: np.ndarray,
         speed = np.linalg.norm(v, axis=1)
         theta = np.arccos(np.clip(v[:, 2] / speed, -1.0, 1.0))
         phi = np.arctan2(v[:, 1], v[:, 0])
-        state._event_chunks.append(
+        state.event_log.append(
             (t_event.copy(), idx.astype(np.int64), theta, phi, speed)
         )
 

@@ -163,7 +163,8 @@ def test_sweep_pinned_bytes(capsys, argv, digest):
 
 def _sweep_rows(var, gas, start, stop, points, log):
     """The rows of a sweep from the default state, each field formatted
-    by itself with format(x, ".17g"); None if any row leaves the domain."""
+    by itself with format(x, ".17g"); None if any row leaves the domain or
+    holds a value that is not finite."""
     species = species_lookup(gas)
     statistics = "fermi" if gas == "he3" else "bose"
     expected = []
@@ -174,9 +175,11 @@ def _sweep_rows(var, gas, start, stop, points, log):
                                          species, statistics))
         except DomainError:
             return None
-        expected.append(",".join(format(x, ".17g") for x in (
-            float(value), st.lambda_th, st.M, st.A, st.kappa, st.gamma,
-            st.F, st.S, st.P, st.mu, st.U, st.c_V)))
+        row = (float(value), st.lambda_th, st.M, st.A, st.kappa, st.gamma,
+               st.F, st.S, st.P, st.mu, st.U, st.c_V)
+        if not all(map(math.isfinite, row)):
+            return None
+        expected.append(",".join(format(x, ".17g") for x in row))
     return expected
 
 
@@ -216,11 +219,15 @@ def _domain_edge(var, gas, inside, outside):
 
 
 #: (var, gas, inside, outside) around each edge of a default-state
-#: sweep's domain: 2A = 1 for he3 in T and N, lambda_th^3 underflowing at
-#: high T, and A underflowing for he4 at low T.
+#: sweep's domain: 2A = 1 for he3 in T and N, A underflowing for he4 at
+#: low T, and the last finite row at high T and V, where the slot count
+#: overflows (at high T before lambda_th^3 underflows), and at low N,
+#: where A does.
 _DOMAIN_EDGES = [("T", "he3", 10.0, 1e-9), ("N", "he3", 1.7e16, 1e30),
                  ("T", "he3", 10.0, 1e300), ("T", "he4", 10.0, 1e300),
-                 ("T", "he4", 10.0, 1e-300)]
+                 ("T", "he4", 10.0, 1e-300), ("V", "he3", 1.8e-4, 1e300),
+                 ("V", "he4", 1.8e-4, 1e300), ("N", "he3", 1.7e16, 1e-300),
+                 ("N", "he4", 1.7e16, 1e-300)]
 
 #: decimal exponents of a grid end's distance from its edge: decades,
 #: about a thousand floats, or none
@@ -255,8 +262,11 @@ def test_sweep_near_a_domain_edge_writes_every_row_or_nothing(
             assert err.getvalue().startswith("error: ")
         else:
             assert code == 0
-            text = path.read_text() if to_file else out.getvalue()
-            assert text.splitlines()[2:] == expected
+            rows = (path.read_text() if to_file
+                    else out.getvalue()).splitlines()[2:]
+            assert rows == expected
+            assert all(math.isfinite(float(x))
+                       for row in rows for x in row.split(","))
 
 
 def test_sweep_degenerate_mid_grid_exits_2_and_writes_nothing(tmp_path,
@@ -655,6 +665,9 @@ def test_sim_bad_particle_count_exits_2(capsys):
     ("state", "--temp", "1e-238"),
     ("sweep", "--gas", "he4", "--var", "T", "--from", "1e-238", "--to", "10",
      "--points", "3"),
+    # A overflows, so kappa, gamma, F, ... are inf or nan on every row
+    ("sweep", "--var", "T", "--from", "1", "--to", "2", "--points", "2",
+     "--count", "5e-324"),
 ])
 def test_non_finite_or_zero_input_exits_2(capsys, argv):
     if argv[0] == "sim":  # defaults first, so that argv's own values win
@@ -702,6 +715,38 @@ def test_unwritable_output_exits_3(tmp_path, capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith(f"error: {written}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option", ["--output", "--trace-output",
+                                    "--events-output"])
+def test_empty_output_path_exits_3(capsys, option):
+    code, out, err = run_cli(capsys, "sim", "relax", *_SMALL_SIM, option, "")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: : ") and err.count("\n") == 1
+
+
+def test_empty_trace_prefix_writes_dot_files(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run_cli(capsys, "sim", "joule", *_SMALL_SIM,
+                         "--trace-prefix", "")
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".after.csv",
+                                                         ".before.csv"]
+
+
+@pytest.mark.parametrize("temp", ["1e304", "1e305"])
+def test_thermal_tail_overflow_exits_2(capsys, temp):
+    # speeds 40 sigma out would square to inf: the events CSV got inf
+    # speeds, stderr numpy warnings (errors here), or at 1e305 an error
+    # that named the output cadence
+    code, out, err = run_cli(capsys, "sim", "relax", "--wall-model",
+                             "langmuir_thermal", "--particles", "20",
+                             "--transits", "1", "--temp", temp,
+                             "--events-output", os.devnull)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: T_wall ") and err.count("\n") == 1
 
 
 def _kolgas(*argv, **kwargs) -> subprocess.Popen:
@@ -798,37 +843,58 @@ def test_trace_on_stdout_with_report_in_a_file(tmp_path, capsys):
                         load_schema("relax.schema.json"))
 
 
-def _synthetic_events(n):
+def _synthetic_log(n):
+    """A wall-event log of ``n`` synthetic events, cut into chunks that end
+    inside and across the 4096-row blocks, at least one of them empty."""
     rng = np.random.default_rng(8)
-    return {"t": np.cumsum(rng.random(n)),
-            "particle_id": rng.integers(0, 10**5, n),
-            "exit_theta": rng.random(n) * np.pi,
-            "exit_phi": rng.random(n) * 2.0 * np.pi,
-            "speed": rng.random(n)}
+    columns = (np.cumsum(rng.random(n)), rng.integers(0, 10**5, n),
+               rng.random(n) * np.pi, rng.random(n) * 2.0 * np.pi,
+               rng.random(n))
+    cuts = [min(c, n) for c in (1, 2500, 2500, _ROWS_PER_WRITE - 1,
+                                _ROWS_PER_WRITE + 1, 2 * _ROWS_PER_WRITE)]
+    return list(zip(*(np.split(column, cuts) for column in columns)))
 
 
 @pytest.mark.parametrize("n", [0, 1, _ROWS_PER_WRITE - 3, _ROWS_PER_WRITE - 2,
                                2 * _ROWS_PER_WRITE + 5])
 def test_events_csv_rows_across_blocks(tmp_path, n):
     # the manifest and header lines share the first block with the rows
-    events = _synthetic_events(n)
+    log = _synthetic_log(n)
+    assert any(chunk[0].size == 0 for chunk in log)
     path = tmp_path / "events.csv"
-    _write_events({"command": "test"}, events, str(path))
+    _write_events({"command": "test"}, log, str(path))
     lines = path.read_text().splitlines()
     assert lines[1] == "t,particle_id,exit_theta,exit_phi,speed"
     assert lines[2:] == [
         f"{format(t, '.17g')},{pid},{','.join(format(x, '.17g') for x in r)}"
-        for t, pid, *r in zip(*(c.tolist() for c in events.values()))]
+        for chunk in log for t, pid, *r in zip(*(c.tolist() for c in chunk))]
 
 
-def test_events_csv_memory_stays_bounded():
-    # a block of each column is converted to Python at a time; converting
-    # whole columns and holding every row string first peaked at 293 MiB
-    events = _synthetic_events(10**6)
-    tracemalloc.start()
+def test_events_csv_memory_stays_bounded(monkeypatch):
+    # writing the events CSV holds no second copy of the run's log, nor a
+    # whole chunk as Python objects: the traced peak of the write, which
+    # starts once the run has returned, is below half the log's 40 bytes
+    # per event (the largest chunk, from the first pass over every
+    # particle, holds about a sixth of the events)
+    simulate = kolgas.sim.simulate
+
+    def simulate_then_trace(*args, **kwargs):
+        run = simulate(*args, **kwargs)
+        tracemalloc.start()
+        return run
+
+    monkeypatch.setattr("kolgas.sim.simulate", simulate_then_trace)
+    report = io.StringIO()
     try:
-        _write_events({"command": "test"}, events, os.devnull)
+        with contextlib.redirect_stdout(report):
+            code = main(["sim", "relax", "--wall-model", "langmuir_thermal",
+                         "--particles", "40000", "--transits", "4",
+                         "--samples-per-transit", "1",
+                         "--events-output", os.devnull])
+        assert tracemalloc.is_tracing()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 2**20
+    assert code == 0
+    n_events = json.loads(report.getvalue())["runs"][0]["n_wall_events"]
+    assert peak < 40 * n_events / 2
