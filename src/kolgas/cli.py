@@ -354,14 +354,10 @@ def _sim_params(args: argparse.Namespace, **extra) -> dict:
     }
 
 
-_TRACE_HEADER = "t,D_hat,K_orient,K_nn,chi2_orient,chi2_pos"
-
-
 def _write_trace(manifest: dict, trace: simmod.DisorderTrace,
                  path: str) -> None:
-    columns = (trace.t, trace.d_hat, trace.k_orient, trace.k_nn,
-               trace.chi2_orient, trace.chi2_pos)
-    _emit_csv(manifest, _TRACE_HEADER,
+    columns = trace[:len(simmod.TRACE_COLUMNS)]
+    _emit_csv(manifest, ",".join(simmod.TRACE_COLUMNS),
               _column_rows(_row_format(len(columns)), *columns), path)
 
 

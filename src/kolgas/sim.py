@@ -28,6 +28,7 @@ import threading
 import warnings
 from collections import deque
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,7 +45,7 @@ INIT_MODES = ("equilibrium", "beam", "half_box")
 
 N_PARTICLES_CAP = 10**5
 
-#: Most samples one disorder trace may hold (duration / dt_out + 1).
+#: Most samples one disorder trace may hold (``SimConfig.n_samples``).
 TRACE_SAMPLES_CAP = 10**5
 
 #: Largest site-normal tilt scale.  A ``specular_random_sites`` scatter
@@ -61,6 +62,10 @@ THERMAL_TAIL_SIGMAS = 40.0
 
 #: The columns of each entry of the wall-event log, ``SimState.event_log``.
 EVENT_COLUMNS = ("t", "particle_id", "exit_theta", "exit_phi", "speed")
+
+#: The columns of a disorder trace, ``DisorderTrace`` up to ``l_total``;
+#: a row ``sample_disorder`` returns holds the ones after ``t``.
+TRACE_COLUMNS = ("t", "D_hat", "K_orient", "K_nn", "chi2_orient", "chi2_pos")
 
 _ORIENT_BINS = 16
 _POS_BINS = 8
@@ -109,6 +114,12 @@ class SimConfig:
             raise DomainError(
                 f"T_wall must be at most {t_max:.3g} K for "
                 f"{self.species.name}, or thermal speeds overflow")
+        if not 0.0 < self.volume < math.inf:
+            raise DomainError(f"box edges {self.box} m multiply to a "
+                              "volume that over- or underflows")
+        if not 0.0 < self.v_th < math.inf:
+            raise DomainError(f"T_wall {self.T_wall:g} K gives "
+                              f"{self.species.name} a thermal speed of 0")
         if self.wall_model not in WALL_MODELS:
             raise DomainError(f"wall_model must be one of {WALL_MODELS}")
         if self.seed < 0 or self.seed >= 2**64:
@@ -118,7 +129,9 @@ class SimConfig:
         if not 0.0 <= self.perturbation <= PERTURBATION_CAP:
             raise DomainError(
                 f"perturbation must be in 0..{PERTURBATION_CAP:g}")
-        if not self.duration / self.dt_out + 1.0 <= TRACE_SAMPLES_CAP:
+        # the quotient first, so that ``n_samples`` never rounds inf
+        if not (self.duration / self.dt_out < TRACE_SAMPLES_CAP
+                and self.n_samples <= TRACE_SAMPLES_CAP):
             raise DomainError(
                 f"a trace may hold at most {TRACE_SAMPLES_CAP} samples"
             )
@@ -135,6 +148,11 @@ class SimConfig:
     def t_b(self) -> float:
         """Vessel transit time (cube-equivalent side over thermal speed)."""
         return self.volume ** (1.0 / 3.0) / self.v_th
+
+    @property
+    def n_samples(self) -> int:
+        """Trace samples, one every ``dt_out`` from 0 to ``duration``."""
+        return int(round(self.duration / self.dt_out)) + 1
 
 
 def member_seed(base_seed: int, index: int) -> int:
@@ -276,9 +294,9 @@ def step_to(state: SimState, t_target: float) -> SimState:
 # ---------------------------------------------------------------------------
 # disorder trace
 
-@dataclass
-class DisorderTrace:
-    """Per-sample disorder estimates of a run.
+class DisorderTrace(NamedTuple):
+    """Per-sample disorder estimates of a run, one field for each of
+    ``TRACE_COLUMNS`` in its order, then ``l_total``.
 
     ``d_hat`` is the summed description length of the two intrinsic lists
     (velocity orientations and nearest-neighbour distances), an estimator
@@ -305,9 +323,9 @@ def _chi2_uniform(values: np.ndarray, lo: float, hi: float, bins: int) -> float:
 def sample_disorder(pos: np.ndarray, vel: np.ndarray,
                     box: tuple[float, float, float],
                     reference_box: tuple[float, float, float],
-                    ) -> tuple[float, float, float, float, float]:
+                    ) -> tuple[float, ...]:
     """One trace row for particles at ``pos`` moving at ``vel`` in
-    ``box``: (d_hat, k_orient, k_nn, chi2_orient, chi2_pos).
+    ``box``: the values of ``TRACE_COLUMNS`` after ``t``.
 
     ``reference_box`` fixes the quantization scale of the neighbour list:
     the largest box of a multi-stage run, so samples are comparable
@@ -349,11 +367,12 @@ class SimRun:
     t_b: float
 
 
-#: One snapshot slot shared with the sampler process: the five numbers
-#: of the row, the particle count, the box and the reference box, then
-#: the positions and the velocities of up to N_PARTICLES_CAP particles.
-_SLOT = np.dtype([("row", "f8", 5), ("n", "i8"), ("box", "f8", 3),
-                  ("ref", "f8", 3), ("pos", "f8", (N_PARTICLES_CAP, 3)),
+#: One snapshot slot shared with the sampler process: the trace row, the
+#: particle count, the box and the reference box, then the positions and
+#: the velocities of up to N_PARTICLES_CAP particles.
+_SLOT = np.dtype([("row", "f8", len(TRACE_COLUMNS) - 1), ("n", "i8"),
+                  ("box", "f8", 3), ("ref", "f8", 3),
+                  ("pos", "f8", (N_PARTICLES_CAP, 3)),
                   ("vel", "f8", (N_PARTICLES_CAP, 3))])
 
 #: Snapshot slots, so the sampler can start the next row as soon as it
@@ -425,7 +444,7 @@ class _Sampler:
         self.posted.release()
 
     def result(self, wait: bool = True,
-               ) -> tuple[float, float, float, float, float] | None:
+               ) -> tuple[float, ...] | None:
         """The oldest owed row: from the process once it is done, or from
         here if the process has exited.  None if it is not done yet and
         ``wait`` is false."""
@@ -518,10 +537,9 @@ def simulate(config: SimConfig, init_mode: str,
     if reference_box is None:
         reference_box = state.config.box
     t0 = state.time
-    n_samples = int(round(config.duration / config.dt_out)) + 1
-    times = t0 + np.arange(n_samples) * config.dt_out
+    times = t0 + np.arange(config.n_samples) * config.dt_out
     sampler = _sampler()
-    rows = np.empty((n_samples, 5))
+    rows = np.empty((len(times), len(TRACE_COLUMNS) - 1))
     owed: deque[int] = deque()  # indices of the rows the sampler holds
     try:
         for i, t_k in enumerate(times):
@@ -531,7 +549,7 @@ def simulate(config: SimConfig, init_mode: str,
                 if row is None:
                     break
                 rows[owed.popleft()] = row
-            room = _SLOTS if i < n_samples - 1 else 1
+            room = _SLOTS if i < len(times) - 1 else 1
             if (sampler is not None and len(owed) < room
                     and sampler.process.is_alive()):
                 owed.append(i)
@@ -545,16 +563,8 @@ def simulate(config: SimConfig, init_mode: str,
     finally:
         if owed:
             sampler.close()
-    k = default_width(config.n_particles)
-    trace = DisorderTrace(
-        t=times - t0,
-        d_hat=rows[:, 0],
-        k_orient=rows[:, 1],
-        k_nn=rows[:, 2],
-        chi2_orient=rows[:, 3],
-        chi2_pos=rows[:, 4],
-        l_total=2 * config.n_particles * k,
-    )
+    l_total = 2 * config.n_particles * default_width(config.n_particles)
+    trace = DisorderTrace(times - t0, *rows.T, l_total)
     return SimRun(trace=trace, final_state=state, t_b=config.t_b)
 
 

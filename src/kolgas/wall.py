@@ -56,7 +56,11 @@ def mean_free_path(V: float, N: float, a: float) -> float:
     """Kinetic mean free path V / (sqrt(2) pi N a^2), m."""
     if V <= 0.0 or N <= 0.0 or a <= 0.0:
         raise DomainError("mean_free_path needs V, N, a > 0")
-    return V / (math.sqrt(2.0) * math.pi * N * a * a)
+    denominator = math.sqrt(2.0) * math.pi * N * a * a
+    if denominator == 0.0:
+        raise DomainError(f"particle count {N:g} is too small: N a^2 "
+                          "underflows to 0 in the mean free path")
+    return V / denominator
 
 
 def classify_regime(spec: GasSpec, b: float) -> LengthHierarchy:

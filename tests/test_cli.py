@@ -547,6 +547,29 @@ def test_sim_relax_report(tmp_path, capsys):
         "t,particle_id,exit_theta,exit_phi,speed"
 
 
+def test_trace_csv_holds_the_trace(tmp_path, capsys, monkeypatch):
+    # each column of the trace CSV reads back, bit for bit, as the
+    # DisorderTrace field at its position
+    runs = []
+    simulate = kolgas.sim.simulate
+
+    def keep_run(*args, **kwargs):
+        runs.append(simulate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr("kolgas.sim.simulate", keep_run)
+    path = tmp_path / "trace.csv"
+    code, _, _ = run_cli(capsys, *RELAX_ARGS, "--trace-output", str(path))
+    assert code == 0
+    header, *rows = path.read_text().splitlines()[1:]
+    names = header.split(",")
+    columns = np.array([[float(x) for x in row.split(",")] for row in rows]).T
+    trace = runs[-1].trace
+    assert len(names) == len(columns) == len(trace) - 1
+    for name, column, field in zip(names, columns, trace):
+        assert column.tobytes() == np.asarray(field, float).tobytes(), name
+
+
 def test_sim_relax_smooth_control_reports_no_plateau(capsys):
     code, out, _ = run_cli(capsys, "sim", "relax", "--wall-model",
                            "smooth_specular", "--particles", "250",
@@ -629,6 +652,18 @@ def test_sim_bad_particle_count_exits_2(capsys):
     assert code == 2
 
 
+#: Inputs whose error line must name what is wrong with them: N a_LJ^2
+#: underflows in the mean free path; the box volume overflows or
+#: underflows; 3 k_B T underflows, so the thermal speed is 0.
+_NAMED_INPUTS = {
+    ("state", "--count", "1e-308"): "count",
+    ("sim", "relax", "--box-side", "1e103"): "box edges",
+    ("sim", "relax", "--box-side", "1e-110"): "box edges",
+    ("sim", "relax", "--temp", "1e-308"): "T_wall",
+    ("sim", "joule", "--temp", "5e-324"): "T_wall",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ("state", "--temp", "nan"),
     ("sim", "relax", "--samples-per-transit", "0"),
@@ -668,8 +703,10 @@ def test_sim_bad_particle_count_exits_2(capsys):
     # A overflows, so kappa, gamma, F, ... are inf or nan on every row
     ("sweep", "--var", "T", "--from", "1", "--to", "2", "--points", "2",
      "--count", "5e-324"),
+    *_NAMED_INPUTS,
 ])
 def test_non_finite_or_zero_input_exits_2(capsys, argv):
+    named = _NAMED_INPUTS.get(argv, "")
     if argv[0] == "sim":  # defaults first, so that argv's own values win
         argv = argv[:2] + ("--wall-model", "smooth_specular",
                            "--particles", "100") + argv[2:]
@@ -677,6 +714,7 @@ def test_non_finite_or_zero_input_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
 
 
 @pytest.mark.parametrize("perturbation", ["1e6", "1e100", "1e160", "1e308"])

@@ -91,6 +91,18 @@ def test_config_validation(kw):
         SimConfig(**good)
 
 
+def test_trace_length_is_checked_as_it_is_run():
+    # the cap check reads the length simulate runs, rounded, and the
+    # quotient duration / dt_out never reaches round() as inf
+    kw = dict(n_particles=10, box=BOX, T_wall=10.0, species=HE3,
+              wall_model="smooth_specular", seed=0, dt_out=1.0)
+    assert SimConfig(duration=99999.4, **kw).n_samples == 10**5
+    with pytest.raises(DomainError, match="at most 100000 samples"):
+        SimConfig(duration=99999.6, **kw)
+    with pytest.raises(DomainError, match="at most 100000 samples"):
+        SimConfig(**dict(kw, dt_out=1e-300), duration=1e10)
+
+
 def test_transit_time():
     cfg = make_config()
     v_th = math.sqrt(3.0 * KB * 10.0 / HE3.mass)
@@ -397,9 +409,9 @@ def test_joule_rejects_compression():
 # --- sampler process -----------------------------------------------------------
 
 def assert_same_trace(a, b):
-    for f in dataclasses.fields(DisorderTrace):
-        x, y = np.asarray(getattr(a, f.name)), np.asarray(getattr(b, f.name))
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
+    for name in DisorderTrace._fields:
+        x, y = np.asarray(getattr(a, name)), np.asarray(getattr(b, name))
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
 @pytest.fixture
