@@ -22,7 +22,6 @@ import dataclasses
 import itertools
 import json
 import math
-import operator
 import os
 import sys
 from typing import Iterable, Iterator
@@ -132,26 +131,25 @@ def _column_rows(row: str, *columns: np.ndarray) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 # state / sweep
 
-#: (name, ThermoState field) of each state column that both the ``state``
-#: report and the ``sweep`` table carry, in the table's column order.
-_STATE_COLUMNS = (("lambda_th_m", "lambda_th"), ("slot_count", "M"),
-                  ("slots_per_particle", "A"), ("kappa", "kappa"),
-                  ("gamma", "gamma"), ("free_energy_J", "F"),
-                  ("entropy_J_per_K", "S"), ("pressure_Pa", "P"),
-                  ("chemical_potential_J", "mu"), ("internal_energy_J", "U"),
-                  ("heat_capacity_v_J_per_K", "c_V"))
+#: Name of each ``ThermoState`` field, in field order: the state columns
+#: that both the ``state`` report and the ``sweep`` table carry.
+_STATE_COLUMNS = ("lambda_th_m", "slot_count", "slots_per_particle", "kappa",
+                  "gamma", "free_energy_J", "entropy_J_per_K", "pressure_Pa",
+                  "chemical_potential_J", "internal_energy_J",
+                  "heat_capacity_v_J_per_K")
 
 
 def _state_payload(state: ThermoState, spec: GasSpec) -> dict:
     return {
-        **{name: getattr(state, field) for name, field in _STATE_COLUMNS},
+        **dict(zip(_STATE_COLUMNS, state, strict=True)),
         "T": spec.T, "V": spec.V, "N": spec.N,
         "statistics": spec.statistics,
         "lambda_th_angstrom": state.lambda_th / _ANGSTROM,
         "entropy_per_particle_kb": state.S / (K_BOLTZMANN * spec.N),
         "chemical_potential_over_kt": state.mu / (K_BOLTZMANN * spec.T),
-        "energy_exponents": {"T": state.e_T, "V": state.e_V, "N": state.e_N},
-        "lambda_V_m": state.lambda_V,
+        "energy_exponents": {"T": 1.5 * state.gamma, "V": state.gamma,
+                             "N": -state.gamma},
+        "lambda_V_m": state.lambda_th * spec.N ** (1.0 / 3.0),
     }
 
 
@@ -200,11 +198,11 @@ def cmd_state(args: argparse.Namespace) -> int:
         "state": _state_payload(state, spec),
         "lengths": {
             "mean_free_path_m": hierarchy.l_mfp,
-            "vessel_side_m": hierarchy.b,
+            "vessel_side_m": side,
             "interparticle_m": hierarchy.ell_N,
-            "thermal_m": hierarchy.lambda_th,
-            "lj_radius_m": hierarchy.a_LJ,
-            "bohr_like_radius_m": hierarchy.a_B,
+            "thermal_m": state.lambda_th,
+            "lj_radius_m": species.a_LJ,
+            "bohr_like_radius_m": species.a_B,
             "regime": hierarchy.regime,
             "cool": hierarchy.cool,
             "inequalities": hierarchy.inequalities,
@@ -233,22 +231,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         point[args.var] = value
         return state_equations(GasSpec(*point.values(), species, statistics))
 
-    names, fields = zip(*_STATE_COLUMNS)
-    columns = operator.attrgetter(*fields)
     # Each row's checks, and whether its columns are finite, are monotone
     # in the swept variable: the extremes decide.
     for value in grid[sorted((grid.argmin(), grid.argmax()))].tolist():
-        if not all(map(math.isfinite, columns(state(value)))):
+        if not all(map(math.isfinite, state(value))):
             raise DomainError(f"result is not finite at {args.var}={value:g}")
-    row = _row_format(1 + len(fields))
-    rows = (row % (value, *columns(state(value))) for value in grid.tolist())
+    row = _row_format(1 + len(_STATE_COLUMNS))
+    rows = (row % (value, *state(value)) for value in grid.tolist())
     manifest = _manifest("sweep", {
         "gas": species.name, "var": args.var, "from": args.start,
         "to": args.stop, "points": args.points, "log": bool(args.log),
         "temp": args.temp, "volume": args.volume, "count": args.count,
         "statistics": statistics,
     })
-    _emit_csv(manifest, ",".join((args.var, *names)), rows, args.output)
+    _emit_csv(manifest, ",".join((args.var, *_STATE_COLUMNS)), rows,
+              args.output)
     return 0
 
 
@@ -329,18 +326,23 @@ def cmd_randomness_gap(args: argparse.Namespace) -> int:
 
 def _sim_config(args: argparse.Namespace, seed: int,
                 keep_events: bool = False) -> simmod.SimConfig:
-    if not args.samples_per_transit > 0.0:
-        raise DomainError("samples-per-transit must be positive")
-    if not math.isfinite(args.transits):
-        raise DomainError("transits must be finite")
     cfg = simmod.SimConfig(
         n_particles=args.particles, box=(args.box_side,) * 3,
         T_wall=args.temp, species=species_lookup(args.gas),
         wall_model=args.wall_model, seed=seed, dt_out=1.0, duration=0.0,
         perturbation=args.perturbation, keep_events=keep_events,
     )
-    return dataclasses.replace(cfg, dt_out=cfg.t_b / args.samples_per_transit,
-                               duration=args.transits * cfg.t_b)
+    per_transit = args.samples_per_transit
+    # t_b / 0 would raise; its limit, inf, is what the check rejects
+    dt_out = cfg.t_b / per_transit if per_transit else math.inf
+    if not 0.0 < dt_out < math.inf:
+        raise DomainError(f"--samples-per-transit {per_transit:g} gives a "
+                          f"sample interval of {dt_out:g} s, not in (0, inf)")
+    duration = args.transits * cfg.t_b
+    if not 0.0 <= duration < math.inf:
+        raise DomainError(f"--transits {args.transits:g} gives a duration "
+                          f"of {duration:g} s, not in [0, inf)")
+    return dataclasses.replace(cfg, dt_out=dt_out, duration=duration)
 
 
 def _sim_params(args: argparse.Namespace, **extra) -> dict:

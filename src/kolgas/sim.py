@@ -640,11 +640,15 @@ def run_joule_expansion(config: SimConfig, volume_ratio: float) -> JouleReport:
     """
     if not math.isfinite(volume_ratio) or volume_ratio < 1.0:
         raise DomainError("volume_ratio must be >= 1 (free expansion only)")
+    expanded_volume = config.volume * volume_ratio
+    if not expanded_volume < math.inf:
+        raise DomainError(f"volume_ratio {volume_ratio:g} makes the "
+                          "expanded box's volume overflow")
     expanded = (config.box[0] * volume_ratio, config.box[1], config.box[2])
     statistics = species_statistics(config.species)
 
     stage1 = replace(config, duration=JOULE_SETTLE_TRANSITS * config.t_b)
-    t_b_expanded = (stage1.volume * volume_ratio) ** (1.0 / 3.0) / config.v_th
+    t_b_expanded = expanded_volume ** (1.0 / 3.0) / config.v_th
     stage2 = replace(config, box=expanded,
                      duration=JOULE_EXPANDED_TRANSITS * t_b_expanded)
     run1 = simulate(stage1, "equilibrium", reference_box=expanded)

@@ -51,10 +51,10 @@ class GasSpec:
 
 
 class ThermoState(NamedTuple):
-    """Full set of state quantities for one macrostate.
+    """State quantities of one macrostate, the ``sweep`` columns in order.
 
-    ``lambda_V`` is the volumetric pattern length (N lambda_th^3)^(1/3),
-    reported as metadata only; no state function uses it.
+    What one expression gives from these, such as the energy exponents
+    (1.5 gamma, gamma, -gamma), is computed where it is reported.
     """
 
     lambda_th: float   # m
@@ -68,10 +68,6 @@ class ThermoState(NamedTuple):
     mu: float          # chemical potential, J
     U: float           # internal energy, J
     c_V: float         # heat capacity at constant V, J/K
-    e_T: float         # d ln M / d ln T elasticity contribution, = 3/2 gamma
-    e_V: float         # d ln M / d ln V contribution, = gamma
-    e_N: float         # d ln(1/N) contribution, = -gamma
-    lambda_V: float    # m, metadata
 
 
 def thermal_length(T: float, mass: float) -> float:
@@ -196,9 +192,5 @@ def state_equations(spec: GasSpec) -> ThermoState:
         mu=mu,
         U=U,
         c_V=c_V,
-        e_T=1.5 * gamma,
-        e_V=gamma,
-        e_N=-gamma,
-        lambda_V=lam * spec.N ** (1.0 / 3.0),
     )
 

@@ -37,16 +37,14 @@ class LengthHierarchy:
 
     ``inequalities`` maps each link of the chain
     l_mfp >= b > ell_N > lambda_th >= a_LJ > 2 a_B to its truth value.
+    Of its lengths it holds the two it computes, l_mfp and ell_N; b is
+    the caller's, lambda_th the state's, a_LJ and a_B the species'.
     ``regime`` is "collisionless" when the mean free path spans the vessel.
     ``cool`` marks the helium-3 working window T_crit < T <= 10 K.
     """
 
     l_mfp: float
-    b: float
     ell_N: float
-    lambda_th: float
-    a_LJ: float
-    a_B: float
     regime: str
     cool: bool
     inequalities: dict[str, bool] = field(default_factory=dict)
@@ -66,8 +64,9 @@ def mean_free_path(V: float, N: float, a: float) -> float:
 def classify_regime(spec: GasSpec, b: float) -> LengthHierarchy:
     """Evaluate the length-scale chain for ``spec`` in a vessel of linear
     size ``b`` and classify the collision regime."""
-    if b <= 0.0:
-        raise DomainError("vessel size b must be positive")
+    if not 0.0 < b < math.inf:
+        raise DomainError("vessel side b must be positive and finite, "
+                          f"got {b:g} m")
     sp = spec.species
     l_mfp = mean_free_path(spec.V, spec.N, sp.a_LJ)
     ell_n = interparticle_length(spec)
@@ -83,11 +82,7 @@ def classify_regime(spec: GasSpec, b: float) -> LengthHierarchy:
     cool = sp.name == "he3" and T_CRIT_HE3 < spec.T <= T_COOL_MAX
     return LengthHierarchy(
         l_mfp=l_mfp,
-        b=b,
         ell_N=ell_n,
-        lambda_th=lam,
-        a_LJ=sp.a_LJ,
-        a_B=sp.a_B,
         regime=regime,
         cool=cool,
         inequalities=ineqs,

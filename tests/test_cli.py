@@ -54,6 +54,36 @@ def test_state_report_schema_and_values(capsys):
     assert doc["warnings"] == []
 
 
+# SHA-256 of stdout, taken from the code whose ThermoState and
+# LengthHierarchy also carried the values the report now computes itself
+@pytest.mark.parametrize("argv, digest", [
+    (("--vessel-side", "0.035"),
+     "08059dd861c93d827cd9e24b4f14ce046109bfd626d3ae3d7c5e5c3561eac16f"),
+    (("--gas", "he4"),
+     "93094d946c04c68e4ebef89cc7dd6785fc947c9c101e270938f36ff62f4b3dc1"),
+], ids=["he3-vessel-side", "he4"])
+def test_state_pinned_bytes(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, "state", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+def test_state_report_values_from_their_homes(capsys):
+    code, out, _ = run_cli(capsys, "state", "--vessel-side", "0.035")
+    assert code == 0
+    doc = json.loads(out)
+    he3 = species_lookup("he3")
+    st = state_equations(GasSpec(10.0, 1.8e-4, 1.7e16, he3, "fermi"))
+    assert doc["state"]["energy_exponents"] == {
+        "T": 1.5 * st.gamma, "V": st.gamma, "N": -st.gamma}
+    assert doc["state"]["lambda_V_m"] == st.lambda_th * 1.7e16 ** (1 / 3)
+    lengths = doc["lengths"]
+    assert lengths["vessel_side_m"] == 0.035
+    assert lengths["thermal_m"] == st.lambda_th
+    assert lengths["lj_radius_m"] == he3.a_LJ
+    assert lengths["bohr_like_radius_m"] == he3.a_B
+
+
 def test_state_warns_outside_regimes(capsys):
     code, out, _ = run_cli(capsys, "state", "--count", "1e19",
                            "--temp", "20.0")
@@ -654,13 +684,24 @@ def test_sim_bad_particle_count_exits_2(capsys):
 
 #: Inputs whose error line must name what is wrong with them: N a_LJ^2
 #: underflows in the mean free path; the box volume overflows or
-#: underflows; 3 k_B T underflows, so the thermal speed is 0.
+#: underflows; 3 k_B T underflows, so the thermal speed is 0; the sample
+#: interval or the duration a cadence option gives is 0, negative or
+#: overflows; the expanded box's volume overflows; the vessel side is
+#: not a length.
 _NAMED_INPUTS = {
     ("state", "--count", "1e-308"): "count",
     ("sim", "relax", "--box-side", "1e103"): "box edges",
     ("sim", "relax", "--box-side", "1e-110"): "box edges",
     ("sim", "relax", "--temp", "1e-308"): "T_wall",
     ("sim", "joule", "--temp", "5e-324"): "T_wall",
+    ("sim", "relax", "--samples-per-transit", "1e-320"):
+        "--samples-per-transit",
+    ("sim", "joule", "--box-side", "1e100", "--ratio", "1e10"):
+        "volume_ratio",
+    ("sim", "relax", "--transits", "-1"): "--transits",
+    ("sim", "relax", "--samples-per-transit", "inf"): "--samples-per-transit",
+    ("state", "--vessel-side", "nan"): "vessel side",
+    ("state", "--vessel-side", "inf"): "vessel side",
 }
 
 

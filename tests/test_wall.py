@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kolgas.constants import species_lookup
-from kolgas.thermo import GasSpec
+from kolgas.thermo import GasSpec, state_equations
 from kolgas.wall import (
     ISOTHERM_REFERENCE,
     classify_regime,
@@ -38,13 +38,16 @@ def test_collisionless_threshold():
 
 
 def test_length_hierarchy_at_reference():
-    h = classify_regime(REF, 0.035)
+    b = 0.035
+    h = classify_regime(REF, b)
     assert h.regime == "collisionless"
     assert h.cool is True
     assert h.ell_N == pytest.approx(2.1958762485600703e-7, rel=1e-12)
     assert all(h.inequalities.values())
-    # ordering is strict through the whole chain
-    assert h.l_mfp >= h.b > h.ell_N > h.lambda_th >= h.a_LJ > 2 * h.a_B
+    # ordering is strict through the whole chain; b is the caller's,
+    # lambda_th the state's, a_LJ and a_B the species'
+    lambda_th = state_equations(REF).lambda_th
+    assert h.l_mfp >= b > h.ell_N > lambda_th >= HE3.a_LJ > 2 * HE3.a_B
 
 
 @pytest.mark.parametrize("T, gas, cool", [
