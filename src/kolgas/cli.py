@@ -433,7 +433,8 @@ def cmd_sim_joule(args: argparse.Namespace) -> int:
     _check_distinct(("--output", args.output),
                     *(("--trace-prefix", path) for path in trace_paths))
     cfg = _sim_config(args, args.seed)
-    report = simmod.run_joule_expansion(cfg, args.ratio)
+    report = simmod.run_joule_expansion(cfg, args.ratio,
+                                        keep_traces=bool(trace_paths))
     manifest = _manifest("sim joule", _sim_params(args, ratio=args.ratio),
                          seed=args.seed)
     for trace, path in zip((report.trace_before, report.trace_after),
@@ -573,7 +574,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_joule.add_argument("--ratio", type=float, default=4.0,
                          help="volume expansion ratio, >= 1")
     p_joule.add_argument("--trace-prefix", default=None,
-                         help="write before/after trace CSVs to this prefix")
+                         help="write the full before/after trace CSVs to "
+                              "this prefix; without it, joule samples only "
+                              f"the last {simmod.JOULE_MEASURE_SAMPLES} rows "
+                              "of each stage, the ones the report averages")
     p_joule.set_defaults(func=cmd_sim_joule)
 
     return parser

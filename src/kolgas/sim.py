@@ -521,11 +521,18 @@ def _sampler() -> _Sampler | None:
 
 def simulate(config: SimConfig, init_mode: str,
              reference_box: tuple[float, float, float] | None = None,
-             state: SimState | None = None) -> SimRun:
+             state: SimState | None = None,
+             tail: int | None = None) -> SimRun:
     """Run for ``config.duration`` seconds, sampling the disorder trace
     every ``config.dt_out`` against ``reference_box`` (default the
     state's box).  Pass an existing ``state`` to continue a run (e.g.
     after swapping the box).
+
+    With ``tail``, only the last ``tail`` sample times are sampled, and
+    the trace holds just those rows with their own ``t``.  The run still
+    steps to every sample time, so the flights are cut, the RNG drawn and
+    the state reached exactly as in a full run, and the rows are the last
+    ``tail`` rows of the full trace bit for bit.
 
     Each row goes to the sampler process, if there is one, while it has
     a free slot, and is sampled here only when both are taken.  The last
@@ -538,18 +545,22 @@ def simulate(config: SimConfig, init_mode: str,
         reference_box = state.config.box
     t0 = state.time
     times = t0 + np.arange(config.n_samples) * config.dt_out
+    first = 0 if tail is None else max(len(times) - tail, 0)
     sampler = _sampler()
-    rows = np.empty((len(times), len(TRACE_COLUMNS) - 1))
+    rows = np.empty((len(times) - first, len(TRACE_COLUMNS) - 1))
     owed: deque[int] = deque()  # indices of the rows the sampler holds
     try:
-        for i, t_k in enumerate(times):
+        # i indexes rows, so it is negative at the times before the tail
+        for i, t_k in enumerate(times, start=-first):
             step_to(state, float(t_k))
+            if i < 0:
+                continue
             while owed:
                 row = sampler.result(wait=False)
                 if row is None:
                     break
                 rows[owed.popleft()] = row
-            room = _SLOTS if i < len(times) - 1 else 1
+            room = _SLOTS if i < len(rows) - 1 else 1
             if (sampler is not None and len(owed) < room
                     and sampler.process.is_alive()):
                 owed.append(i)
@@ -564,7 +575,7 @@ def simulate(config: SimConfig, init_mode: str,
         if owed:
             sampler.close()
     l_total = 2 * config.n_particles * default_width(config.n_particles)
-    trace = DisorderTrace(times - t0, *rows.T, l_total)
+    trace = DisorderTrace(times[first:] - t0, *rows.T, l_total)
     return SimRun(trace=trace, final_state=state, t_b=config.t_b)
 
 
@@ -613,7 +624,11 @@ JOULE_MEASURE_SAMPLES = 4
 @dataclass(frozen=True)
 class JouleReport:
     """Free expansion bookkeeping: measured disorder change and the
-    closed-form entropy change across the same pair of equilibria."""
+    closed-form entropy change across the same pair of equilibria.
+
+    Unless the run kept its traces, ``trace_before`` and ``trace_after``
+    hold only the measured tail of each stage, its last
+    ``JOULE_MEASURE_SAMPLES`` rows."""
 
     volume_ratio: float
     d_hat_before: float
@@ -625,18 +640,23 @@ class JouleReport:
     trace_after: DisorderTrace
 
 
-def run_joule_expansion(config: SimConfig, volume_ratio: float) -> JouleReport:
+def run_joule_expansion(config: SimConfig, volume_ratio: float,
+                        keep_traces: bool = False) -> JouleReport:
     """Equilibrate, stretch the box x-edge by ``volume_ratio`` (removing a
     partition), re-equilibrate, and compare disorder before and after.
 
     ``config.duration`` is not used: the stages run for
     ``JOULE_SETTLE_TRANSITS`` transit times before the expansion and
-    ``JOULE_EXPANDED_TRANSITS`` after it, sampled every ``config.dt_out``.
-    Both stages quantize against the expanded box, so the measured
-    disorder change reflects the state and not the ruler.  At ratio 1 the
-    expanded stage is the settled one, so each change is exactly zero.
-    The closed-form entropy step uses the statistics the species' spin
-    implies.
+    ``JOULE_EXPANDED_TRANSITS`` after it, stepped to every multiple of
+    ``config.dt_out``.  Each stage's disorder is the mean of its last
+    ``JOULE_MEASURE_SAMPLES`` trace rows, and only those are sampled
+    unless ``keep_traces`` asks for the full traces; the report is the
+    same bit for bit either way.  Both stages quantize against the
+    expanded box, so the measured disorder change reflects the state and
+    not the ruler.  At ratio 1 the expanded stage is the settled one, so
+    each change is exactly zero.  The closed-form entropy step uses the
+    statistics the species' spin implies, and is computed, and checked
+    finite, before either stage runs.
     """
     if not math.isfinite(volume_ratio) or volume_ratio < 1.0:
         raise DomainError("volume_ratio must be >= 1 (free expansion only)")
@@ -651,26 +671,28 @@ def run_joule_expansion(config: SimConfig, volume_ratio: float) -> JouleReport:
     t_b_expanded = expanded_volume ** (1.0 / 3.0) / config.v_th
     stage2 = replace(config, box=expanded,
                      duration=JOULE_EXPANDED_TRANSITS * t_b_expanded)
-    run1 = simulate(stage1, "equilibrium", reference_box=expanded)
+    s1, s2 = (state_equations(GasSpec(config.T_wall, stage.volume,
+                                      float(config.n_particles),
+                                      config.species, statistics))
+              for stage in (stage1, stage2))
+    delta_s = ((s2.kappa + 1.5 * s2.gamma) - (s1.kappa + 1.5 * s1.gamma))
+    if not math.isfinite(delta_s):
+        raise DomainError(
+            f"the entropy step from V = {stage1.volume:g} to "
+            f"{stage2.volume:g} m^3 (volume_ratio {volume_ratio:g}) at "
+            f"T_wall {config.T_wall:g} K is not finite")
+
+    tail = None if keep_traces else JOULE_MEASURE_SAMPLES
+    run1 = simulate(stage1, "equilibrium", reference_box=expanded, tail=tail)
     d1 = float(run1.trace.d_hat[-JOULE_MEASURE_SAMPLES:].mean())
-
-    spec1 = GasSpec(config.T_wall, stage1.volume, float(config.n_particles),
-                    config.species, statistics)
-    s1 = state_equations(spec1)
-
     if volume_ratio == 1.0:
         run2 = run1
     else:
         state = run1.final_state
         state.config = stage2
         run2 = simulate(stage2, "equilibrium", reference_box=expanded,
-                        state=state)
+                        state=state, tail=tail)
     d2 = float(run2.trace.d_hat[-JOULE_MEASURE_SAMPLES:].mean())
-
-    spec2 = GasSpec(config.T_wall, stage2.volume, float(config.n_particles),
-                    config.species, statistics)
-    s2 = state_equations(spec2)
-    delta_s = ((s2.kappa + 1.5 * s2.gamma) - (s1.kappa + 1.5 * s1.gamma))
 
     return JouleReport(
         volume_ratio=volume_ratio,

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import zlib
 
 import jsonschema
 import numpy as np
@@ -668,6 +669,62 @@ def test_sim_joule_report(tmp_path, capsys):
         assert (tmp_path / ("jt" + suffix)).exists()
 
 
+JOULE_ARGS = ("sim", "joule", "--wall-model", "specular_random_sites",
+              "--particles", "200", "--seed", "2")
+
+
+# SHA-256 of each artifact ("-" for stdout), taken from the code that
+# sampled every row of both stages with or without --trace-prefix; D_hat
+# is a zlib length, so another zlib build may give other bytes
+_JOULE_JSON_DIGEST = \
+    "bfd702b66bcd26a5c0a38ee488a399830b79163905560e9c03336626f7870694"
+
+
+@pytest.mark.parametrize("extra, digests", [
+    ((), {"-": _JOULE_JSON_DIGEST}),
+    (("--trace-prefix", "jt"), {
+        "-": _JOULE_JSON_DIGEST,
+        "jt.before.csv":
+            "afbc11ebabf64c2318b01ea9c48a619e4c6776585862df44b2a53831e7e6ecdb",
+        "jt.after.csv":
+            "e26855a09ceba145c5e2c9d56558e6dc6773900f92d310358ee1e8e438b201ba",
+    }),
+    (("--ratio", "1"), {"-":
+        "1fafc8f6699e96d2ebc93eb06c1509998262f2d05310b7a9a166598606e3d988"}),
+], ids=["json", "trace-prefix", "ratio-1"])
+def test_sim_joule_pinned_bytes(tmp_path, capsys, monkeypatch, extra,
+                                digests):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, *JOULE_ARGS, *extra)
+    assert code == 0
+    for name, digest in digests.items():
+        data = out.encode("ascii") if name == "-" else pathlib.Path(
+            name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, (
+            f"{name} under zlib {zlib.ZLIB_RUNTIME_VERSION}")
+
+
+def test_sim_joule_report_is_the_same_with_traces(tmp_path, capsys):
+    # without --trace-prefix only each stage's measured tail is sampled;
+    # the report averages that tail of the written traces
+    argv = ("sim", "joule", "--wall-model", "langmuir_thermal",
+            "--particles", "150", "--samples-per-transit", "4",
+            "--ratio", "3", "--seed", "8")
+    _, plain, _ = run_cli(capsys, *argv)
+    prefix = tmp_path / "jt"
+    code, traced, _ = run_cli(capsys, *argv, "--trace-prefix", str(prefix))
+    assert code == 0
+    assert traced == plain
+    doc = json.loads(plain)
+    m = kolgas.sim.JOULE_MEASURE_SAMPLES
+    for stage, key in (("before", "d_hat_before_bits"),
+                       ("after", "d_hat_after_bits")):
+        rows = (tmp_path / f"jt.{stage}.csv").read_text().splitlines()[2:]
+        d_hat = np.array([float(row.split(",")[1]) for row in rows])
+        assert len(d_hat) > m
+        assert float(d_hat[-m:].mean()) == doc[key], stage
+
+
 def test_sim_joule_bad_ratio_exits_2(capsys):
     code, _, err = run_cli(capsys, "sim", "joule", "--wall-model",
                            "smooth_specular", "--particles", "100",
@@ -687,7 +744,8 @@ def test_sim_bad_particle_count_exits_2(capsys):
 #: underflows; 3 k_B T underflows, so the thermal speed is 0; the sample
 #: interval or the duration a cadence option gives is 0, negative or
 #: overflows; the expanded box's volume overflows; the vessel side is
-#: not a length.
+#: not a length; the slot count of a stage is inf, so the entropy step
+#: is not finite.
 _NAMED_INPUTS = {
     ("state", "--count", "1e-308"): "count",
     ("sim", "relax", "--box-side", "1e103"): "box edges",
@@ -702,6 +760,9 @@ _NAMED_INPUTS = {
     ("sim", "relax", "--samples-per-transit", "inf"): "--samples-per-transit",
     ("state", "--vessel-side", "nan"): "vessel side",
     ("state", "--vessel-side", "inf"): "vessel side",
+    ("sim", "joule", "--box-side", "1e100", "--ratio", "1e8"):
+        "entropy step from V = 1e+300 to 1e+308 m^3 (volume_ratio 1e+08) "
+        "at T_wall 10 K",
 }
 
 

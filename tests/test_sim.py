@@ -406,6 +406,24 @@ def test_joule_rejects_compression():
         run_joule_expansion(cfg, 0.8)
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the simulation ran")
+
+
+def test_joule_non_finite_entropy_step_raises_before_stepping(monkeypatch):
+    # the slot count V / lambda_th^3 is inf at V = 1e308 m^3, so the
+    # closed-form entropy step is nan; no stage runs to find that out
+    monkeypatch.setattr(simmod, "simulate", _must_not_run)
+    probe = SimConfig(n_particles=20, box=(1e100,) * 3, T_wall=10.0,
+                      species=HE3, wall_model="smooth_specular", seed=0,
+                      dt_out=1.0, duration=0.0)
+    cfg = dataclasses.replace(probe, dt_out=probe.t_b / 8.0)
+    with pytest.raises(DomainError, match=r"entropy step from V = 1e\+300 "
+                       r"to 1e\+308 m\^3 \(volume_ratio 1e\+08\) at "
+                       r"T_wall 10 K"):
+        run_joule_expansion(cfg, 1e8)
+
+
 # --- sampler process -----------------------------------------------------------
 
 def assert_same_trace(a, b):
@@ -478,12 +496,56 @@ def test_sampler_joule_matches_in_process(sampler, monkeypatch):
     # stage 2 swaps state.config and samples against reference_box
     cfg = make_config(n=500, seed=21, samples_per_transit=4, transits=4.0,
                       keep_events=False)
-    shared = run_joule_expansion(cfg, 3.0)
+    shared = run_joule_expansion(cfg, 3.0, keep_traces=True)
     in_process(monkeypatch)
-    alone = run_joule_expansion(cfg, 3.0)
+    alone = run_joule_expansion(cfg, 3.0, keep_traces=True)
     assert_same_trace(shared.trace_before, alone.trace_before)
     assert_same_trace(shared.trace_after, alone.trace_after)
     assert shared.delta_d_hat == alone.delta_d_hat
+
+
+@pytest.mark.parametrize("shared", [True, False],
+                         ids=["sampler", "in-process"])
+@pytest.mark.parametrize("model", WALL_MODELS)
+def test_tail_is_the_end_of_the_full_trace(model, shared, request,
+                                           monkeypatch):
+    if shared:
+        request.getfixturevalue("sampler")
+    else:
+        in_process(monkeypatch)
+    cfg = make_config(n=300, wall_model=model, seed=6, transits=3.0)
+    full = simulate(cfg, "beam")
+    short = simulate(cfg, "beam", tail=4)
+    assert_same_trace(short.trace, DisorderTrace(
+        *(column[-4:] for column in full.trace[:-1]), full.trace.l_total))
+    a, b = full.final_state, short.final_state
+    assert a.time == b.time and a.n_events == b.n_events
+    assert a.pos.tobytes() == b.pos.tobytes()
+    assert a.vel.tobytes() == b.vel.tobytes()
+    ea, eb = events(a), events(b)
+    assert all(ea[key].tobytes() == eb[key].tobytes() for key in ea)
+    for tail in (cfg.n_samples, cfg.n_samples + 3):
+        assert_same_trace(simulate(cfg, "beam", tail=tail).trace, full.trace)
+
+
+def test_joule_samples_only_the_measured_tail(monkeypatch):
+    # each stage holds more than JOULE_MEASURE_SAMPLES rows, and the full
+    # traces give the same report bit for bit
+    in_process(monkeypatch)
+    cfg = make_config(n=200, seed=23, samples_per_transit=4, keep_events=False)
+    full = run_joule_expansion(cfg, 2.0, keep_traces=True)
+    calls = count_parent_samples(monkeypatch)
+    short = run_joule_expansion(cfg, 2.0)
+    m = simmod.JOULE_MEASURE_SAMPLES
+    assert len(calls) == 2 * m
+    assert len(full.trace_before.t) > m and len(full.trace_after.t) > m
+    for name in ("d_hat_before", "d_hat_after", "delta_d_hat",
+                 "delta_s_per_particle_kb", "ln_ratio"):
+        assert getattr(short, name) == getattr(full, name), name
+    for kept, measured in ((full.trace_before, short.trace_before),
+                           (full.trace_after, short.trace_after)):
+        assert_same_trace(measured, DisorderTrace(
+            *(column[-m:] for column in kept[:-1]), kept.l_total))
 
 
 def test_sampler_terminated_between_runs(sampler):
