@@ -23,8 +23,9 @@ import itertools
 import json
 import math
 import os
+import signal
 import sys
-from typing import Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -49,6 +50,13 @@ _ANGSTROM = 1e-10
 
 #: Lines a CSV writer joins into one write.
 _ROWS_PER_WRITE = 4096
+
+#: Rows a sweep computes and formats as one block.
+_SWEEP_BLOCK = 1024
+
+#: Fewest rows for which a sweep forks a child that formats its odd
+#: blocks while this process formats the even ones.
+_SWEEP_FORK_ROWS = 2 * _SWEEP_BLOCK
 
 
 def _manifest(command: str, params: dict, seed: int | None = None) -> dict:
@@ -113,12 +121,19 @@ def _emit_json(payload: dict, path: str) -> None:
     _write([_json(payload, indent=2) + "\n"], path)
 
 
+def _csv_head(manifest: dict, header: str) -> str:
+    """The manifest comment line and the header line of a CSV."""
+    return f"# manifest: {_json(manifest)}\n{header}\n"
+
+
 def _emit_csv(manifest: dict, header: str, rows: Iterable[str],
               path: str) -> None:
     """Write the manifest line, the header and ``rows``, a block at a time."""
-    lines = itertools.chain((f"# manifest: {_json(manifest)}", header), rows)
-    blocks = iter(lambda: list(itertools.islice(lines, _ROWS_PER_WRITE)), [])
-    _write(("\n".join(block) + "\n" for block in blocks), path)
+    rows = iter(rows)
+    blocks = iter(lambda: list(itertools.islice(rows, _ROWS_PER_WRITE)), [])
+    _write(itertools.chain([_csv_head(manifest, header)],
+                           ("\n".join(block) + "\n" for block in blocks)),
+           path)
 
 
 def _column_rows(row: str, *columns: np.ndarray) -> Iterator[str]:
@@ -231,22 +246,98 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         point[args.var] = value
         return state_equations(GasSpec(*point.values(), species, statistics))
 
-    # Each row's checks, and whether its columns are finite, are monotone
-    # in the swept variable: the extremes decide.
+    # Each row's checks, whether its columns are finite among them, are
+    # monotone in the swept variable: the extremes decide.
     for value in grid[sorted((grid.argmin(), grid.argmax()))].tolist():
-        if not all(map(math.isfinite, state(value))):
-            raise DomainError(f"result is not finite at {args.var}={value:g}")
+        state(value)
     row = _row_format(1 + len(_STATE_COLUMNS))
-    rows = (row % (value, *state(value)) for value in grid.tolist())
+
+    def text(block: int) -> str:
+        values = grid[block * _SWEEP_BLOCK:(block + 1) * _SWEEP_BLOCK]
+        return "\n".join([row % (value, *state(value))
+                          for value in values.tolist()]) + "\n"
+
     manifest = _manifest("sweep", {
         "gas": species.name, "var": args.var, "from": args.start,
         "to": args.stop, "points": args.points, "log": bool(args.log),
         "temp": args.temp, "volume": args.volume, "count": args.count,
         "statistics": statistics,
     })
-    _emit_csv(manifest, ",".join((args.var, *_STATE_COLUMNS)), rows,
-              args.output)
+    head = _csv_head(manifest, ",".join((args.var, *_STATE_COLUMNS)))
+    blocks = -(-len(grid) // _SWEEP_BLOCK)
+    child = (_fork_formatter(text, range(1, blocks, 2))
+             if len(grid) >= _SWEEP_FORK_ROWS else None)
+    try:
+        _write(itertools.chain([head], _sweep_blocks(text, blocks, child)),
+               args.output)
+    finally:
+        if child is not None:
+            reader, pid = child
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return 0
+
+
+def _fork_ignoring_sigint() -> int:
+    """``os.fork()`` with SIGINT blocked across it, so that the child
+    ignores ^C before it can take one and leaves it to its parent."""
+    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        pid = os.fork()
+        if pid == 0:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+        return pid
+    finally:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+
+
+def _fork_formatter(text: Callable[[int], str], blocks: range,
+                    ) -> tuple[BinaryIO, int] | None:
+    """A forked child that sends ``text(i)`` for each i in ``blocks``
+    through a pipe, each framed by its length: the pipe's read end and
+    the child's pid, or None where ``sim.forked`` does not fork or the
+    fork fails.  The child leaves through ``os._exit``, so it runs no
+    exit handler and flushes none of the stdio buffers it inherited."""
+    r, w = os.pipe()
+    try:
+        pid = simmod.forked(_fork_ignoring_sigint)
+    except OSError:
+        pid = None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                for i in blocks:
+                    data = text(i).encode("ascii")
+                    pipe.write(len(data).to_bytes(8, "little"))
+                    pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    if pid is None:
+        os.close(r)
+        return None
+    return open(r, "rb"), pid
+
+
+def _sweep_blocks(text: Callable[[int], str], blocks: int,
+                  child: tuple[BinaryIO, int] | None) -> Iterator[str]:
+    """``text(i)`` for each of the ``blocks`` blocks in order: the odd
+    ones from ``child`` while it sends them whole, the rest formatted
+    here."""
+    for i in range(blocks):
+        if child is not None and i % 2:
+            reader = child[0]
+            size = int.from_bytes(reader.read(8), "little")
+            data = reader.read(size)
+            if size and len(data) == size:
+                yield data.decode("ascii")
+                continue
+            child = None  # it died: every block from here on is formatted here
+        yield text(i)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import threading
 import warnings
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -418,17 +418,7 @@ class _Sampler:
         self.process = ctx.Process(
             target=_serve, args=(self.slots, self.posted, self.done),
             daemon=True)
-        with warnings.catch_warnings():
-            # Python 3.12+ warns when the OS counts more than one thread
-            # just after a fork.  ``_sampler`` forks only with no other
-            # Python thread, but the OS count also holds native BLAS pools.
-            # numpy's and scipy's OpenBLAS join theirs in a pthread_atfork
-            # handler before the fork, and the child calls no BLAS; still,
-            # a joined thread can be counted for a moment after the join.
-            warnings.filterwarnings(
-                "ignore", r"This process .*is multi-threaded, use of fork\(\)",
-                DeprecationWarning)
-            self.process.start()
+        self.process.start()
         self.owner = os.getpid()
 
     def submit(self, state: SimState,
@@ -490,32 +480,58 @@ def _serve(slots: np.ndarray, posted, done) -> None:
         done.release()
 
 
+def may_fork() -> bool:
+    """Whether this process may fork a helper process: where a second
+    process can help (two usable CPUs, which ``os.sched_getaffinity``
+    must tell), may be started (this process is no daemon, such as a
+    ``multiprocessing.Pool`` worker), and is safe to fork (a ``fork``
+    start method, and no other Python thread whose locks a forked child
+    would inherit)."""
+    return (two_cpus()
+            and not multiprocessing.current_process().daemon
+            and "fork" in multiprocessing.get_all_start_methods()
+            and threading.active_count() == 1)
+
+
+_Forked = TypeVar("_Forked")
+
+
+def forked(start: Callable[[], _Forked]) -> _Forked | None:
+    """``start()``, a call that forks, where ``may_fork()``; else None.
+
+    Python 3.12+ warns when the OS counts more than one thread just after
+    a fork, and that warning is ignored here.  ``may_fork`` admits no
+    other Python thread, but the OS count also holds native BLAS pools:
+    numpy's and scipy's OpenBLAS join theirs in a pthread_atfork handler
+    before the fork, and no child kolgas forks calls BLAS; still, a joined
+    thread can be counted for a moment after the join.
+    """
+    if not may_fork():
+        return None
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", r"This process .*is multi-threaded, use of fork\(\)",
+            DeprecationWarning)
+        return start()
+
+
 #: This interpreter's sampler; every run in the process shares it, so a
 #: batch of runs pays for one fork.
 _SAMPLER: _Sampler | None = None
 
 
 def _sampler() -> _Sampler | None:
-    """The live sampler, forked on first use and after one dies.  None
-    where a second process cannot help (one usable CPU, or no
-    ``os.sched_getaffinity`` to tell), may not be started (this process is
-    a daemon, such as a ``multiprocessing.Pool`` worker), or where forking
-    is unsafe: no ``fork`` start method, or other Python threads running
-    whose locks a forked child would inherit.  Fork rather than spawn,
-    because a spawned child would import numpy and scipy again."""
+    """The live sampler, forked on first use and after one dies; None
+    where ``may_fork()`` is false.  Fork rather than spawn, because a
+    spawned child would import numpy and scipy again."""
     global _SAMPLER
     current = _SAMPLER
     if current is not None and current.owner == os.getpid():
         if current.process.is_alive():
             return current
         current.close()
-    _SAMPLER = None
-    if (not two_cpus()
-            or multiprocessing.current_process().daemon
-            or "fork" not in multiprocessing.get_all_start_methods()
-            or threading.active_count() > 1):
-        return None
-    _SAMPLER = _Sampler()
+    _SAMPLER = None  # and so it stays if the fork raises
+    _SAMPLER = forked(_Sampler)
     return _SAMPLER
 
 
@@ -655,8 +671,8 @@ def run_joule_expansion(config: SimConfig, volume_ratio: float,
     expanded box, so the measured disorder change reflects the state and
     not the ruler.  At ratio 1 the expanded stage is the settled one, so
     each change is exactly zero.  The closed-form entropy step uses the
-    statistics the species' spin implies, and is computed, and checked
-    finite, before either stage runs.
+    statistics the species' spin implies, and is computed before either
+    stage runs, so a stage the closed forms cannot describe fails first.
     """
     if not math.isfinite(volume_ratio) or volume_ratio < 1.0:
         raise DomainError("volume_ratio must be >= 1 (free expansion only)")
@@ -671,16 +687,17 @@ def run_joule_expansion(config: SimConfig, volume_ratio: float,
     t_b_expanded = expanded_volume ** (1.0 / 3.0) / config.v_th
     stage2 = replace(config, box=expanded,
                      duration=JOULE_EXPANDED_TRANSITS * t_b_expanded)
-    s1, s2 = (state_equations(GasSpec(config.T_wall, stage.volume,
-                                      float(config.n_particles),
-                                      config.species, statistics))
-              for stage in (stage1, stage2))
-    delta_s = ((s2.kappa + 1.5 * s2.gamma) - (s1.kappa + 1.5 * s1.gamma))
-    if not math.isfinite(delta_s):
+    try:
+        s1, s2 = (state_equations(GasSpec(config.T_wall, stage.volume,
+                                          float(config.n_particles),
+                                          config.species, statistics))
+                  for stage in (stage1, stage2))
+    except DomainError as exc:
         raise DomainError(
             f"the entropy step from V = {stage1.volume:g} to "
             f"{stage2.volume:g} m^3 (volume_ratio {volume_ratio:g}) at "
-            f"T_wall {config.T_wall:g} K is not finite")
+            f"T_wall {config.T_wall:g} K is not defined: {exc}") from exc
+    delta_s = ((s2.kappa + 1.5 * s2.gamma) - (s1.kappa + 1.5 * s1.gamma))
 
     tail = None if keep_traces else JOULE_MEASURE_SAMPLES
     run1 = simulate(stage1, "equilibrium", reference_box=expanded, tail=tail)

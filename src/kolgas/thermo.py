@@ -142,6 +142,9 @@ def state_equations(spec: GasSpec) -> ThermoState:
     DegeneracyError
         For exclusive statistics when 2A <= 1, where the closed forms
         leave their domain.
+    DomainError
+        When a field is not finite, such as the slot count at a volume
+        where V / lambda_th^3 overflows.
     """
     lam = thermal_length(spec.T, spec.species.mass)
     try:
@@ -180,7 +183,7 @@ def state_equations(spec: GasSpec) -> ThermoState:
     S = N * K_BOLTZMANN * (kappa + 1.5 * gamma)
     P = (N * K_BOLTZMANN * T / V) * gamma
     U = 1.5 * N * K_BOLTZMANN * T * gamma
-    return ThermoState(
+    state = ThermoState(
         lambda_th=lam,
         M=M,
         A=A,
@@ -193,4 +196,11 @@ def state_equations(spec: GasSpec) -> ThermoState:
         U=U,
         c_V=c_V,
     )
+    if not all(map(math.isfinite, state)):
+        name, value = next(item for item in zip(ThermoState._fields, state)
+                           if not math.isfinite(item[1]))
+        raise DomainError(f"the state at T={T:g} K, V={V:g} m^3 and "
+                          f"particle count N={N:g} is not finite: "
+                          f"{name} = {value}")
+    return state
 

@@ -12,6 +12,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import zlib
 
@@ -22,8 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as strat
 
 import kolgas
-from kolgas.cli import (_ROWS_PER_WRITE, RELAX_SEEDS_CAP, SWEEP_POINTS_CAP,
-                        _write_events, main)
+from kolgas.cli import (_ROWS_PER_WRITE, _SWEEP_BLOCK, _SWEEP_FORK_ROWS,
+                        RELAX_SEEDS_CAP, SWEEP_POINTS_CAP, _write_events,
+                        main)
 from kolgas.constants import species_lookup
 from kolgas.errors import DomainError
 from kolgas.thermo import GasSpec, state_equations
@@ -171,7 +173,9 @@ def test_sweep_rejects_points_above_the_cap(capsys):
 
 # SHA-256 of stdout, taken from the code that formatted each field with
 # format(x, ".17g") and wrote the file as one string; the 5000-row V
-# sweep spans more than one of the writer's blocks
+# sweep spans more than one of the writer's blocks.  The 10^4-row T
+# sweep's digest was taken from the code that formatted every row in one
+# process; where this process may fork, a child formats half its blocks
 @pytest.mark.parametrize("argv, digest", [
     (("--gas", "he3", "--var", "T", "--from", "2", "--to", "40",
       "--points", "7", "--log"),
@@ -185,7 +189,11 @@ def test_sweep_rejects_points_above_the_cap(capsys):
     (("--gas", "he3", "--var", "N", "--from", "1e10", "--to", "1e18",
       "--points", "7"),
      "1b5f3e45aeea4ffa4a16ee64034761269bb4689a573b7a7798f51d1b60d1a5fc"),
-], ids=["he3-T-log", "he4-V-linear", "he4-N-log", "he3-N-linear"])
+    (("--gas", "he3", "--var", "T", "--from", "2", "--to", "40",
+      "--points", "10000", "--log"),
+     "655a8f5010899325d055829426d26f4ab36880b8cc3f8d3a6d92531734dcf730"),
+], ids=["he3-T-log", "he4-V-linear", "he4-N-log", "he3-N-linear",
+        "he3-T-log-10k"])
 def test_sweep_pinned_bytes(capsys, argv, digest):
     code, out, _ = run_cli(capsys, "sweep", *argv)
     assert code == 0
@@ -348,6 +356,138 @@ def test_sweep_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 12 * 2**20
+
+
+def _record_forks(monkeypatch) -> list[int]:
+    """The pid of each child ``os.fork`` makes from here on."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _force_fork(monkeypatch, on: bool) -> None:
+    monkeypatch.setattr(kolgas.sim, "may_fork", lambda: on)
+
+
+def _assert_reaped(pids: list[int]) -> None:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _big_sweep(points: int) -> tuple[str, ...]:
+    return ("sweep", "--var", "T", "--from", "2", "--to", "40", "--points",
+            str(points), "--log")
+
+
+@pytest.mark.parametrize("points, forks", [
+    (_SWEEP_FORK_ROWS - 1, 0), (_SWEEP_FORK_ROWS, 1),
+    (5 * _SWEEP_BLOCK + 3, 1), (6 * _SWEEP_BLOCK, 1)])
+def test_sweep_bytes_are_the_same_with_and_without_the_child(
+        capsys, monkeypatch, points, forks):
+    pids = _record_forks(monkeypatch)
+    _force_fork(monkeypatch, False)
+    code, alone, _ = run_cli(capsys, *_big_sweep(points))
+    assert code == 0 and pids == []
+    _force_fork(monkeypatch, True)
+    code, shared, _ = run_cli(capsys, *_big_sweep(points))
+    assert code == 0 and len(pids) == forks
+    assert shared == alone
+    assert len(alone.splitlines()) == 2 + points
+    _assert_reaped(pids)
+
+
+@pytest.mark.parametrize("rows_sent", [0, _SWEEP_BLOCK + 5])
+def test_sweep_formats_the_blocks_of_a_child_that_died(capsys, monkeypatch,
+                                                       rows_sent):
+    # the child exits after formatting rows_sent rows: before its first
+    # block, or part-way through its second
+    _force_fork(monkeypatch, False)
+    _, alone, _ = run_cli(capsys, *_big_sweep(5 * _SWEEP_BLOCK))
+    parent, calls = os.getpid(), []
+
+    def dying(spec):
+        if os.getpid() != parent:
+            calls.append(spec)
+            if len(calls) > rows_sent:
+                os._exit(1)
+        return state_equations(spec)
+
+    monkeypatch.setattr("kolgas.cli.state_equations", dying)
+    pids = _record_forks(monkeypatch)
+    _force_fork(monkeypatch, True)
+    code, shared, _ = run_cli(capsys, *_big_sweep(5 * _SWEEP_BLOCK))
+    assert code == 0 and len(pids) == 1
+    assert shared == alone
+    _assert_reaped(pids)
+
+
+def test_sweep_child_is_reaped_after_a_write_error(capsys, monkeypatch):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full here")
+    pids = _record_forks(monkeypatch)
+    _force_fork(monkeypatch, True)
+    code, out, err = run_cli(capsys, *_big_sweep(10 * _SWEEP_BLOCK),
+                             "--output", "/dev/full")
+    assert code == 3 and len(pids) == 1
+    assert err.startswith("error: /dev/full: ") and err.count("\n") == 1
+    _assert_reaped(pids)
+
+
+def test_sweep_child_is_reaped_after_an_interrupt(monkeypatch):
+    # ^C reaches this process part-way through its second block
+    parent, calls = os.getpid(), []
+
+    def interrupted(spec):
+        if os.getpid() == parent:
+            calls.append(spec)
+            if len(calls) == 2 + _SWEEP_BLOCK + 7:  # the extremes first
+                raise KeyboardInterrupt
+        return state_equations(spec)
+
+    monkeypatch.setattr("kolgas.cli.state_equations", interrupted)
+    pids = _record_forks(monkeypatch)
+    _force_fork(monkeypatch, True)
+    with pytest.raises(KeyboardInterrupt):
+        main([*_big_sweep(10 * _SWEEP_BLOCK), "--output", os.devnull])
+    assert len(pids) == 1
+    _assert_reaped(pids)
+
+
+def test_sweep_with_a_thread_alive_stays_in_process(capsys, monkeypatch):
+    # a forked child would inherit the thread's locks, and Python 3.12+
+    # warns at such a fork, an error here; a sim relax afterwards still
+    # gets its sampler
+    pids = _record_forks(monkeypatch)
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait, args=(60.0,))
+    waiting.start()
+    try:
+        code, alone, _ = run_cli(capsys, *_big_sweep(3 * _SWEEP_BLOCK))
+    finally:
+        release.set()
+        waiting.join(timeout=10)
+    assert code == 0 and pids == [] and not waiting.is_alive()
+    code, again, _ = run_cli(capsys, *_big_sweep(3 * _SWEEP_BLOCK))
+    assert code == 0 and again == alone
+    may_fork = kolgas.sim.may_fork()
+    assert len(pids) == may_fork
+    _assert_reaped(pids)
+
+    sampler, handed = kolgas.sim._sampler, []
+    monkeypatch.setattr(kolgas.sim, "_sampler",
+                        lambda: handed.append(sampler()) or handed[-1])
+    code, _, _ = run_cli(capsys, "sim", "relax", *_SMALL_SIM)
+    assert code == 0 and handed
+    assert all((live is not None) == may_fork for live in handed)
 
 
 # --- randomness pipeline -----------------------------------------------------------
@@ -745,7 +885,7 @@ def test_sim_bad_particle_count_exits_2(capsys):
 #: interval or the duration a cadence option gives is 0, negative or
 #: overflows; the expanded box's volume overflows; the vessel side is
 #: not a length; the slot count of a stage is inf, so the entropy step
-#: is not finite.
+#: is not defined; the slot count of a state is inf.
 _NAMED_INPUTS = {
     ("state", "--count", "1e-308"): "count",
     ("sim", "relax", "--box-side", "1e103"): "box edges",
@@ -763,6 +903,8 @@ _NAMED_INPUTS = {
     ("sim", "joule", "--box-side", "1e100", "--ratio", "1e8"):
         "entropy step from V = 1e+300 to 1e+308 m^3 (volume_ratio 1e+08) "
         "at T_wall 10 K",
+    ("state", "--temp", "10", "--volume", "1e300", "--count", "1"):
+        "T=10 K, V=1e+300 m^3 and particle count N=1 is not finite: M = inf",
 }
 
 
@@ -889,14 +1031,18 @@ def test_thermal_tail_overflow_exits_2(capsys, temp):
     assert err.startswith("error: T_wall ") and err.count("\n") == 1
 
 
-def _kolgas(*argv, **kwargs) -> subprocess.Popen:
-    """``python -m kolgas.cli`` with ``argv`` in a fresh process, its
-    stdout block-buffered as by default."""
+def _python(*argv, **kwargs) -> subprocess.Popen:
+    """``python`` with ``argv`` in a fresh process that imports this
+    kolgas, its stdout block-buffered as by default."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env.update(OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(pathlib.Path(kolgas.__file__).parents[1]))
-    return subprocess.Popen([sys.executable, "-m", "kolgas.cli", *argv],
-                            env=env, **kwargs)
+    return subprocess.Popen([sys.executable, *argv], env=env, **kwargs)
+
+
+def _kolgas(*argv, **kwargs) -> subprocess.Popen:
+    """``python -m kolgas.cli`` with ``argv`` in a fresh process."""
+    return _python("-m", "kolgas.cli", *argv, **kwargs)
 
 
 @pytest.mark.parametrize("sink", ["closed-pipe", "full-device"])
@@ -921,6 +1067,41 @@ def test_unwritable_stdout_exits_3(sink):
     assert code == 3
     assert err.startswith("error: stdout: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_sweep_child_is_reaped_after_a_closed_pipe(tmp_path):
+    # the closed-pipe sweep above, in a process that may fork and writes
+    # down the pid of each child it forks
+    script = "\n".join([
+        "import os, sys",
+        "from kolgas import cli, sim",
+        "sim.may_fork = lambda: True",
+        "fork = os.fork",
+        "def recording_fork():",
+        "    pid = fork()",
+        "    if pid:",
+        "        with open(sys.argv[1], 'a') as fh:",
+        "            fh.write(f'{pid}\\n')",
+        "    return pid",
+        "os.fork = recording_fork",
+        "sys.exit(cli.main(sys.argv[2:]))",
+    ])
+    pid_file = tmp_path / "pids"
+    with _python("-c", script, str(pid_file), "sweep", "--var", "T",
+                 "--from", "2", "--to", "40", "--points", "100000",
+                 stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert code == 3
+    assert err.startswith("error: stdout: ") and err.count("\n") == 1
+    pids = [int(line) for line in pid_file.read_text().split()]
+    assert len(pids) == 1
+    # reaped, so gone; a child left running, or a zombie no one reaped,
+    # would still take the signal
+    with pytest.raises(ProcessLookupError):
+        os.kill(pids[0], 0)
 
 
 def test_non_sim_commands_do_not_load_scipy(tmp_path):

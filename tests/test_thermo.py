@@ -357,6 +357,28 @@ def test_gas_spec_validation():
         GasSpec(1.0, 1.0, 1.0, HE3, "anyons")
 
 
+_POSITIVE_FLOATS = strat.floats(min_value=0.0, exclude_min=True,
+                                allow_infinity=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(T=_POSITIVE_FLOATS, V=_POSITIVE_FLOATS, N=_POSITIVE_FLOATS,
+       gas=strat.sampled_from(["he3", "he4"]),
+       statistics=strat.sampled_from(["fermi", "bose"]))
+def test_state_equations_are_finite_or_raise(T, V, N, gas, statistics):
+    # over the whole positive float range, subnormals included: a state
+    # with a column that is not finite is a domain error naming T, V, N
+    spec = GasSpec(T, V, N, species_lookup(gas), statistics)
+    try:
+        state = state_equations(spec)
+    except DomainError as exc:
+        if "not finite" in str(exc):
+            assert f"T={T:g} K, V={V:g} m^3 and particle count N={N:g}" \
+                in str(exc)
+        return
+    assert all(map(math.isfinite, state))
+
+
 def _log_uniform(lo_exp: float, hi_exp: float):
     return strat.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
 
