@@ -18,14 +18,15 @@ error (unreadable input artifact, or an artifact that cannot be written).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
 import math
+import multiprocessing
 import os
-import signal
 import sys
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -121,26 +122,20 @@ def _emit_json(payload: dict, path: str) -> None:
     _write([_json(payload, indent=2) + "\n"], path)
 
 
-def _csv_head(manifest: dict, header: str) -> str:
-    """The manifest comment line and the header line of a CSV."""
-    return f"# manifest: {_json(manifest)}\n{header}\n"
-
-
-def _emit_csv(manifest: dict, header: str, rows: Iterable[str],
+def _emit_csv(manifest: dict, header: str, blocks: Iterable[str],
               path: str) -> None:
-    """Write the manifest line, the header and ``rows``, a block at a time."""
-    rows = iter(rows)
-    blocks = iter(lambda: list(itertools.islice(rows, _ROWS_PER_WRITE)), [])
-    _write(itertools.chain([_csv_head(manifest, header)],
-                           ("\n".join(block) + "\n" for block in blocks)),
-           path)
+    """Write the manifest line, the header and ``blocks``, text blocks of
+    whole lines."""
+    _write(itertools.chain([f"# manifest: {_json(manifest)}\n{header}\n"],
+                           blocks), path)
 
 
 def _column_rows(row: str, *columns: np.ndarray) -> Iterator[str]:
-    """``row % values`` for each row of ``columns``, a block at a time."""
+    """The lines ``row % values`` for the rows of ``columns``, as text
+    blocks of up to ``_ROWS_PER_WRITE`` lines."""
     for i in range(0, len(columns[0]), _ROWS_PER_WRITE):
         block = (column[i:i + _ROWS_PER_WRITE].tolist() for column in columns)
-        yield from (row % values for values in zip(*block))
+        yield "\n".join([row % values for values in zip(*block)]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -263,80 +258,53 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "temp": args.temp, "volume": args.volume, "count": args.count,
         "statistics": statistics,
     })
-    head = _csv_head(manifest, ",".join((args.var, *_STATE_COLUMNS)))
     blocks = -(-len(grid) // _SWEEP_BLOCK)
-    child = (_fork_formatter(text, range(1, blocks, 2))
-             if len(grid) >= _SWEEP_FORK_ROWS else None)
+    child = reader = None
+    if len(grid) >= _SWEEP_FORK_ROWS:
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        child = simmod.forked(_send_blocks, text, range(1, blocks, 2),
+                              reader, writer)
+        writer.close()  # the child's copy is the one left: its exit is EOF
     try:
-        _write(itertools.chain([head], _sweep_blocks(text, blocks, child)),
-               args.output)
+        _emit_csv(manifest, ",".join((args.var, *_STATE_COLUMNS)),
+                  _sweep_blocks(text, blocks, reader if child else None),
+                  args.output)
     finally:
         if child is not None:
-            reader, pid = child
+            child.kill()
+            child.join()
+        if reader is not None:
             reader.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
     return 0
 
 
-def _fork_ignoring_sigint() -> int:
-    """``os.fork()`` with SIGINT blocked across it, so that the child
-    ignores ^C before it can take one and leaves it to its parent."""
-    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        pid = os.fork()
-        if pid == 0:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-        return pid
-    finally:
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-
-
-def _fork_formatter(text: Callable[[int], str], blocks: range,
-                    ) -> tuple[BinaryIO, int] | None:
-    """A forked child that sends ``text(i)`` for each i in ``blocks``
-    through a pipe, each framed by its length: the pipe's read end and
-    the child's pid, or None where ``sim.forked`` does not fork or the
-    fork fails.  The child leaves through ``os._exit``, so it runs no
-    exit handler and flushes none of the stdio buffers it inherited."""
-    r, w = os.pipe()
-    try:
-        pid = simmod.forked(_fork_ignoring_sigint)
-    except OSError:
-        pid = None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            with open(w, "wb") as pipe:
-                for i in blocks:
-                    data = text(i).encode("ascii")
-                    pipe.write(len(data).to_bytes(8, "little"))
-                    pipe.write(data)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    if pid is None:
-        os.close(r)
-        return None
-    return open(r, "rb"), pid
+def _send_blocks(text: Callable[[int], str], blocks: range,
+                 reader: multiprocessing.connection.Connection,
+                 writer: multiprocessing.connection.Connection) -> None:
+    """The sweep's child: send ``text(i)`` for each i in ``blocks``.  If
+    that raises, the child exits quietly, and its parent formats every
+    block it did not get."""
+    reader.close()  # so a write fails once the parent has gone
+    with contextlib.suppress(Exception):
+        for i in blocks:
+            writer.send_bytes(text(i).encode("ascii"))
 
 
 def _sweep_blocks(text: Callable[[int], str], blocks: int,
-                  child: tuple[BinaryIO, int] | None) -> Iterator[str]:
+                  reader: multiprocessing.connection.Connection | None,
+                  ) -> Iterator[str]:
     """``text(i)`` for each of the ``blocks`` blocks in order: the odd
-    ones from ``child`` while it sends them whole, the rest formatted
-    here."""
+    ones from the child at ``reader`` while it sends them, the rest
+    formatted here."""
     for i in range(blocks):
-        if child is not None and i % 2:
-            reader = child[0]
-            size = int.from_bytes(reader.read(8), "little")
-            data = reader.read(size)
-            if size and len(data) == size:
+        if reader is not None and i % 2:
+            try:
+                data = reader.recv_bytes()
+            except (EOFError, OSError):  # it died, and the rest is here
+                reader = None
+            else:
                 yield data.decode("ascii")
                 continue
-            child = None  # it died: every block from here on is formatted here
         yield text(i)
 
 

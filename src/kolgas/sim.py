@@ -28,7 +28,7 @@ import threading
 import warnings
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, TypeVar
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -415,10 +415,7 @@ class _Sampler:
                                    dtype=_SLOT)
         self.posted, self.done = ctx.Semaphore(0), ctx.Semaphore(0)
         self.submitted = self.collected = 0
-        self.process = ctx.Process(
-            target=_serve, args=(self.slots, self.posted, self.done),
-            daemon=True)
-        self.process.start()
+        self.process = forked(_serve, self.slots, self.posted, self.done)
         self.owner = os.getpid()
 
     def submit(self, state: SimState,
@@ -463,7 +460,6 @@ def _serve(slots: np.ndarray, posted, done) -> None:
     order they were posted, into the row of its slot.  It exits when its
     parent has gone, and when sampling raises, which makes the caller
     sample that row itself."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles ^C
     parent = os.getppid()
     served = 0
     while True:
@@ -481,23 +477,26 @@ def _serve(slots: np.ndarray, posted, done) -> None:
 
 
 def may_fork() -> bool:
-    """Whether this process may fork a helper process: where a second
-    process can help (two usable CPUs, which ``os.sched_getaffinity``
-    must tell), may be started (this process is no daemon, such as a
-    ``multiprocessing.Pool`` worker), and is safe to fork (a ``fork``
-    start method, and no other Python thread whose locks a forked child
-    would inherit)."""
+    """Whether this process may fork a helper process, as ``forked`` asks
+    before each fork: where a second process can help (two usable CPUs,
+    which ``os.sched_getaffinity`` must tell), may be started (this
+    process is no daemon, such as a ``multiprocessing.Pool`` worker), and
+    is safe to fork (a ``fork`` start method, and no other Python thread
+    whose locks a forked child would inherit)."""
     return (two_cpus()
             and not multiprocessing.current_process().daemon
             and "fork" in multiprocessing.get_all_start_methods()
             and threading.active_count() == 1)
 
 
-_Forked = TypeVar("_Forked")
-
-
-def forked(start: Callable[[], _Forked]) -> _Forked | None:
-    """``start()``, a call that forks, where ``may_fork()``; else None.
+def forked(target: Callable[..., object],
+           *args) -> multiprocessing.Process | None:
+    """A started daemon process, forked, that runs ``target(*args)``; None
+    where ``may_fork()`` is false or the fork fails, and the caller does
+    the work itself.  The caller stops the child with ``kill()`` and
+    ``join()``.  SIGINT is blocked across the fork and ignored in the
+    child, which leaves ^C to this process; ``multiprocessing`` flushes
+    stdio before it forks, so the child repeats no buffered output.
 
     Python 3.12+ warns when the OS counts more than one thread just after
     a fork, and that warning is ignored here.  ``may_fork`` admits no
@@ -508,11 +507,25 @@ def forked(start: Callable[[], _Forked]) -> _Forked | None:
     """
     if not may_fork():
         return None
-    with warnings.catch_warnings():
-        warnings.filterwarnings(
-            "ignore", r"This process .*is multi-threaded, use of fork\(\)",
-            DeprecationWarning)
-        return start()
+    process = multiprocessing.get_context("fork").Process(
+        target=_ignoring_sigint, args=(target, *args), daemon=True)
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", r"This process .*is multi-threaded, use of fork\(\)",
+                DeprecationWarning)
+            process.start()
+    except OSError:  # EAGAIN at the process limit, or no file descriptors
+        return None
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    return process
+
+
+def _ignoring_sigint(target: Callable[..., object], *args) -> None:
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C
+    target(*args)
 
 
 #: This interpreter's sampler; every run in the process shares it, so a
@@ -522,16 +535,19 @@ _SAMPLER: _Sampler | None = None
 
 def _sampler() -> _Sampler | None:
     """The live sampler, forked on first use and after one dies; None
-    where ``may_fork()`` is false.  Fork rather than spawn, because a
-    spawned child would import numpy and scipy again."""
+    where ``forked`` starts no process.  Fork rather than spawn, because
+    a spawned child would import numpy and scipy again."""
     global _SAMPLER
     current = _SAMPLER
     if current is not None and current.owner == os.getpid():
         if current.process.is_alive():
             return current
         current.close()
-    _SAMPLER = None  # and so it stays if the fork raises
-    _SAMPLER = forked(_Sampler)
+    _SAMPLER = None  # and so it stays if no process starts
+    if may_fork():
+        sampler = _Sampler()
+        if sampler.process is not None:
+            _SAMPLER = sampler
     return _SAMPLER
 
 

@@ -1,6 +1,7 @@
 """Command-line behaviour: artifact schemas, manifests, exit codes, and
 byte-level determinism of reruns."""
 import contextlib
+import errno
 import functools
 import hashlib
 import io
@@ -9,10 +10,13 @@ import math
 import os
 import pathlib
 import resource
+import signal
+import struct
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 import zlib
 
@@ -422,6 +426,25 @@ def test_sweep_formats_the_blocks_of_a_child_that_died(capsys, monkeypatch,
         return state_equations(spec)
 
     monkeypatch.setattr("kolgas.cli.state_equations", dying)
+    pids = _record_forks(monkeypatch)
+    _force_fork(monkeypatch, True)
+    code, shared, _ = run_cli(capsys, *_big_sweep(5 * _SWEEP_BLOCK))
+    assert code == 0 and len(pids) == 1
+    assert shared == alone
+    _assert_reaped(pids)
+
+
+def test_sweep_formats_a_block_its_child_sent_in_part(capsys, monkeypatch):
+    # the child dies part-way through sending its first block, as when the
+    # OOM killer takes it: the pipe holds a length and part of the text
+    _force_fork(monkeypatch, False)
+    _, alone, _ = run_cli(capsys, *_big_sweep(5 * _SWEEP_BLOCK))
+
+    def cut_short(text, blocks, reader, writer):
+        os.write(writer.fileno(), struct.pack("!i", 1 << 20) + b"2,1.5")
+        os._exit(1)
+
+    monkeypatch.setattr("kolgas.cli._send_blocks", cut_short)
     pids = _record_forks(monkeypatch)
     _force_fork(monkeypatch, True)
     code, shared, _ = run_cli(capsys, *_big_sweep(5 * _SWEEP_BLOCK))
@@ -999,6 +1022,31 @@ def test_unwritable_output_exits_3(tmp_path, capsys, argv):
     assert err.startswith(f"error: {written}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("sim", "relax", *_SMALL_SIM, "--trace-output", "-",
+     "--output", os.devnull),
+    ("sim", "joule", *_SMALL_SIM),
+    _big_sweep(3 * _SWEEP_BLOCK),
+], ids=["relax", "joule", "sweep"])
+def test_a_failed_fork_runs_in_one_process(capsys, monkeypatch, argv):
+    # a fork that raises, as at the process limit, leaves the work to this
+    # process, which writes the bytes it writes where it may not fork
+    monkeypatch.setattr(kolgas.sim, "_SAMPLER", None)
+    _force_fork(monkeypatch, False)
+    code, alone, _ = run_cli(capsys, *argv)
+    assert code == 0
+    tried = []
+
+    def failing_fork():
+        tried.append(True)
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    _force_fork(monkeypatch, True)
+    assert run_cli(capsys, *argv) == (0, alone, "")
+    assert tried and kolgas.sim._SAMPLER is None
+
+
 @pytest.mark.parametrize("option", ["--output", "--trace-output",
                                     "--events-output"])
 def test_empty_output_path_exits_3(capsys, option):
@@ -1102,6 +1150,45 @@ def test_sweep_child_is_reaped_after_a_closed_pipe(tmp_path):
     # would still take the signal
     with pytest.raises(ProcessLookupError):
         os.kill(pids[0], 0)
+
+
+def test_sweep_child_is_reaped_after_a_real_interrupt(tmp_path):
+    # ^C at a terminal sends SIGINT to the whole process group, the child
+    # too: the child ignores it and the parent, interrupted while it
+    # writes, kills and reaps the child on its way out.  The parent here
+    # writes down the child's pid, and waits a moment before it kills the
+    # child, so that a child that took the ^C would print its traceback
+    script = "\n".join([
+        "import os, sys, time",
+        "from kolgas import cli, sim",
+        "sim.may_fork = lambda: True",
+        "forked = sim.forked",
+        "def recording(*args):",
+        "    child = forked(*args)",
+        "    with open(sys.argv[1] + '.part', 'w') as fh:",
+        "        fh.write(f'{child.pid}\\n')",
+        "    os.replace(sys.argv[1] + '.part', sys.argv[1])",
+        "    kill = child.kill",
+        "    child.kill = lambda: time.sleep(0.5) or kill()",
+        "    return child",
+        "sim.forked = recording",
+        "sys.exit(cli.main(sys.argv[2:]))",
+    ])
+    pid_file, out = tmp_path / "pid", tmp_path / "sweep.csv"
+    with _python("-c", script, str(pid_file),
+                 *_big_sweep(SWEEP_POINTS_CAP), "--output", str(out),
+                 stderr=subprocess.PIPE, start_new_session=True) as proc:
+        deadline = time.monotonic() + 60
+        while not (out.exists() and out.stat().st_size and pid_file.exists()):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        os.killpg(proc.pid, signal.SIGINT)
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert code == -signal.SIGINT, err
+    assert "KeyboardInterrupt" in err and "Process-" not in err
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
 
 
 def test_non_sim_commands_do_not_load_scipy(tmp_path):
