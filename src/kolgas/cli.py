@@ -49,15 +49,13 @@ RELAX_SEEDS_CAP = 10**4
 
 _ANGSTROM = 1e-10
 
-#: Lines a CSV writer joins into one write.
-_ROWS_PER_WRITE = 4096
-
-#: Rows a sweep computes and formats as one block.
-_SWEEP_BLOCK = 1024
+#: Lines a CSV writer joins into one write, and rows a sweep computes
+#: and formats as one block.
+_ROWS_PER_WRITE = 1024
 
 #: Fewest rows for which a sweep forks a child that formats its odd
 #: blocks while this process formats the even ones.
-_SWEEP_FORK_ROWS = 2 * _SWEEP_BLOCK
+_SWEEP_FORK_ROWS = 2 * _ROWS_PER_WRITE
 
 
 def _manifest(command: str, params: dict, seed: int | None = None) -> dict:
@@ -248,7 +246,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     row = _row_format(1 + len(_STATE_COLUMNS))
 
     def text(block: int) -> str:
-        values = grid[block * _SWEEP_BLOCK:(block + 1) * _SWEEP_BLOCK]
+        values = grid[block * _ROWS_PER_WRITE:(block + 1) * _ROWS_PER_WRITE]
         return "\n".join([row % (value, *state(value))
                           for value in values.tolist()]) + "\n"
 
@@ -258,7 +256,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "temp": args.temp, "volume": args.volume, "count": args.count,
         "statistics": statistics,
     })
-    blocks = -(-len(grid) // _SWEEP_BLOCK)
+    blocks = -(-len(grid) // _ROWS_PER_WRITE)
     child = reader = None
     if len(grid) >= _SWEEP_FORK_ROWS:
         reader, writer = multiprocessing.Pipe(duplex=False)

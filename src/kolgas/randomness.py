@@ -130,13 +130,9 @@ def _pack(values: np.ndarray, width: int) -> bytes:
     return np.packbits(bits[:, 8 * used - width:]).tobytes()
 
 
-def _packed_bytes(values: np.ndarray, width: int) -> bytes:
-    """:func:`_pack` of the whole list, made slice by slice."""
-    return b"".join(_pack(part, width) for part in _slices(values))
-
-
 def _unpacked_values(packed: np.ndarray, n: int, width: int) -> np.ndarray:
-    """Inverse of :func:`_packed_bytes`: the n values held in ``packed``."""
+    """Inverse of :func:`_pack` over the whole list: the n values held in
+    ``packed``."""
     values = np.empty(n, dtype=np.int64)
     for start in range(0, n, _CHUNK):
         m = min(_CHUNK, n - start)
@@ -186,10 +182,11 @@ def _log2_binom_any(m: int, j: int) -> float:
 # once: given the values, the width k and ascending prefix sizes, it
 # returns the bits of its code for values[:m] at each m in ``sizes``.
 # zlib and delta make one compressor pass through ``_deflate_bits``,
-# which packs the list one ``_CHUNK`` slice at a time, so neither holds
-# a whole-list buffer; the rest measure each prefix afresh through
-# ``_each_prefix``.  For a long list, ``_prefix_estimates`` runs zlib in
-# a helper thread while delta and the entropy bounds run in the caller.
+# which packs the list one ``_CHUNK`` slice at a time; the rest measure
+# each prefix afresh through ``_each_prefix``, lzma also feeding its
+# compressor slice by slice, so no estimator holds a whole-list buffer.
+# For a long list, ``_prefix_estimates`` runs zlib in a helper thread
+# while delta and the entropy bounds run in the caller.
 
 def _deflate_bits(slices: Iterable[np.ndarray], width: int,
                   sizes: list[int]) -> list[float]:
@@ -254,9 +251,11 @@ _LZMA_FILTERS = [{"id": lzma.FILTER_LZMA2, "preset": 6}]
 
 
 def _k_lzma(values: np.ndarray, width: int) -> float:
-    data = lzma.compress(_packed_bytes(values, width),
-                         format=lzma.FORMAT_RAW, filters=_LZMA_FILTERS)
-    return 8.0 * len(data)
+    compressor = lzma.LZMACompressor(format=lzma.FORMAT_RAW,
+                                     filters=_LZMA_FILTERS)
+    size = sum(len(compressor.compress(_pack(part, width)))
+               for part in _slices(values))
+    return 8.0 * (size + len(compressor.flush()))
 
 
 def _popcount(values: np.ndarray) -> int:

@@ -389,16 +389,16 @@ def _snapshot(slot: np.void) -> tuple[np.ndarray, ...]:
 
 class _Sampler:
     """A forked process that samples snapshots of the state while the
-    caller steps on.
+    caller steps on, and the queue of rows it owes the caller.
 
-    Up to ``_SLOTS`` rows are owed at a time, each in its own slot, and
-    the process samples them in the order they were submitted.  The
-    snapshots and the rows travel through shared memory, and each side
-    wakes the other by a semaphore post: on Linux, a wake-up through a
-    pipe or socket moves the sleeper onto the waker's CPU, where the two
-    then run in turn, while a post wakes it on the CPU it last ran on.
-    (With a pipe, runs at n=10^3 were 5-9% slower than sampling in-process
-    on a 2-CPU machine.)
+    ``owed`` holds the row indices handed over and not yet collected,
+    oldest first, each snapshot in its own slot of ``_SLOTS``; the process
+    samples them in that order.  The snapshots and the rows travel through
+    shared memory, and each side wakes the other by a semaphore post: on
+    Linux, a wake-up through a pipe or socket moves the sleeper onto the
+    waker's CPU, where the two then run in turn, while a post wakes it on
+    the CPU it last ran on.  (With a pipe, runs at n=10^3 were 5-9% slower
+    than sampling in-process on a 2-CPU machine.)
 
     If the process dies, or exits because sampling raised, each owed row
     is sampled in this process from the snapshot still in its slot,
@@ -414,40 +414,49 @@ class _Sampler:
         self.slots = np.frombuffer(mmap.mmap(-1, _SLOTS * _SLOT.itemsize),
                                    dtype=_SLOT)
         self.posted, self.done = ctx.Semaphore(0), ctx.Semaphore(0)
-        self.submitted = self.collected = 0
+        self.owed: deque[int] = deque()
+        self.collected = 0
         self.process = forked(_serve, self.slots, self.posted, self.done)
         self.owner = os.getpid()
 
-    def submit(self, state: SimState,
-               reference_box: tuple[float, float, float]) -> None:
-        """Hand a snapshot of ``state`` over to be sampled; the caller
-        owes fewer than ``_SLOTS`` rows, so its slot is free."""
-        slot = self.slots[self.submitted % _SLOTS]
+    def take(self, state: SimState, reference_box: tuple[float, float, float],
+             rows: np.ndarray, i: int) -> bool:
+        """Collect the rows already done into ``rows``, then hand a
+        snapshot of ``state`` over as row ``i`` if a slot is free; False
+        if the caller must sample the row itself.  The last row goes out
+        only to an idle sampler, or the caller would wait while the
+        sampler works through two."""
+        self.collect(rows, wait=False)
+        if len(self.owed) >= (_SLOTS if i < len(rows) - 1 else 1):
+            return False
+        slot = self.slots[(self.collected + len(self.owed)) % _SLOTS]
         slot["n"] = len(state.pos)
         pos, vel, box, ref = _snapshot(slot)
         pos[:], vel[:], box[:] = state.pos, state.vel, state.config.box
         ref[:] = reference_box
-        self.submitted += 1
+        self.owed.append(i)
         self.posted.release()
+        return True
 
-    def result(self, wait: bool = True,
-               ) -> tuple[float, ...] | None:
-        """The oldest owed row: from the process once it is done, or from
-        here if the process has exited.  None if it is not done yet and
-        ``wait`` is false."""
-        slot = self.slots[self.collected % _SLOTS]
-        while not self.done.acquire(block=wait, timeout=0.1):
-            if not self.process.is_alive():
-                # every post comes before the exit, so look once more
-                # before sampling the row here
-                if not self.done.acquire(block=False):
-                    self.close()
-                    slot["row"] = sample_disorder(*_snapshot(slot))
-                break
-            if not wait:
-                return None
-        self.collected += 1
-        return tuple(slot["row"].tolist())
+    def collect(self, rows: np.ndarray, wait: bool) -> None:
+        """Write the owed rows into ``rows``, oldest first, up to the
+        first one the process has not finished, or with ``wait`` all of
+        them.  Once the process has exited, the rows it owes are sampled
+        here."""
+        while self.owed:
+            slot = self.slots[self.collected % _SLOTS]
+            alive = self.process.is_alive()
+            # every post comes before the exit, so a row a dead process
+            # posted is found here, and only the others are sampled again
+            if not self.done.acquire(block=wait and alive, timeout=0.1):
+                if alive:
+                    if not wait:
+                        return
+                    continue
+                self.close()
+                slot["row"] = sample_disorder(*_snapshot(slot))
+            rows[self.owed.popleft()] = slot["row"]
+            self.collected += 1
 
     def close(self) -> None:
         """Stop the process; this sampler samples nothing more."""
@@ -476,14 +485,20 @@ def _serve(slots: np.ndarray, posted, done) -> None:
         done.release()
 
 
+#: Set when a fork has failed: this process forks no more, because each
+#: failed start leaks the two pipes ``multiprocessing`` opened for it.
+_FORK_FAILED = False
+
+
 def may_fork() -> bool:
     """Whether this process may fork a helper process, as ``forked`` asks
     before each fork: where a second process can help (two usable CPUs,
-    which ``os.sched_getaffinity`` must tell), may be started (this
-    process is no daemon, such as a ``multiprocessing.Pool`` worker), and
-    is safe to fork (a ``fork`` start method, and no other Python thread
-    whose locks a forked child would inherit)."""
-    return (two_cpus()
+    which ``os.sched_getaffinity`` must tell), may be started (no fork of
+    this process has failed, and it is no daemon, such as a
+    ``multiprocessing.Pool`` worker), and is safe to fork (a ``fork``
+    start method, and no other Python thread whose locks a forked child
+    would inherit)."""
+    return (not _FORK_FAILED and two_cpus()
             and not multiprocessing.current_process().daemon
             and "fork" in multiprocessing.get_all_start_methods()
             and threading.active_count() == 1)
@@ -505,6 +520,7 @@ def forked(target: Callable[..., object],
     before the fork, and no child kolgas forks calls BLAS; still, a joined
     thread can be counted for a moment after the join.
     """
+    global _FORK_FAILED
     if not may_fork():
         return None
     process = multiprocessing.get_context("fork").Process(
@@ -517,6 +533,7 @@ def forked(target: Callable[..., object],
                 DeprecationWarning)
             process.start()
     except OSError:  # EAGAIN at the process limit, or no file descriptors
+        _FORK_FAILED = True
         return None
     finally:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
@@ -566,10 +583,9 @@ def simulate(config: SimConfig, init_mode: str,
     the state reached exactly as in a full run, and the rows are the last
     ``tail`` rows of the full trace bit for bit.
 
-    Each row goes to the sampler process, if there is one, while it has
-    a free slot, and is sampled here only when both are taken.  The last
-    row goes out only to an idle sampler: with a row still owed, this
-    process would otherwise wait while the sampler works through two.
+    Each row is offered to the sampler process, if there is one, through
+    ``_Sampler.take``, and sampled here only when the sampler has no room
+    for it; ``_Sampler.collect`` then waits for the rows still owed.
     """
     if state is None:
         state = init_sim(config, init_mode)
@@ -580,31 +596,18 @@ def simulate(config: SimConfig, init_mode: str,
     first = 0 if tail is None else max(len(times) - tail, 0)
     sampler = _sampler()
     rows = np.empty((len(times) - first, len(TRACE_COLUMNS) - 1))
-    owed: deque[int] = deque()  # indices of the rows the sampler holds
     try:
         # i indexes rows, so it is negative at the times before the tail
         for i, t_k in enumerate(times, start=-first):
             step_to(state, float(t_k))
-            if i < 0:
-                continue
-            while owed:
-                row = sampler.result(wait=False)
-                if row is None:
-                    break
-                rows[owed.popleft()] = row
-            room = _SLOTS if i < len(rows) - 1 else 1
-            if (sampler is not None and len(owed) < room
-                    and sampler.process.is_alive()):
-                owed.append(i)
-                sampler.submit(state, reference_box)
-            else:
+            if i >= 0 and not (sampler is not None and sampler.take(
+                    state, reference_box, rows, i)):
                 rows[i] = sample_disorder(state.pos, state.vel,
                                           state.config.box, reference_box)
-        while owed:
-            rows[owed[0]] = sampler.result()
-            owed.popleft()
+        if sampler is not None:
+            sampler.collect(rows, wait=True)
     finally:
-        if owed:
+        if sampler is not None and sampler.owed:
             sampler.close()
     l_total = 2 * config.n_particles * default_width(config.n_particles)
     trace = DisorderTrace(times[first:] - t0, *rows.T, l_total)

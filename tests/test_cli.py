@@ -27,9 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as strat
 
 import kolgas
-from kolgas.cli import (_ROWS_PER_WRITE, _SWEEP_BLOCK, _SWEEP_FORK_ROWS,
-                        RELAX_SEEDS_CAP, SWEEP_POINTS_CAP, _write_events,
-                        main)
+from kolgas.cli import (_ROWS_PER_WRITE, _SWEEP_FORK_ROWS, RELAX_SEEDS_CAP,
+                        SWEEP_POINTS_CAP, _write_events, main)
 from kolgas.constants import species_lookup
 from kolgas.errors import DomainError
 from kolgas.thermo import GasSpec, state_equations
@@ -394,7 +393,7 @@ def _big_sweep(points: int) -> tuple[str, ...]:
 
 @pytest.mark.parametrize("points, forks", [
     (_SWEEP_FORK_ROWS - 1, 0), (_SWEEP_FORK_ROWS, 1),
-    (5 * _SWEEP_BLOCK + 3, 1), (6 * _SWEEP_BLOCK, 1)])
+    (5 * _ROWS_PER_WRITE + 3, 1), (6 * _ROWS_PER_WRITE, 1)])
 def test_sweep_bytes_are_the_same_with_and_without_the_child(
         capsys, monkeypatch, points, forks):
     pids = _record_forks(monkeypatch)
@@ -409,13 +408,13 @@ def test_sweep_bytes_are_the_same_with_and_without_the_child(
     _assert_reaped(pids)
 
 
-@pytest.mark.parametrize("rows_sent", [0, _SWEEP_BLOCK + 5])
+@pytest.mark.parametrize("rows_sent", [0, _ROWS_PER_WRITE + 5])
 def test_sweep_formats_the_blocks_of_a_child_that_died(capsys, monkeypatch,
                                                        rows_sent):
     # the child exits after formatting rows_sent rows: before its first
     # block, or part-way through its second
     _force_fork(monkeypatch, False)
-    _, alone, _ = run_cli(capsys, *_big_sweep(5 * _SWEEP_BLOCK))
+    _, alone, _ = run_cli(capsys, *_big_sweep(5 * _ROWS_PER_WRITE))
     parent, calls = os.getpid(), []
 
     def dying(spec):
@@ -428,7 +427,7 @@ def test_sweep_formats_the_blocks_of_a_child_that_died(capsys, monkeypatch,
     monkeypatch.setattr("kolgas.cli.state_equations", dying)
     pids = _record_forks(monkeypatch)
     _force_fork(monkeypatch, True)
-    code, shared, _ = run_cli(capsys, *_big_sweep(5 * _SWEEP_BLOCK))
+    code, shared, _ = run_cli(capsys, *_big_sweep(5 * _ROWS_PER_WRITE))
     assert code == 0 and len(pids) == 1
     assert shared == alone
     _assert_reaped(pids)
@@ -438,7 +437,7 @@ def test_sweep_formats_a_block_its_child_sent_in_part(capsys, monkeypatch):
     # the child dies part-way through sending its first block, as when the
     # OOM killer takes it: the pipe holds a length and part of the text
     _force_fork(monkeypatch, False)
-    _, alone, _ = run_cli(capsys, *_big_sweep(5 * _SWEEP_BLOCK))
+    _, alone, _ = run_cli(capsys, *_big_sweep(5 * _ROWS_PER_WRITE))
 
     def cut_short(text, blocks, reader, writer):
         os.write(writer.fileno(), struct.pack("!i", 1 << 20) + b"2,1.5")
@@ -447,7 +446,7 @@ def test_sweep_formats_a_block_its_child_sent_in_part(capsys, monkeypatch):
     monkeypatch.setattr("kolgas.cli._send_blocks", cut_short)
     pids = _record_forks(monkeypatch)
     _force_fork(monkeypatch, True)
-    code, shared, _ = run_cli(capsys, *_big_sweep(5 * _SWEEP_BLOCK))
+    code, shared, _ = run_cli(capsys, *_big_sweep(5 * _ROWS_PER_WRITE))
     assert code == 0 and len(pids) == 1
     assert shared == alone
     _assert_reaped(pids)
@@ -458,7 +457,7 @@ def test_sweep_child_is_reaped_after_a_write_error(capsys, monkeypatch):
         pytest.skip("no /dev/full here")
     pids = _record_forks(monkeypatch)
     _force_fork(monkeypatch, True)
-    code, out, err = run_cli(capsys, *_big_sweep(10 * _SWEEP_BLOCK),
+    code, out, err = run_cli(capsys, *_big_sweep(10 * _ROWS_PER_WRITE),
                              "--output", "/dev/full")
     assert code == 3 and len(pids) == 1
     assert err.startswith("error: /dev/full: ") and err.count("\n") == 1
@@ -472,7 +471,7 @@ def test_sweep_child_is_reaped_after_an_interrupt(monkeypatch):
     def interrupted(spec):
         if os.getpid() == parent:
             calls.append(spec)
-            if len(calls) == 2 + _SWEEP_BLOCK + 7:  # the extremes first
+            if len(calls) == 2 + _ROWS_PER_WRITE + 7:  # the extremes first
                 raise KeyboardInterrupt
         return state_equations(spec)
 
@@ -480,7 +479,7 @@ def test_sweep_child_is_reaped_after_an_interrupt(monkeypatch):
     pids = _record_forks(monkeypatch)
     _force_fork(monkeypatch, True)
     with pytest.raises(KeyboardInterrupt):
-        main([*_big_sweep(10 * _SWEEP_BLOCK), "--output", os.devnull])
+        main([*_big_sweep(10 * _ROWS_PER_WRITE), "--output", os.devnull])
     assert len(pids) == 1
     _assert_reaped(pids)
 
@@ -494,12 +493,12 @@ def test_sweep_with_a_thread_alive_stays_in_process(capsys, monkeypatch):
     waiting = threading.Thread(target=release.wait, args=(60.0,))
     waiting.start()
     try:
-        code, alone, _ = run_cli(capsys, *_big_sweep(3 * _SWEEP_BLOCK))
+        code, alone, _ = run_cli(capsys, *_big_sweep(3 * _ROWS_PER_WRITE))
     finally:
         release.set()
         waiting.join(timeout=10)
     assert code == 0 and pids == [] and not waiting.is_alive()
-    code, again, _ = run_cli(capsys, *_big_sweep(3 * _SWEEP_BLOCK))
+    code, again, _ = run_cli(capsys, *_big_sweep(3 * _ROWS_PER_WRITE))
     assert code == 0 and again == alone
     may_fork = kolgas.sim.may_fork()
     assert len(pids) == may_fork
@@ -1026,15 +1025,25 @@ def test_unwritable_output_exits_3(tmp_path, capsys, argv):
     ("sim", "relax", *_SMALL_SIM, "--trace-output", "-",
      "--output", os.devnull),
     ("sim", "joule", *_SMALL_SIM),
-    _big_sweep(3 * _SWEEP_BLOCK),
+    _big_sweep(3 * _ROWS_PER_WRITE),
 ], ids=["relax", "joule", "sweep"])
 def test_a_failed_fork_runs_in_one_process(capsys, monkeypatch, argv):
     # a fork that raises, as at the process limit, leaves the work to this
     # process, which writes the bytes it writes where it may not fork
     monkeypatch.setattr(kolgas.sim, "_SAMPLER", None)
+    monkeypatch.setattr(kolgas.sim, "_FORK_FAILED", False)
     _force_fork(monkeypatch, False)
     code, alone, _ = run_cli(capsys, *argv)
     assert code == 0
+    tried = _failing_fork(monkeypatch)
+    _force_fork(monkeypatch, True)
+    assert run_cli(capsys, *argv) == (0, alone, "")
+    assert tried and kolgas.sim._SAMPLER is None
+
+
+def _failing_fork(monkeypatch) -> list[bool]:
+    """Make ``os.fork`` raise EAGAIN, as at the process limit; one entry
+    for each fork tried."""
     tried = []
 
     def failing_fork():
@@ -1042,9 +1051,28 @@ def test_a_failed_fork_runs_in_one_process(capsys, monkeypatch, argv):
         raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
     monkeypatch.setattr(os, "fork", failing_fork)
-    _force_fork(monkeypatch, True)
-    assert run_cli(capsys, *argv) == (0, alone, "")
-    assert tried and kolgas.sim._SAMPLER is None
+    return tried
+
+
+def test_a_failed_fork_is_the_last(capsys, monkeypatch):
+    # multiprocessing opens two pipes before it forks and closes neither
+    # when the fork raises, so a process whose fork has failed forks no
+    # more: the runs and sweeps after it leak nothing
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd here")
+    monkeypatch.setattr(kolgas.sim, "_SAMPLER", None)
+    monkeypatch.setattr(kolgas.sim, "_FORK_FAILED", False)
+    monkeypatch.setattr(kolgas.sim, "two_cpus", lambda: True)
+    assert kolgas.sim.may_fork()
+    tried = _failing_fork(monkeypatch)
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(10):
+        assert run_cli(capsys, "sim", "relax", *_SMALL_SIM)[0] == 0
+    for _ in range(5):
+        assert run_cli(capsys, *_big_sweep(5000), "--output",
+                       os.devnull)[0] == 0
+    assert len(tried) == 1 and not kolgas.sim.may_fork()
+    assert len(os.listdir("/proc/self/fd")) - before <= 4
 
 
 @pytest.mark.parametrize("option", ["--output", "--trace-output",
@@ -1253,12 +1281,13 @@ def test_trace_on_stdout_with_report_in_a_file(tmp_path, capsys):
 
 def _synthetic_log(n):
     """A wall-event log of ``n`` synthetic events, cut into chunks that end
-    inside and across the 4096-row blocks, at least one of them empty."""
+    inside and across the writer's blocks, at least one of them empty."""
     rng = np.random.default_rng(8)
     columns = (np.cumsum(rng.random(n)), rng.integers(0, 10**5, n),
                rng.random(n) * np.pi, rng.random(n) * 2.0 * np.pi,
                rng.random(n))
-    cuts = [min(c, n) for c in (1, 2500, 2500, _ROWS_PER_WRITE - 1,
+    half = _ROWS_PER_WRITE // 2
+    cuts = [min(c, n) for c in (1, half, half, _ROWS_PER_WRITE - 1,
                                 _ROWS_PER_WRITE + 1, 2 * _ROWS_PER_WRITE)]
     return list(zip(*(np.split(column, cuts) for column in columns)))
 

@@ -1,14 +1,18 @@
 """Byte pins of the artifacts ``sim relax`` and the ``randomness``
 commands write.
 
-Each case runs one command in a fresh directory, after writing the list
-``rng.txt`` that ``audit`` and ``gap`` read, and compares the SHA-256 of
-each artifact it names ("-" for stdout) with a digest taken from the
-code whose sweep child was a bare ``os.fork`` and whose CSV writer
-regrouped rows into 4096-line blocks.  D_hat and the zlib estimates are
-zlib lengths, so another zlib build may give other bytes.
+Each case runs one command in a fresh directory, after writing the lists
+``rng.txt`` and ``smooth.txt`` that ``audit`` and ``gap`` read, and
+compares the SHA-256 of each artifact it names ("-" for stdout) with a
+digest taken from earlier code: the ``equilibrium``, ``half_box`` and
+seed-batch relax runs, the raw smooth-box list and the smooth-box audit
+and gap from code whose ``simulate`` kept the queue of rows the sampler
+owed and whose lzma estimator compressed the whole packed list at once,
+the rest from code whose sweep child was a bare ``os.fork`` and whose
+CSV writer regrouped rows into 4096-line blocks.  D_hat and the zlib
+estimates are zlib lengths, so another zlib build may give other bytes.
 
-The list holds 2*10^6 bits, past ``randomness._HELPER_MIN_BITS``: the
+``rng.txt`` holds 2*10^6 bits, past ``randomness._HELPER_MIN_BITS``: the
 "best" audit runs zlib in a helper thread where two CPUs are usable and
 in the caller on one, and a ``sim relax`` samples in a forked process or
 in its own.  Both ways must give these bytes.
@@ -21,8 +25,10 @@ import pytest
 
 from kolgas.cli import main
 
-_LIST = ("randomness", "generate", "--kind", "rng", "--n", "100000", "--k",
-         "20", "--seed", "5", "--output", "rng.txt")
+_LISTS = (("randomness", "generate", "--kind", "rng", "--n", "100000", "--k",
+           "20", "--seed", "5", "--output", "rng.txt"),
+          ("randomness", "generate", "--kind", "smooth-box", "--n", "100000",
+           "--output", "smooth.txt"))
 
 _RELAX = ("sim", "relax", "--particles", "200", "--transits", "24",
           "--trace-output", "trace.csv", "--events-output", "events.csv",
@@ -33,8 +39,8 @@ _GENERATE = ("randomness", "generate", "--kind", "rng", "--n", "5000",
 
 _AUDIT = ("randomness", "audit", "--input", "rng.txt", "--estimator")
 
-# the events CSVs hold 8519, 6602 and 4800 rows, each past one 4096-line
-# block of the writer
+# the events CSVs hold 4800 to 8586 rows, each past several of the
+# writer's 1024-line blocks
 _PINS = {
     "relax-rough": ((*_RELAX, "specular_random_sites"), {
         "-":
@@ -60,6 +66,33 @@ _PINS = {
         "events.csv":
             "34bd5e6cec9436310eb2f8c3571de6b7f66350469d0017405818a5c720410884",
     }),
+    "relax-equilibrium": ((*_RELAX, "langmuir_thermal", "--init",
+                           "equilibrium"), {
+        "-":
+            "82badee24ef76b836a6211832975f7ba543990918ae54f60952ed764339099a1",
+        "trace.csv":
+            "840d287e1b8bd09c31e4556954feb6f41a1c72cbf0065292c7b15708547dc1eb",
+        "events.csv":
+            "a088e708368e9a643ea6675adc042ee88749b39825cc6e2e5de6d11cdd1c6171",
+    }),
+    "relax-half-box": ((*_RELAX, "specular_random_sites", "--init",
+                        "half_box"), {
+        "-":
+            "0edbe79262dbd7861cda4a25b32c6ab3a1f6bbb419809d83d982e3ed9460da62",
+        "trace.csv":
+            "89bcafb852686f30e286f972dcbf092a452057e63c2836fe65ca9335b0017e85",
+        "events.csv":
+            "3e2dfdb87e4d3f3341579581ed58e4d223c5e14d97a2c9dd11844a2f585710e0",
+    }),
+    # the trace and events of the last of the three runs
+    "relax-seeds": ((*_RELAX, "specular_random_sites", "--seeds", "3"), {
+        "-":
+            "890b43438db8a88323cb05bc93c0e00d6f8622f7931d58775cd386443f7247f4",
+        "trace.csv":
+            "b4b2b9c47891d5ea5dd08c9aa05ae03eaef2ee31488ee71e47129251cd18a99b",
+        "events.csv":
+            "4193f1efbb703948f0cad525c4bf23b6f0372514d40a62032b83ebea60534ef6",
+    }),
     "generate-decimal": ((*_GENERATE, "--output", "list.txt"), {
         "-":
             "8a0e1ad03ac604580c5b0b636e61af865c7150a2b454655ed225d4fd02462ba6",
@@ -78,6 +111,14 @@ _PINS = {
             "e77f231306d56dac6ac45a3a7c04437e76ac6132e0fdb5958378d39e8b0fc571",
         "box.txt":
             "03f804c647f032b313fb07bac65bf3065dc644af3707382eef7a64abb2e2d8fe",
+    }),
+    "generate-smooth-box-raw": (("randomness", "generate", "--kind",
+                                 "smooth-box", "--n", "5000", "--raw",
+                                 "--output", "box.bin"), {
+        "-":
+            "dfea826e962acd3085f0f5885c8c886fdc2c0c4fc72548b76760018911f75654",
+        "box.bin":
+            "1928c35f629d38af679e7d6e59e042806c132f9704eab8d217e0b94e68be7692",
     }),
     "audit-zlib": ((*_AUDIT, "zlib"), {
         "-":
@@ -107,13 +148,22 @@ _PINS = {
         "-":
             "6ff44da1dee72689611197bb90ba0cc555bd77c92d5ffdddbf7f3bcfeefa6d3a",
     }),
+    "audit-smooth-box": (("randomness", "audit", "--input", "smooth.txt"), {
+        "-":
+            "02e4aeca39262b4ae4056b9420fc6df9a91ef2b85b9bf0fd86968ad9290d9c15",
+    }),
+    "gap-smooth-box": (("randomness", "gap", "--input", "smooth.txt"), {
+        "-":
+            "b4a2673c57ce272285c53949d8dfe1bac5258eefb4954165cfeadbdaea9db3de",
+    }),
 }
 
 
 @pytest.mark.parametrize("argv, digests", _PINS.values(), ids=_PINS.keys())
 def test_pinned_bytes(tmp_path, capsys, monkeypatch, argv, digests):
     monkeypatch.chdir(tmp_path)
-    assert main(list(_LIST)) == 0
+    for argv_list in _LISTS:
+        assert main(list(argv_list)) == 0
     capsys.readouterr()
     code = main(list(argv))
     out = capsys.readouterr().out

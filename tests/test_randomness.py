@@ -27,8 +27,9 @@ from kolgas.randomness import (
     EncodedList,
     _decimal_body,
     _log2_binom_any,
-    _packed_bytes,
+    _pack,
     _prefix_estimates,
+    _slices,
     default_width,
     encode_list,
     estimate_complexity,
@@ -320,8 +321,8 @@ def test_packed_bytes_match_unchunked_rendering(n):
     rng = np.random.default_rng(n)
     for width in range(1, 64):
         values = _full_width_values(rng, n, width)
-        assert (_packed_bytes(values, width)
-                == _unchunked_packed_bytes(values, width)), width
+        packed = b"".join(_pack(part, width) for part in _slices(values))
+        assert packed == _unchunked_packed_bytes(values, width), width
 
 
 def test_decimal_list_file_bytes_across_chunks(tmp_path):
@@ -352,10 +353,8 @@ def test_list_codecs_memory_stays_bounded(tmp_path, write):
     enc = rng_list(LIST_SIZE_CAP, 20, np.random.default_rng(6))
     tracemalloc.start()
     try:
-        if write == "packed":
-            _packed_bytes(enc.values, enc.k)
-        else:
-            write_list_file(str(tmp_path / "list.dat"), enc)
+        write_list_file(str(tmp_path / "list.dat"), enc,
+                        raw=write == "packed")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -629,6 +628,21 @@ def test_entropy1_prefixes_across_slices(k):
         _reference_entropy1(np.unpackbits(np.frombuffer(
             _unchunked_packed_bytes(values[:m], k), np.uint8), count=m * k))
         + id_bits for m in sizes]
+
+
+@pytest.mark.parametrize("k", [1, 20])
+def test_lzma_prefixes_across_slices(k):
+    # lzma takes the list one slice at a time, and must code the bytes a
+    # one-shot compressor codes
+    n = 2 * _CHUNK + 5
+    values = _full_width_values(np.random.default_rng(k), n, k)
+    sizes = [_CHUNK - 1, _CHUNK, _CHUNK + 1, n]
+    id_bits = load_calibration().estimator_id_bits
+    reference = [8.0 * len(lzma.compress(
+        _unchunked_packed_bytes(values[:m], k), format=lzma.FORMAT_RAW,
+        filters=[{"id": lzma.FILTER_LZMA2, "preset": 6}])) for m in sizes]
+    got = _prefix_estimates(encode_list(values, k=k), "lzma", sizes)
+    assert [b for b, _ in got] == [b + id_bits for b in reference]
 
 
 def test_helper_error_reaches_the_caller(monkeypatch):

@@ -703,17 +703,19 @@ def stopped(sampler, monkeypatch):
             resume()
 
 
-def after_submit(sampler, monkeypatch, k, act):
+def after_take(sampler, monkeypatch, k, act):
     """Call ``act`` just after the ``k``-th snapshot from now goes out."""
-    submit, count = sampler.submit, []
+    take, count = sampler.take, []
 
-    def counting_submit(state, reference_box):
-        submit(state, reference_box)
-        count.append(1)
-        if len(count) == k:
-            act()
+    def counting_take(state, reference_box, rows, i):
+        taken = take(state, reference_box, rows, i)
+        if taken:
+            count.append(1)
+            if len(count) == k:
+                act()
+        return taken
 
-    monkeypatch.setattr(sampler, "submit", counting_submit)
+    monkeypatch.setattr(sampler, "take", counting_take)
 
 
 def test_stalled_sampler_does_not_stall_the_run(sampler, monkeypatch):
@@ -722,15 +724,14 @@ def test_stalled_sampler_does_not_stall_the_run(sampler, monkeypatch):
     # run first waits on it
     cfg = make_config(n=300, seed=11, transits=2.0, keep_events=False)
     alone = alone_run(cfg, monkeypatch)
-    result = sampler.result
+    collect = sampler.collect
 
-    def resuming_result(wait=True):
-        if not wait:
-            return result(wait=False)
-        os.kill(sampler.process.pid, signal.SIGCONT)
-        return result()
+    def resuming_collect(rows, wait):
+        if wait:
+            os.kill(sampler.process.pid, signal.SIGCONT)
+        collect(rows, wait)
 
-    monkeypatch.setattr(sampler, "result", resuming_result)
+    monkeypatch.setattr(sampler, "collect", resuming_collect)
     calls = count_parent_samples(monkeypatch)
     with stopped(sampler, monkeypatch):
         shared = simulate(cfg, "beam")
@@ -763,8 +764,8 @@ def test_sampler_killed_holding_two_rows(sampler, monkeypatch):
     # both are sampled here from their slots, and the rest too
     cfg = make_config(n=300, seed=13, transits=1.0, keep_events=False)
     alone = alone_run(cfg, monkeypatch)
-    after_submit(sampler, monkeypatch, 2,
-                 lambda: os.kill(sampler.process.pid, signal.SIGKILL))
+    after_take(sampler, monkeypatch, 2,
+               lambda: os.kill(sampler.process.pid, signal.SIGKILL))
     calls = count_parent_samples(monkeypatch)
     with stopped(sampler, monkeypatch):
         shared = simulate(cfg, "beam")
@@ -796,8 +797,8 @@ def test_sampler_error_on_the_second_held_row(sampler, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(simmod, "sample_disorder", failing)
         held = simmod._sampler()
-        after_submit(held, m, 2,
-                     lambda: os.kill(held.process.pid, signal.SIGCONT))
+        after_take(held, m, 2,
+                   lambda: os.kill(held.process.pid, signal.SIGCONT))
         with stopped(held, m), pytest.raises(
                 ArithmeticError, match="row 1 has no disorder"):
             simulate(cfg, "beam")
@@ -809,3 +810,26 @@ def test_sampler_error_on_the_second_held_row(sampler, monkeypatch):
     shared = simulate(cfg, "beam")
     assert simmod._sampler() is fresh
     assert_same_trace(shared.trace, alone.trace)
+
+
+def test_interrupted_run_leaves_no_row_for_the_next(sampler, monkeypatch):
+    # ^C reaches step_to while the stopped sampler holds rows 0 and 1;
+    # the next run forks a fresh sampler, so no row of the interrupted
+    # run can reach its trace
+    cfg = make_config(n=300, seed=15, transits=1.0, keep_events=False)
+    alone = alone_run(cfg, monkeypatch)
+    step_to_, calls = simmod.step_to, []
+
+    def interrupting_step_to(state, t):
+        calls.append(t)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return step_to_(state, t)
+
+    with monkeypatch.context() as m:
+        m.setattr(simmod, "step_to", interrupting_step_to)
+        with stopped(sampler, m), pytest.raises(KeyboardInterrupt):
+            simulate(cfg, "beam")
+    fresh = simmod._sampler()
+    assert fresh is not None and fresh.process.pid != sampler.process.pid
+    assert_same_trace(simulate(cfg, "beam").trace, alone.trace)
