@@ -340,6 +340,17 @@ def two_cpus() -> bool:
             and len(os.sched_getaffinity(0)) >= 2)
 
 
+def estimator_ids(estimator: str) -> tuple[str, ...]:
+    """The estimator ids ``estimator`` names; "best" names the default set."""
+    if estimator == "best":
+        return DEFAULT_ESTIMATORS
+    if estimator in _ESTIMATORS:
+        return (estimator,)
+    known = ", ".join(sorted(_ESTIMATORS) + ["best"])
+    raise UnknownEstimatorError(
+        f"unknown estimator {estimator!r}; known: {known}")
+
+
 def _prefix_estimates(enc: EncodedList, estimator: str,
                       sizes: list[int]) -> list[tuple[float, str]]:
     """(K_hat, winning estimator id) of the first m data of ``enc`` for
@@ -353,15 +364,7 @@ def _prefix_estimates(enc: EncodedList, estimator: str,
     is taken in candidate order either way.
     """
     id_bits = load_calibration().estimator_id_bits
-    if estimator == "best":
-        candidates = DEFAULT_ESTIMATORS
-    elif estimator in _ESTIMATORS:
-        candidates = (estimator,)
-    else:
-        known = ", ".join(sorted(_ESTIMATORS) + ["best"])
-        raise UnknownEstimatorError(
-            f"unknown estimator {estimator!r}; known: {known}"
-        )
+    candidates = estimator_ids(estimator)
 
     def measure(name: str) -> list[float]:
         return _ESTIMATORS[name](enc.values, enc.k, sizes)
@@ -432,14 +435,13 @@ def smooth_box_spectrum(count: int, side: float, mass: float) -> np.ndarray:
         r = int(r * 1.3) + 1
 
 
-def rng_list(n: int, k: int, rng: np.random.Generator,
-             source_tag: str = "rng") -> EncodedList:
+def rng_list(n: int, k: int, rng: np.random.Generator) -> EncodedList:
     """Uniform random k-bit data, the incompressible reference corpus."""
     if not (1 <= n <= LIST_SIZE_CAP and 1 <= k <= _MAX_WIDTH):
         raise DomainError(f"need n in 1..{LIST_SIZE_CAP} and k in "
                           f"1..{_MAX_WIDTH}")
     values = rng.integers(0, 1 << k, size=n, dtype=np.int64)
-    return encode_list(values, k=k, source_tag=source_tag)
+    return encode_list(values, k=k, source_tag="rng")
 
 
 def smooth_box_list(n: int, side: float, mass: float,
@@ -506,12 +508,17 @@ def gap_classify(trace: Iterable[tuple[float, float]]) -> GapVerdict:
     return GapVerdict("structured", None, slope_full)
 
 
+def check_points(points: int) -> None:
+    """Domain error unless ``points`` prefixes can make a ``prefix_trace``."""
+    if points < 3:
+        raise DomainError("prefix_trace needs at least 3 points")
+
+
 def prefix_trace(enc: EncodedList, points: int = 12,
                  estimator: str = "best") -> list[tuple[float, float]]:
     """(literal length, K_hat) over linearly spaced prefixes of a list,
     all encoded at the full list's datum width, measured in one pass."""
-    if points < 3:
-        raise DomainError("prefix_trace needs at least 3 points")
+    check_points(points)
     first = min(max(8, enc.n // points), enc.n)
     # Sizes run from first to n, so past n - first + 1 points every size
     # between them is hit already and more points only cost memory.

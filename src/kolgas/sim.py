@@ -195,7 +195,8 @@ def _lattice_positions(n: int, box: tuple[float, float, float]) -> np.ndarray:
 
 
 def init_sim(config: SimConfig, mode: str) -> SimState:
-    """Build the initial state.
+    """The state at time 0, seeded from ``config.seed``, that ``simulate``
+    steps; the caller holds it and reads its event count and log.
 
     equilibrium   Maxwell velocities at T_wall, uniform positions
     beam          every velocity +x at the thermal speed, lattice positions
@@ -262,7 +263,7 @@ def wall_scatter(state: SimState, idx: np.ndarray, axis: np.ndarray,
         )
 
 
-def step_to(state: SimState, t_target: float) -> SimState:
+def step_to(state: SimState, t_target: float) -> None:
     """Advance every particle to absolute time ``t_target``, resolving
     each wall crossing exactly (no time discretisation error)."""
     if t_target < state.time:
@@ -288,15 +289,14 @@ def step_to(state: SimState, t_target: float) -> SimState:
             wall_scatter(state, idx, axis, t_target - left)
 
     state.time = t_target
-    return state
 
 
 # ---------------------------------------------------------------------------
 # disorder trace
 
 class DisorderTrace(NamedTuple):
-    """Per-sample disorder estimates of a run, one field for each of
-    ``TRACE_COLUMNS`` in its order, then ``l_total``.
+    """Per-sample disorder estimates of one ``simulate`` call, ``t`` from
+    its start: a field for each of ``TRACE_COLUMNS``, then ``l_total``.
 
     ``d_hat`` is the summed description length of the two intrinsic lists
     (velocity orientations and nearest-neighbour distances), an estimator
@@ -356,15 +356,6 @@ def sample_disorder(pos: np.ndarray, vel: np.ndarray,
         for a in range(3)
     )
     return k_orient + k_nn, k_orient, k_nn, chi_o, chi_p
-
-
-@dataclass
-class SimRun:
-    """A completed run: its trace, the final state, and the transit time."""
-
-    trace: DisorderTrace
-    final_state: SimState
-    t_b: float
 
 
 #: One snapshot slot shared with the sampler process: the trace row, the
@@ -568,14 +559,14 @@ def _sampler() -> _Sampler | None:
     return _SAMPLER
 
 
-def simulate(config: SimConfig, init_mode: str,
+def simulate(config: SimConfig, state: SimState,
              reference_box: tuple[float, float, float] | None = None,
-             state: SimState | None = None,
-             tail: int | None = None) -> SimRun:
-    """Run for ``config.duration`` seconds, sampling the disorder trace
-    every ``config.dt_out`` against ``reference_box`` (default the
-    state's box).  Pass an existing ``state`` to continue a run (e.g.
-    after swapping the box).
+             tail: int | None = None) -> DisorderTrace:
+    """Step ``state`` under ``config`` for ``config.duration`` seconds from
+    its current time, and return the disorder trace sampled every
+    ``config.dt_out`` against ``reference_box`` (default ``config.box``).
+    ``state.config`` becomes ``config``, so a run goes on into a new
+    stage, say in a wider box, by one more call on the same state.
 
     With ``tail``, only the last ``tail`` sample times are sampled, and
     the trace holds just those rows with their own ``t``.  The run still
@@ -587,10 +578,9 @@ def simulate(config: SimConfig, init_mode: str,
     ``_Sampler.take``, and sampled here only when the sampler has no room
     for it; ``_Sampler.collect`` then waits for the rows still owed.
     """
-    if state is None:
-        state = init_sim(config, init_mode)
+    state.config = config
     if reference_box is None:
-        reference_box = state.config.box
+        reference_box = config.box
     t0 = state.time
     times = t0 + np.arange(config.n_samples) * config.dt_out
     first = 0 if tail is None else max(len(times) - tail, 0)
@@ -602,21 +592,23 @@ def simulate(config: SimConfig, init_mode: str,
             step_to(state, float(t_k))
             if i >= 0 and not (sampler is not None and sampler.take(
                     state, reference_box, rows, i)):
-                rows[i] = sample_disorder(state.pos, state.vel,
-                                          state.config.box, reference_box)
+                rows[i] = sample_disorder(state.pos, state.vel, config.box,
+                                          reference_box)
         if sampler is not None:
             sampler.collect(rows, wait=True)
     finally:
         if sampler is not None and sampler.owed:
             sampler.close()
     l_total = 2 * config.n_particles * default_width(config.n_particles)
-    trace = DisorderTrace(times[first:] - t0, *rows.T, l_total)
-    return SimRun(trace=trace, final_state=state, t_b=config.t_b)
+    return DisorderTrace(times[first:] - t0, *rows.T, l_total)
 
 
-def relaxation_time(trace: DisorderTrace, threshold: float = 0.95) -> float:
-    """First sample time at which d_hat reaches ``threshold`` times its
-    plateau (the mean over the last quarter of the trace).
+RELAXED_FRACTION = 0.95
+
+
+def relaxation_time(trace: DisorderTrace) -> float:
+    """First sample time at which d_hat reaches ``RELAXED_FRACTION`` of
+    its plateau (the mean over the last quarter of the trace).
 
     Raises NoPlateauError when the trace is too short to hold a tail,
     when the tail has not stabilised, or when it never rises above the
@@ -638,7 +630,7 @@ def relaxation_time(trace: DisorderTrace, threshold: float = 0.95) -> float:
         )
     if abs(float(q3.mean()) - plateau) > calib.plateau_stability_fraction * plateau:
         raise NoPlateauError("trace tail is still drifting; no plateau")
-    crossing = np.flatnonzero(d >= threshold * plateau)
+    crossing = np.flatnonzero(d >= RELAXED_FRACTION * plateau)
     if crossing.size == 0:
         raise NoPlateauError("trace never reaches the requested level")
     return float(trace.t[crossing[0]])
@@ -679,6 +671,8 @@ def run_joule_expansion(config: SimConfig, volume_ratio: float,
                         keep_traces: bool = False) -> JouleReport:
     """Equilibrate, stretch the box x-edge by ``volume_ratio`` (removing a
     partition), re-equilibrate, and compare disorder before and after.
+    One state, built by ``init_sim`` at equilibrium in the settled box,
+    runs through both stages, a ``simulate`` call each.
 
     ``config.duration`` is not used: the stages run for
     ``JOULE_SETTLE_TRANSITS`` transit times before the expansion and
@@ -719,16 +713,12 @@ def run_joule_expansion(config: SimConfig, volume_ratio: float,
     delta_s = ((s2.kappa + 1.5 * s2.gamma) - (s1.kappa + 1.5 * s1.gamma))
 
     tail = None if keep_traces else JOULE_MEASURE_SAMPLES
-    run1 = simulate(stage1, "equilibrium", reference_box=expanded, tail=tail)
-    d1 = float(run1.trace.d_hat[-JOULE_MEASURE_SAMPLES:].mean())
-    if volume_ratio == 1.0:
-        run2 = run1
-    else:
-        state = run1.final_state
-        state.config = stage2
-        run2 = simulate(stage2, "equilibrium", reference_box=expanded,
-                        state=state, tail=tail)
-    d2 = float(run2.trace.d_hat[-JOULE_MEASURE_SAMPLES:].mean())
+    state = init_sim(stage1, "equilibrium")
+    before = simulate(stage1, state, reference_box=expanded, tail=tail)
+    after = before if volume_ratio == 1.0 else simulate(
+        stage2, state, reference_box=expanded, tail=tail)
+    d1 = float(before.d_hat[-JOULE_MEASURE_SAMPLES:].mean())
+    d2 = float(after.d_hat[-JOULE_MEASURE_SAMPLES:].mean())
 
     return JouleReport(
         volume_ratio=volume_ratio,
@@ -737,6 +727,6 @@ def run_joule_expansion(config: SimConfig, volume_ratio: float,
         delta_d_hat=d2 - d1,
         delta_s_per_particle_kb=delta_s,
         ln_ratio=math.log(volume_ratio),
-        trace_before=run1.trace,
-        trace_after=run2.trace,
+        trace_before=before,
+        trace_after=after,
     )

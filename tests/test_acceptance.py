@@ -30,6 +30,7 @@ from kolgas.randomness import estimate_complexity, rng_list, smooth_box_list
 from kolgas.sim import (
     NoPlateauError,
     SimConfig,
+    init_sim,
     member_seed,
     relaxation_time,
     run_joule_expansion,
@@ -310,24 +311,24 @@ def test_criterion_10_beam_relaxation_ensemble(acceptance):
     in_window = 0
     for i in range(100):
         cfg = _relax_config("specular_random_sites", member_seed(1000, i))
-        run = simulate(cfg, init_mode="beam")
+        trace = simulate(cfg, init_sim(cfg, "beam"))
         try:
-            t_relax = relaxation_time(run.trace, threshold=0.95)
+            t_relax = relaxation_time(trace)
         except NoPlateauError:
             continue
-        if 0.5 * run.t_b <= t_relax <= 4.0 * run.t_b:
+        if 0.5 * cfg.t_b <= t_relax <= 4.0 * cfg.t_b:
             in_window += 1
 
     control_failed = 0
     for i in range(100):
         cfg = _relax_config("smooth_specular", member_seed(1000, i))
-        run = simulate(cfg, init_mode="beam")
+        trace = simulate(cfg, init_sim(cfg, "beam"))
         try:
-            t_relax = relaxation_time(run.trace, threshold=0.95)
+            t_relax = relaxation_time(trace)
         except NoPlateauError:
             control_failed += 1
             continue
-        if not (0.5 * run.t_b <= t_relax <= 4.0 * run.t_b):
+        if not (0.5 * cfg.t_b <= t_relax <= 4.0 * cfg.t_b):
             control_failed += 1
     elapsed = time.perf_counter() - t0
 

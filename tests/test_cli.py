@@ -391,9 +391,14 @@ def _big_sweep(points: int) -> tuple[str, ...]:
             str(points), "--log")
 
 
+#: Rows of a sweep that forks its child: an odd count of blocks.
+_CHILD_ROWS = _SWEEP_FORK_ROWS + _ROWS_PER_WRITE
+
+
 @pytest.mark.parametrize("points, forks", [
     (_SWEEP_FORK_ROWS - 1, 0), (_SWEEP_FORK_ROWS, 1),
-    (5 * _ROWS_PER_WRITE + 3, 1), (6 * _ROWS_PER_WRITE, 1)])
+    (_SWEEP_FORK_ROWS + 3 * _ROWS_PER_WRITE + 3, 1),
+    (_SWEEP_FORK_ROWS + 4 * _ROWS_PER_WRITE, 1)])
 def test_sweep_bytes_are_the_same_with_and_without_the_child(
         capsys, monkeypatch, points, forks):
     pids = _record_forks(monkeypatch)
@@ -414,7 +419,7 @@ def test_sweep_formats_the_blocks_of_a_child_that_died(capsys, monkeypatch,
     # the child exits after formatting rows_sent rows: before its first
     # block, or part-way through its second
     _force_fork(monkeypatch, False)
-    _, alone, _ = run_cli(capsys, *_big_sweep(5 * _ROWS_PER_WRITE))
+    _, alone, _ = run_cli(capsys, *_big_sweep(_CHILD_ROWS))
     parent, calls = os.getpid(), []
 
     def dying(spec):
@@ -427,7 +432,7 @@ def test_sweep_formats_the_blocks_of_a_child_that_died(capsys, monkeypatch,
     monkeypatch.setattr("kolgas.cli.state_equations", dying)
     pids = _record_forks(monkeypatch)
     _force_fork(monkeypatch, True)
-    code, shared, _ = run_cli(capsys, *_big_sweep(5 * _ROWS_PER_WRITE))
+    code, shared, _ = run_cli(capsys, *_big_sweep(_CHILD_ROWS))
     assert code == 0 and len(pids) == 1
     assert shared == alone
     _assert_reaped(pids)
@@ -437,7 +442,7 @@ def test_sweep_formats_a_block_its_child_sent_in_part(capsys, monkeypatch):
     # the child dies part-way through sending its first block, as when the
     # OOM killer takes it: the pipe holds a length and part of the text
     _force_fork(monkeypatch, False)
-    _, alone, _ = run_cli(capsys, *_big_sweep(5 * _ROWS_PER_WRITE))
+    _, alone, _ = run_cli(capsys, *_big_sweep(_CHILD_ROWS))
 
     def cut_short(text, blocks, reader, writer):
         os.write(writer.fileno(), struct.pack("!i", 1 << 20) + b"2,1.5")
@@ -446,7 +451,7 @@ def test_sweep_formats_a_block_its_child_sent_in_part(capsys, monkeypatch):
     monkeypatch.setattr("kolgas.cli._send_blocks", cut_short)
     pids = _record_forks(monkeypatch)
     _force_fork(monkeypatch, True)
-    code, shared, _ = run_cli(capsys, *_big_sweep(5 * _ROWS_PER_WRITE))
+    code, shared, _ = run_cli(capsys, *_big_sweep(_CHILD_ROWS))
     assert code == 0 and len(pids) == 1
     assert shared == alone
     _assert_reaped(pids)
@@ -493,12 +498,12 @@ def test_sweep_with_a_thread_alive_stays_in_process(capsys, monkeypatch):
     waiting = threading.Thread(target=release.wait, args=(60.0,))
     waiting.start()
     try:
-        code, alone, _ = run_cli(capsys, *_big_sweep(3 * _ROWS_PER_WRITE))
+        code, alone, _ = run_cli(capsys, *_big_sweep(_CHILD_ROWS))
     finally:
         release.set()
         waiting.join(timeout=10)
     assert code == 0 and pids == [] and not waiting.is_alive()
-    code, again, _ = run_cli(capsys, *_big_sweep(3 * _ROWS_PER_WRITE))
+    code, again, _ = run_cli(capsys, *_big_sweep(_CHILD_ROWS))
     assert code == 0 and again == alone
     may_fork = kolgas.sim.may_fork()
     assert len(pids) == may_fork
@@ -711,6 +716,23 @@ def test_audit_unknown_estimator_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("audit", "--estimator", "psychic"), "estimator"),
+    (("gap", "--estimator", "psychic"), "estimator"),
+    (("gap", "--points", "2"), "points"),
+], ids=["audit-estimator", "gap-estimator", "gap-points"])
+def test_bad_option_exits_2_before_the_input_is_read(tmp_path, capsys, argv,
+                                                     option):
+    # the input does not exist, so a command that read it first would
+    # exit 3 for the file
+    code, out, err = run_cli(capsys, "randomness", *argv,
+                             "--input", str(tmp_path / "nope.lst"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert option in err
+
+
 # --- sim ---------------------------------------------------------------------------
 
 RELAX_ARGS = ("sim", "relax", "--wall-model", "specular_random_sites",
@@ -757,7 +779,7 @@ def test_trace_csv_holds_the_trace(tmp_path, capsys, monkeypatch):
     header, *rows = path.read_text().splitlines()[1:]
     names = header.split(",")
     columns = np.array([[float(x) for x in row.split(",")] for row in rows]).T
-    trace = runs[-1].trace
+    trace = runs[-1]
     assert len(names) == len(columns) == len(trace) - 1
     for name, column, field in zip(names, columns, trace):
         assert column.tobytes() == np.asarray(field, float).tobytes(), name
@@ -1025,7 +1047,7 @@ def test_unwritable_output_exits_3(tmp_path, capsys, argv):
     ("sim", "relax", *_SMALL_SIM, "--trace-output", "-",
      "--output", os.devnull),
     ("sim", "joule", *_SMALL_SIM),
-    _big_sweep(3 * _ROWS_PER_WRITE),
+    _big_sweep(_CHILD_ROWS),
 ], ids=["relax", "joule", "sweep"])
 def test_a_failed_fork_runs_in_one_process(capsys, monkeypatch, argv):
     # a fork that raises, as at the process limit, leaves the work to this

@@ -2,15 +2,17 @@
 commands write.
 
 Each case runs one command in a fresh directory, after writing the lists
-``rng.txt`` and ``smooth.txt`` that ``audit`` and ``gap`` read, and
-compares the SHA-256 of each artifact it names ("-" for stdout) with a
-digest taken from earlier code: the ``equilibrium``, ``half_box`` and
-seed-batch relax runs, the raw smooth-box list and the smooth-box audit
-and gap from code whose ``simulate`` kept the queue of rows the sampler
-owed and whose lzma estimator compressed the whole packed list at once,
-the rest from code whose sweep child was a bare ``os.fork`` and whose
-CSV writer regrouped rows into 4096-line blocks.  D_hat and the zlib
-estimates are zlib lengths, so another zlib build may give other bytes.
+``rng.txt``, ``smooth.txt``, ``short5.txt`` and ``short10.txt`` that
+``audit`` and ``gap`` read, and compares the SHA-256 of each artifact it
+names ("-" for stdout) with a digest taken from earlier code: the
+audit and gap of the short lists from code whose ``simulate`` built its
+own state, the ``equilibrium``, ``half_box`` and seed-batch relax runs,
+the raw smooth-box list and the smooth-box audit and gap from code whose
+``simulate`` kept the queue of rows the sampler owed and whose lzma
+estimator compressed the whole packed list at once, the rest from code
+whose sweep child was a bare ``os.fork`` and whose CSV writer regrouped
+rows into 4096-line blocks.  D_hat and the zlib estimates are zlib
+lengths, so another zlib build may give other bytes.
 
 ``rng.txt`` holds 2*10^6 bits, past ``randomness._HELPER_MIN_BITS``: the
 "best" audit runs zlib in a helper thread where two CPUs are usable and
@@ -28,7 +30,9 @@ from kolgas.cli import main
 _LISTS = (("randomness", "generate", "--kind", "rng", "--n", "100000", "--k",
            "20", "--seed", "5", "--output", "rng.txt"),
           ("randomness", "generate", "--kind", "smooth-box", "--n", "100000",
-           "--output", "smooth.txt"))
+           "--output", "smooth.txt"),
+          *(("randomness", "generate", "--kind", "rng", "--n", n, "--seed",
+             "5", "--output", f"short{n}.txt") for n in ("5", "10")))
 
 _RELAX = ("sim", "relax", "--particles", "200", "--transits", "24",
           "--trace-output", "trace.csv", "--events-output", "events.csv",
@@ -155,6 +159,15 @@ _PINS = {
     "gap-smooth-box": (("randomness", "gap", "--input", "smooth.txt"), {
         "-":
             "b4a2673c57ce272285c53949d8dfe1bac5258eefb4954165cfeadbdaea9db3de",
+    }),
+    "audit-short": (("randomness", "audit", "--input", "short5.txt"), {
+        "-":
+            "aabb30362faa84db940b72a0aef302be7437ad4b6963007e966af9f18e9236fd",
+    }),
+    # the shortest list gap accepts: its prefixes of 8, 9 and 10 entries
+    "gap-short": (("randomness", "gap", "--input", "short10.txt"), {
+        "-":
+            "e4d3a595676480385373b3921376ff2d2c83fb381f9a05fa3f400347faa97a88",
     }),
 }
 

@@ -236,7 +236,8 @@ def test_prefix_plus_classifier_on_corpora():
 @pytest.mark.parametrize("raw", [False, True])
 def test_list_file_round_trip(tmp_path, raw):
     rng = np.random.default_rng(2)
-    enc = rng_list(999, 11, rng, source_tag="round trip tag")
+    enc = encode_list(rng_list(999, 11, rng).values, k=11,
+                      source_tag="round trip tag")
     path = tmp_path / "list.dat"
     write_list_file(str(path), enc, raw=raw)
     back = read_list_file(str(path))

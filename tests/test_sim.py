@@ -209,8 +209,9 @@ def test_thermal_wall_gives_maxwell_speeds():
     # speed distribution must match the wall temperature
     cfg = make_config(n=4000, wall_model="langmuir_thermal", seed=1,
                       transits=6.0)
-    run = simulate(cfg, "beam")
-    speeds = np.linalg.norm(run.final_state.vel, axis=1)
+    state = init_sim(cfg, "beam")
+    simulate(cfg, state)
+    speeds = np.linalg.norm(state.vel, axis=1)
     scale = math.sqrt(KB * 10.0 / HE3.mass)
     res = stats.kstest(speeds, stats.maxwell(scale=scale).cdf)
     assert res.pvalue > 1e-3
@@ -224,16 +225,18 @@ def test_wall_event_rate_matches_kinetic_theory():
     # an equilibrium gas touches walls ~1.38 times per particle transit
     cfg = make_config(n=2000, wall_model="smooth_specular", seed=8,
                       transits=4.0)
-    run = simulate(cfg, "equilibrium")
-    per = run.final_state.n_events / 2000 / 4.0
+    state = init_sim(cfg, "equilibrium")
+    simulate(cfg, state)
+    per = state.n_events / 2000 / 4.0
     assert 1.2 < per < 1.6
 
 
 def test_event_log_contents():
     cfg = make_config(n=300, seed=2, transits=3.0)
-    run = simulate(cfg, "equilibrium")
-    ev = events(run.final_state)
-    assert ev["t"].size == run.final_state.n_events > 0
+    state = init_sim(cfg, "equilibrium")
+    simulate(cfg, state)
+    ev = events(state)
+    assert ev["t"].size == state.n_events > 0
     assert np.all((ev["t"] >= 0.0) & (ev["t"] <= cfg.duration * (1 + 1e-12)))
     assert ev["particle_id"].min() >= 0
     assert ev["particle_id"].max() < 300
@@ -244,20 +247,22 @@ def test_event_log_contents():
 
 def test_event_log_is_opt_in():
     cfg = make_config(n=300, seed=2, transits=3.0, keep_events=False)
-    run = simulate(cfg, "equilibrium")
-    logged = simulate(dataclasses.replace(cfg, keep_events=True),
-                      "equilibrium")
-    assert run.final_state.n_events == logged.final_state.n_events > 0
-    assert run.final_state.event_log == []
+    state = init_sim(cfg, "equilibrium")
+    simulate(cfg, state)
+    logged_cfg = dataclasses.replace(cfg, keep_events=True)
+    logged = init_sim(logged_cfg, "equilibrium")
+    simulate(logged_cfg, logged)
+    assert state.n_events == logged.n_events > 0
+    assert state.event_log == []
 
 
 def test_bit_identical_reruns():
     cfg = make_config(n=500, seed=11, transits=4.0)
-    a = simulate(cfg, "beam")
-    b = simulate(cfg, "beam")
-    assert np.array_equal(a.trace.d_hat, b.trace.d_hat)
-    assert np.array_equal(a.final_state.pos, b.final_state.pos)
-    ea, eb = events(a.final_state), events(b.final_state)
+    a, b = init_sim(cfg, "beam"), init_sim(cfg, "beam")
+    trace_a, trace_b = simulate(cfg, a), simulate(cfg, b)
+    assert np.array_equal(trace_a.d_hat, trace_b.d_hat)
+    assert np.array_equal(a.pos, b.pos)
+    ea, eb = events(a), events(b)
     assert all(np.array_equal(ea[key], eb[key]) for key in ea)
 
 
@@ -278,7 +283,8 @@ def test_event_stream_is_pinned(model):
     # any change to the order or number of wall events, or to the RNG
     # draws behind them, shows here; re-pin only for a deliberate change
     cfg = make_config(n=300, wall_model=model, seed=2, transits=3.0)
-    state = simulate(cfg, "equilibrium").final_state
+    state = init_sim(cfg, "equilibrium")
+    simulate(cfg, state)
     pid = events(state)["particle_id"]
     assert (state.n_events, hashlib.sha256(pid.tobytes()).hexdigest()) == \
         PINNED_EVENT_STREAMS[model]
@@ -317,26 +323,26 @@ def test_stepping_invariants(model, init, n, seed, t0_transits, transits):
 
 def test_beam_relaxes_with_random_sites():
     cfg = make_config(n=2000, seed=5)
-    run = simulate(cfg, "beam")
-    t_rel = relaxation_time(run.trace)
-    assert 0.5 * run.t_b <= t_rel <= 4.0 * run.t_b
+    trace = simulate(cfg, init_sim(cfg, "beam"))
+    t_rel = relaxation_time(trace)
+    assert 0.5 * cfg.t_b <= t_rel <= 4.0 * cfg.t_b
     # disorder monotone rise to plateau: final far above initial
-    assert run.trace.d_hat[-1] > 10.0 * run.trace.d_hat[0]
+    assert trace.d_hat[-1] > 10.0 * trace.d_hat[0]
     # mixing also flattens the orientation histogram
-    assert run.trace.chi2_orient[-1] < 0.01 * run.trace.chi2_orient[0]
+    assert trace.chi2_orient[-1] < 0.01 * trace.chi2_orient[0]
 
 
 def test_smooth_control_never_disorders():
     cfg = make_config(n=2000, wall_model="smooth_specular", seed=5)
-    run = simulate(cfg, "beam")
+    trace = simulate(cfg, init_sim(cfg, "beam"))
     with pytest.raises(NoPlateauError):
-        relaxation_time(run.trace)
+        relaxation_time(trace)
 
 
 def test_equilibrium_start_relaxes_immediately():
     cfg = make_config(n=2000, seed=13)
-    run = simulate(cfg, "equilibrium")
-    assert relaxation_time(run.trace) == 0.0
+    trace = simulate(cfg, init_sim(cfg, "equilibrium"))
+    assert relaxation_time(trace) == 0.0
 
 
 def test_relaxation_time_needs_enough_samples():
@@ -474,11 +480,13 @@ def test_sampler_forks_with_scipy_loaded():
 def test_sampler_trace_matches_in_process(model, sampler, monkeypatch):
     cfg = make_config(n=600, wall_model=model, seed=4, transits=3.0,
                       keep_events=False)
-    shared = simulate(cfg, "beam")
+    shared_state = init_sim(cfg, "beam")
+    shared = simulate(cfg, shared_state)
     in_process(monkeypatch)
-    alone = simulate(cfg, "beam")
-    assert_same_trace(shared.trace, alone.trace)
-    assert shared.final_state.n_events == alone.final_state.n_events
+    alone_state = init_sim(cfg, "beam")
+    alone = simulate(cfg, alone_state)
+    assert_same_trace(shared, alone)
+    assert shared_state.n_events == alone_state.n_events
 
 
 def test_sampler_at_the_particle_cap(sampler, monkeypatch):
@@ -486,10 +494,10 @@ def test_sampler_at_the_particle_cap(sampler, monkeypatch):
     # fills the shared buffer to its bound
     cfg = make_config(n=simmod.N_PARTICLES_CAP, seed=8, transits=0.0,
                       keep_events=False)
-    shared = simulate(cfg, "equilibrium")
+    shared = simulate(cfg, init_sim(cfg, "equilibrium"))
     assert simmod._sampler() is sampler
     in_process(monkeypatch)
-    assert_same_trace(shared.trace, simulate(cfg, "equilibrium").trace)
+    assert_same_trace(shared, simulate(cfg, init_sim(cfg, "equilibrium")))
 
 
 def test_sampler_joule_matches_in_process(sampler, monkeypatch):
@@ -514,18 +522,19 @@ def test_tail_is_the_end_of_the_full_trace(model, shared, request,
     else:
         in_process(monkeypatch)
     cfg = make_config(n=300, wall_model=model, seed=6, transits=3.0)
-    full = simulate(cfg, "beam")
-    short = simulate(cfg, "beam", tail=4)
-    assert_same_trace(short.trace, DisorderTrace(
-        *(column[-4:] for column in full.trace[:-1]), full.trace.l_total))
-    a, b = full.final_state, short.final_state
+    a, b = init_sim(cfg, "beam"), init_sim(cfg, "beam")
+    full = simulate(cfg, a)
+    short = simulate(cfg, b, tail=4)
+    assert_same_trace(short, DisorderTrace(
+        *(column[-4:] for column in full[:-1]), full.l_total))
     assert a.time == b.time and a.n_events == b.n_events
     assert a.pos.tobytes() == b.pos.tobytes()
     assert a.vel.tobytes() == b.vel.tobytes()
     ea, eb = events(a), events(b)
     assert all(ea[key].tobytes() == eb[key].tobytes() for key in ea)
     for tail in (cfg.n_samples, cfg.n_samples + 3):
-        assert_same_trace(simulate(cfg, "beam", tail=tail).trace, full.trace)
+        assert_same_trace(simulate(cfg, init_sim(cfg, "beam"), tail=tail),
+                          full)
 
 
 def test_joule_samples_only_the_measured_tail(monkeypatch):
@@ -550,12 +559,12 @@ def test_joule_samples_only_the_measured_tail(monkeypatch):
 
 def test_sampler_terminated_between_runs(sampler):
     cfg = make_config(n=400, seed=9, transits=2.0, keep_events=False)
-    first = simulate(cfg, "beam")
+    first = simulate(cfg, init_sim(cfg, "beam"))
     sampler.process.terminate()
     sampler.process.join(timeout=10)
     assert not sampler.process.is_alive()
-    again = simulate(cfg, "beam")
-    assert_same_trace(first.trace, again.trace)
+    again = simulate(cfg, init_sim(cfg, "beam"))
+    assert_same_trace(first, again)
     fresh = simmod._sampler()
     assert fresh is not None and fresh.process.is_alive()
     assert fresh.process.pid != sampler.process.pid
@@ -564,7 +573,7 @@ def test_sampler_terminated_between_runs(sampler):
 def test_sampler_killed_mid_run(sampler, monkeypatch):
     # the rows the dead sampler owed are computed in this process
     cfg = make_config(n=400, seed=10, transits=2.0, keep_events=False)
-    first = simulate(cfg, "beam")
+    first = simulate(cfg, init_sim(cfg, "beam"))
     step_to_ = simmod.step_to
     calls = []
 
@@ -575,8 +584,8 @@ def test_sampler_killed_mid_run(sampler, monkeypatch):
         return step_to_(state, t)
 
     monkeypatch.setattr(simmod, "step_to", killing_step_to)
-    again = simulate(cfg, "beam")
-    assert_same_trace(first.trace, again.trace)
+    again = simulate(cfg, init_sim(cfg, "beam"))
+    assert_same_trace(first, again)
     sampler.process.join(timeout=10)
     assert not sampler.process.is_alive()
 
@@ -601,14 +610,14 @@ def test_sampler_forks_past_the_threaded_fork_warning(sampler, monkeypatch):
     monkeypatch.undo()
     assert fresh is not None and fresh.process.is_alive()
     cfg = make_config(n=300, seed=5, transits=1.0, keep_events=False)
-    shared = simulate(cfg, "beam")
+    shared = simulate(cfg, init_sim(cfg, "beam"))
     in_process(monkeypatch)
-    assert_same_trace(shared.trace, simulate(cfg, "beam").trace)
+    assert_same_trace(shared, simulate(cfg, init_sim(cfg, "beam")))
 
 
 def _simulate_in(conn, cfg):
     try:
-        conn.send(("ok", simulate(cfg, "beam").trace))
+        conn.send(("ok", simulate(cfg, init_sim(cfg, "beam"))))
     except BaseException as exc:
         conn.send(("error", repr(exc)))
 
@@ -633,7 +642,7 @@ def test_simulate_in_a_daemonic_process(monkeypatch):
             child.kill()
     assert status == "ok", value
     in_process(monkeypatch)
-    assert_same_trace(value, simulate(cfg, "beam").trace)
+    assert_same_trace(value, simulate(cfg, init_sim(cfg, "beam")))
 
 
 @pytest.mark.parametrize("transits", [0.0, 1.0])
@@ -642,7 +651,7 @@ def test_sampler_error_reaches_caller(transits, sampler, monkeypatch):
     # is the sampler's
     cfg = make_config(n=1, seed=3, transits=transits, keep_events=False)
     with pytest.raises(DomainError, match="nearest-neighbour"):
-        simulate(cfg, "beam")
+        simulate(cfg, init_sim(cfg, "beam"))
     # the old sampler has exited, and a fresh one serves the next run with
     # no row left over from the failed one
     sampler.process.join(timeout=10)
@@ -651,10 +660,10 @@ def test_sampler_error_reaches_caller(transits, sampler, monkeypatch):
     assert fresh is not None and fresh.process.is_alive()
     assert fresh.process.pid != sampler.process.pid
     cfg = make_config(n=300, seed=3, transits=1.0, keep_events=False)
-    shared = simulate(cfg, "beam")
+    shared = simulate(cfg, init_sim(cfg, "beam"))
     assert simmod._sampler() is fresh
     in_process(monkeypatch)
-    assert_same_trace(shared.trace, simulate(cfg, "beam").trace)
+    assert_same_trace(shared, simulate(cfg, init_sim(cfg, "beam")))
 
 
 # --- the sampler's two slots ----------------------------------------------------
@@ -662,7 +671,7 @@ def test_sampler_error_reaches_caller(transits, sampler, monkeypatch):
 def alone_run(cfg, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(simmod, "_sampler", lambda: None)
-        return simulate(cfg, "beam")
+        return simulate(cfg, init_sim(cfg, "beam"))
 
 
 def count_parent_samples(monkeypatch):
@@ -734,10 +743,10 @@ def test_stalled_sampler_does_not_stall_the_run(sampler, monkeypatch):
     monkeypatch.setattr(sampler, "collect", resuming_collect)
     calls = count_parent_samples(monkeypatch)
     with stopped(sampler, monkeypatch):
-        shared = simulate(cfg, "beam")
+        shared = simulate(cfg, init_sim(cfg, "beam"))
     sampled_here = len(calls)
-    assert sampled_here == alone.trace.t.size - 2
-    assert_same_trace(shared.trace, alone.trace)
+    assert sampled_here == alone.t.size - 2
+    assert_same_trace(shared, alone)
 
 
 def test_idle_sampler_takes_the_rows(sampler, monkeypatch):
@@ -753,10 +762,10 @@ def test_idle_sampler_takes_the_rows(sampler, monkeypatch):
 
     monkeypatch.setattr(simmod, "step_to", slow_step_to)
     calls = count_parent_samples(monkeypatch)
-    shared = simulate(cfg, "beam")
+    shared = simulate(cfg, init_sim(cfg, "beam"))
     sampled_here = len(calls)
     assert sampled_here <= 1
-    assert_same_trace(shared.trace, alone.trace)
+    assert_same_trace(shared, alone)
 
 
 def test_sampler_killed_holding_two_rows(sampler, monkeypatch):
@@ -768,12 +777,12 @@ def test_sampler_killed_holding_two_rows(sampler, monkeypatch):
                lambda: os.kill(sampler.process.pid, signal.SIGKILL))
     calls = count_parent_samples(monkeypatch)
     with stopped(sampler, monkeypatch):
-        shared = simulate(cfg, "beam")
+        shared = simulate(cfg, init_sim(cfg, "beam"))
     sampled_here = len(calls)
-    assert sampled_here == alone.trace.t.size
+    assert sampled_here == alone.t.size
     sampler.process.join(timeout=10)
     assert not sampler.process.is_alive()
-    assert_same_trace(shared.trace, alone.trace)
+    assert_same_trace(shared, alone)
 
 
 def test_sampler_error_on_the_second_held_row(sampler, monkeypatch):
@@ -784,7 +793,7 @@ def test_sampler_error_on_the_second_held_row(sampler, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(simmod, "_sampler", lambda: None)
         seen = count_parent_samples(m)
-        alone = simulate(cfg, "beam")
+        alone = simulate(cfg, init_sim(cfg, "beam"))
     row_1 = seen[1]
     original = simmod.sample_disorder
 
@@ -801,15 +810,15 @@ def test_sampler_error_on_the_second_held_row(sampler, monkeypatch):
                    lambda: os.kill(held.process.pid, signal.SIGCONT))
         with stopped(held, m), pytest.raises(
                 ArithmeticError, match="row 1 has no disorder"):
-            simulate(cfg, "beam")
+            simulate(cfg, init_sim(cfg, "beam"))
     held.process.join(timeout=10)
     assert held.process.exitcode == 0  # it exited on the error, unkilled
     fresh = simmod._sampler()
     assert fresh is not None and fresh.process.is_alive()
     assert fresh.process.pid != held.process.pid
-    shared = simulate(cfg, "beam")
+    shared = simulate(cfg, init_sim(cfg, "beam"))
     assert simmod._sampler() is fresh
-    assert_same_trace(shared.trace, alone.trace)
+    assert_same_trace(shared, alone)
 
 
 def test_interrupted_run_leaves_no_row_for_the_next(sampler, monkeypatch):
@@ -829,7 +838,7 @@ def test_interrupted_run_leaves_no_row_for_the_next(sampler, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(simmod, "step_to", interrupting_step_to)
         with stopped(sampler, m), pytest.raises(KeyboardInterrupt):
-            simulate(cfg, "beam")
+            simulate(cfg, init_sim(cfg, "beam"))
     fresh = simmod._sampler()
     assert fresh is not None and fresh.process.pid != sampler.process.pid
-    assert_same_trace(simulate(cfg, "beam").trace, alone.trace)
+    assert_same_trace(simulate(cfg, init_sim(cfg, "beam")), alone)
