@@ -340,9 +340,7 @@ def cmd_randomness_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_randomness_audit(args: argparse.Namespace) -> int:
-    rnd.estimator_ids(args.estimator)  # a bad option exits before the read
-    enc = rnd.read_list_file(args.input)
-    report = rnd.estimate_complexity(enc, estimator=args.estimator)
+    enc, report = rnd.measure_list_file(args.input, args.estimator)
     payload = {
         "manifest": _manifest("randomness audit", {
             "input": args.input, "estimator": args.estimator,
@@ -359,11 +357,8 @@ def cmd_randomness_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_randomness_gap(args: argparse.Namespace) -> int:
-    rnd.check_points(args.points)  # bad options exit before the read
-    rnd.estimator_ids(args.estimator)
-    enc = rnd.read_list_file(args.input)
-    trace = rnd.prefix_trace(enc, points=args.points,
-                             estimator=args.estimator)
+    enc, trace = rnd.measure_list_file(args.input, args.estimator,
+                                       points=args.points)
     verdict = rnd.gap_classify(trace)
     payload = {
         "manifest": _manifest("randomness gap", {

@@ -25,9 +25,10 @@ import lzma
 import math
 import os
 import sys
+import threading
 import zlib
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -130,10 +131,11 @@ def _pack(values: np.ndarray, width: int) -> bytes:
     return np.packbits(bits[:, 8 * used - width:]).tobytes()
 
 
-def _unpacked_values(packed: np.ndarray, n: int, width: int) -> np.ndarray:
-    """Inverse of :func:`_pack` over the whole list: the n values held in
-    ``packed``."""
-    values = np.empty(n, dtype=np.int64)
+def _unpack(packed: np.ndarray, width: int, posted: _Posted) -> None:
+    """Inverse of :func:`_pack` over the whole list: the values held in
+    ``packed``, into ``posted`` a slice at a time."""
+    values = posted.values
+    n = values.size
     for start in range(0, n, _CHUNK):
         m = min(_CHUNK, n - start)
         first = start * width // 8
@@ -142,7 +144,7 @@ def _unpacked_values(packed: np.ndarray, n: int, width: int) -> np.ndarray:
             packed[first:first + (m * width + 7) // 8], count=m * width,
         ).reshape(m, width)
         values[start:start + m] = np.packbits(words, axis=1).view(">u8")[:, 0]
-    return values
+        posted.post(start + m)
 
 
 def quantize(values: np.ndarray, k: int,
@@ -185,8 +187,12 @@ def _log2_binom_any(m: int, j: int) -> float:
 # which packs the list one ``_CHUNK`` slice at a time; the rest measure
 # each prefix afresh through ``_each_prefix``, lzma also feeding its
 # compressor slice by slice, so no estimator holds a whole-list buffer.
-# For a long list, ``_prefix_estimates`` runs zlib in a helper thread
-# while delta and the entropy bounds run in the caller.
+# For a long list, ``_estimates`` runs delta in a helper thread while
+# zlib and the entropy bounds run in the caller: delta is the longest
+# pass on a sorted list, and about as long as zlib on a random one.
+# When the list comes from a file, the helper starts once the header is
+# read and takes each slice as soon as the reader posts it (``_Posted``),
+# so the read overlaps the delta pass too.
 
 def _deflate_bits(slices: Iterable[np.ndarray], width: int,
                   sizes: list[int]) -> list[float]:
@@ -225,13 +231,19 @@ def _k_zlib(values: np.ndarray, width: int, sizes: list[int]) -> list[float]:
     return _deflate_bits(_slices(values[:sizes[-1]]), width, sizes)
 
 
-def _zigzag_slices(values: np.ndarray) -> Iterator[np.ndarray]:
+def _zigzag_slices(values: np.ndarray,
+                   posted: _Posted | None = None) -> Iterator[np.ndarray]:
     """The deltas of ``values``, the first taken from 0, slice by slice.
     Each delta d is zigzag-coded, 2d for d >= 0 and -2d - 1 below, as
     (d << 1) ^ (d >> 63); a slice's first delta is taken from the last
-    value of the slice before it."""
-    prev = 0
+    value of the slice before it.  With ``posted``, the hand-off of a
+    list being read into ``values``, each slice is taken once the reader
+    has posted it."""
+    prev = end = 0
     for part in _slices(values):
+        end += part.size
+        if posted is not None:
+            posted.wait(end)
         zigzag = np.empty_like(part)
         zigzag[0] = part[0] - prev
         np.subtract(part[1:], part[:-1], out=zigzag[1:])
@@ -242,9 +254,11 @@ def _zigzag_slices(values: np.ndarray) -> Iterator[np.ndarray]:
         yield zigzag
 
 
-def _k_delta(values: np.ndarray, width: int, sizes: list[int]) -> list[float]:
+def _k_delta(values: np.ndarray, width: int, sizes: list[int],
+             posted: _Posted | None = None) -> list[float]:
     # The deltas of a prefix are the prefix of the deltas.
-    return _deflate_bits(_zigzag_slices(values[:sizes[-1]]), width + 1, sizes)
+    return _deflate_bits(_zigzag_slices(values[:sizes[-1]], posted),
+                         width + 1, sizes)
 
 
 _LZMA_FILTERS = [{"id": lzma.FILTER_LZMA2, "preset": 6}]
@@ -322,14 +336,16 @@ class ComplexityReport:
     gap_class: str        # "random-like" or "structured"
 
 
-#: Literal bits of a list from which the "best" estimate runs zlib in a
-#: helper thread beside delta: deflate releases the GIL, so on a second
-#: CPU the two compressor passes overlap.  With the second CPU idle the
-#: thread breaks even near 2^17 bits and saves a quarter or more from
-#: 2^18 on.  Simulator rows at the documented sizes (1.4e5 bits at 10^4
-#: particles) stay well below it, as the sampler process has the second
-#: CPU during a run; rows near N_PARTICLES_CAP (1.7e6 bits) and gap and
-#: audit lists at the benchmark's sizes (1.7e6 and 2e7 bits) are above.
+#: Literal bits of a list from which the "best" estimate runs delta in a
+#: helper thread beside zlib and the entropy bounds: deflate releases the
+#: GIL, as do numpy's passes over each slice, so on a second CPU the
+#: delta pass overlaps the others, and for a list file the read as well.
+#: The helper broke even near 2^17 bits and saved a quarter or more from
+#: 2^18 on, measured with zlib in it and the second CPU idle.  Simulator
+#: rows at the documented sizes (1.4e5 bits at 10^4 particles) stay well
+#: below it, as the sampler process has the second CPU during a run; rows
+#: near N_PARTICLES_CAP (1.7e6 bits) and gap and audit lists at the
+#: benchmark's sizes (1.7e6 and 2e7 bits) are above.
 _HELPER_MIN_BITS = 1 << 20
 
 
@@ -357,27 +373,50 @@ def _prefix_estimates(enc: EncodedList, estimator: str,
     each m in the ascending ``sizes``, all at the list's width k.
 
     ``estimator`` is one of the ids above or ``"best"`` (minimum over the
-    default set); each K_hat includes the calibrated id overhead.  The
-    "best" estimate of at least ``_HELPER_MIN_BITS`` bits, in a process
-    that may use two CPUs, runs zlib in a one-worker thread pool, shut
-    down before this returns, even when an estimator raises; the minimum
-    is taken in candidate order either way.
+    default set); each K_hat includes the calibrated id overhead."""
+    return _estimates(enc.values, enc.k, estimator, sizes, lambda: enc)[1]
+
+
+def _estimates(values: np.ndarray, k: int, estimator: str, sizes: list[int],
+               read: Callable[[], EncodedList], posted: _Posted | None = None
+               ) -> tuple[EncodedList, list[tuple[float, str]]]:
+    """The list ``read()`` returns, whose data ``values`` are at width k,
+    and :func:`_prefix_estimates` of it.  With ``posted``, ``read`` fills
+    ``values`` through that hand-off.
+
+    The "best" estimate of at least ``_HELPER_MIN_BITS`` bits, in a
+    process that may use two CPUs, runs delta in a one-worker thread pool
+    started before ``read`` is called, and shut down before this returns,
+    even when the read or an estimator raises; the minimum is taken in
+    candidate order either way.
     """
     id_bits = load_calibration().estimator_id_bits
     candidates = estimator_ids(estimator)
 
     def measure(name: str) -> list[float]:
-        return _ESTIMATORS[name](enc.values, enc.k, sizes)
+        return _ESTIMATORS[name](values, k, sizes)
 
-    if (estimator == "best" and sizes[-1] * enc.k >= _HELPER_MIN_BITS
+    if (estimator == "best" and sizes[-1] * k >= _HELPER_MIN_BITS
             and two_cpus()):
+        handoff = {} if posted is None else {"posted": posted}
         with concurrent.futures.ThreadPoolExecutor(
                 1, "kolgas-estimator") as helper:
-            zlib_bits = helper.submit(measure, "zlib")
-            bits = {name: measure(name)
-                    for name in candidates if name != "zlib"}
-            bits["zlib"] = zlib_bits.result()
+            delta_bits = helper.submit(_ESTIMATORS["delta"], values, k,
+                                       sizes, **handoff)
+            try:
+                enc = read()
+                bits = {name: measure(name)
+                        for name in candidates if name != "delta"}
+            except BaseException:
+                # else the pool's shutdown waits on a helper that waits
+                # on a read that has ended; the helper's result, a
+                # CancelledError, gives way to this error
+                if posted is not None:
+                    posted.fail()
+                raise
+            bits["delta"] = delta_bits.result()
     else:
+        enc = read()
         bits = {name: measure(name) for name in candidates}
     best = [(math.inf, "")] * len(sizes)
     for name in candidates:
@@ -385,7 +424,21 @@ def _prefix_estimates(enc: EncodedList, estimator: str,
             k_est = b + id_bits
             if k_est < best[i][0]:
                 best[i] = (k_est, name)
-    return best
+    return enc, best
+
+
+def _report(enc: EncodedList, k_hat: float,
+            estimator_id: str) -> ComplexityReport:
+    deficiency = enc.l_primitive - k_hat
+    threshold = load_calibration().deficiency_threshold(enc.l_primitive)
+    gap_class = "structured" if deficiency > threshold else "random-like"
+    return ComplexityReport(
+        k_hat=k_hat,
+        estimator_id=estimator_id,
+        l_primitive=enc.l_primitive,
+        deficiency=deficiency,
+        gap_class=gap_class,
+    )
 
 
 def estimate_complexity(enc: EncodedList,
@@ -396,17 +449,8 @@ def estimate_complexity(enc: EncodedList,
     default set).  The result includes the calibrated id overhead, so
     K_hat can slightly exceed the literal length for incompressible data.
     """
-    [(best_k, best_id)] = _prefix_estimates(enc, estimator, [enc.n])
-    deficiency = enc.l_primitive - best_k
-    threshold = load_calibration().deficiency_threshold(enc.l_primitive)
-    gap_class = "structured" if deficiency > threshold else "random-like"
-    return ComplexityReport(
-        k_hat=best_k,
-        estimator_id=best_id,
-        l_primitive=enc.l_primitive,
-        deficiency=deficiency,
-        gap_class=gap_class,
-    )
+    [(k_hat, estimator_id)] = _prefix_estimates(enc, estimator, [enc.n])
+    return _report(enc, k_hat, estimator_id)
 
 
 # ---------------------------------------------------------------------------
@@ -514,19 +558,28 @@ def check_points(points: int) -> None:
         raise DomainError("prefix_trace needs at least 3 points")
 
 
+def _prefix_sizes(n: int, points: int) -> list[int]:
+    """The ascending prefix sizes of an n-item list that a ``points``-point
+    ``prefix_trace`` measures, linearly spaced up to n."""
+    check_points(points)
+    first = min(max(8, n // points), n)
+    # Sizes run from first to n, so past n - first + 1 points every size
+    # between them is hit already and more points only cost memory.
+    count = min(points, n - first + 1)
+    return np.unique(np.linspace(first, n, count).astype(int)).tolist()
+
+
+def _trace(k: int, sizes: list[int], estimates: list[tuple[float, str]]
+           ) -> list[tuple[float, float]]:
+    return [(float(m * k), k_hat) for m, (k_hat, _) in zip(sizes, estimates)]
+
+
 def prefix_trace(enc: EncodedList, points: int = 12,
                  estimator: str = "best") -> list[tuple[float, float]]:
     """(literal length, K_hat) over linearly spaced prefixes of a list,
     all encoded at the full list's datum width, measured in one pass."""
-    check_points(points)
-    first = min(max(8, enc.n // points), enc.n)
-    # Sizes run from first to n, so past n - first + 1 points every size
-    # between them is hit already and more points only cost memory.
-    count = min(points, enc.n - first + 1)
-    sizes = np.unique(np.linspace(first, enc.n, count).astype(int)).tolist()
-    estimates = _prefix_estimates(enc, estimator, sizes)
-    return [(float(m * enc.k), k_hat)
-            for m, (k_hat, _) in zip(sizes, estimates)]
+    sizes = _prefix_sizes(enc.n, points)
+    return _trace(enc.k, sizes, _prefix_estimates(enc, estimator, sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +622,39 @@ def write_list_file(path: str, enc: EncodedList, raw: bool = False) -> None:
 _HEADER_LIMIT = 1 << 12
 
 
+class _Posted:
+    """The hand-off from the reader of a list file to the helper thread
+    that measures the list as it is read: the array the reader fills from
+    the front, the count of values filled so far, whether the read
+    failed, and the condition the helper waits on for either."""
+
+    def __init__(self, n: int) -> None:
+        self.values = np.empty(n, dtype=np.int64)
+        self.count = 0
+        self.failed = False
+        self.changed = threading.Condition()
+
+    def post(self, count: int) -> None:
+        """Mark the first ``count`` values filled."""
+        with self.changed:
+            self.count = count
+            self.changed.notify()
+
+    def fail(self) -> None:
+        """Mark the read failed: no more values come."""
+        with self.changed:
+            self.failed = True
+            self.changed.notify()
+
+    def wait(self, count: int) -> None:
+        """Return once the first ``count`` values are filled; raise
+        CancelledError once the read has failed."""
+        with self.changed:
+            self.changed.wait_for(lambda: self.failed or self.count >= count)
+            if self.failed:
+                raise concurrent.futures.CancelledError("the list read failed")
+
+
 def read_list_file(path: str) -> EncodedList:
     """Read a list file written by :func:`write_list_file`, or from stdin
     when ``path`` is "-"; exact round trip for both bodies, which the
@@ -578,17 +664,56 @@ def read_list_file(path: str) -> EncodedList:
     to one byte past the length the header gives it, and a decimal body
     a window at a time, so an input with no end, such as /dev/zero,
     fails without filling memory."""
+    def read(fh: BinaryIO) -> EncodedList:
+        n, k, tag, raw = _read_header(fh, path)
+        return _read_body(fh, path, k, tag, raw, _Posted(n))
+    return _with_input(path, read)
+
+
+def measure_list_file(path: str, estimator: str = "best",
+                      points: int | None = None
+                      ) -> tuple[EncodedList,
+                                 ComplexityReport | list[tuple[float, float]]]:
+    """The list that :func:`read_list_file` reads from ``path``, and its
+    :func:`estimate_complexity` or, given ``points``, its
+    :func:`prefix_trace`, with the same values and errors.
+
+    Both options are checked before the input is opened.  Where the
+    "best" estimate runs delta in its helper thread, the helper starts
+    once the header is read and takes each slice of the body as soon as
+    the reader has filled it, so the read and the delta pass overlap."""
+    estimator_ids(estimator)
+    if points is not None:
+        check_points(points)
+
+    def measure(fh: BinaryIO):
+        n, k, tag, raw = _read_header(fh, path)
+        sizes = [n] if points is None else _prefix_sizes(n, points)
+        posted = _Posted(n)
+        enc, estimates = _estimates(
+            posted.values, k, estimator, sizes,
+            lambda: _read_body(fh, path, k, tag, raw, posted), posted)
+        if points is None:
+            return enc, _report(enc, *estimates[0])
+        return enc, _trace(k, sizes, estimates)
+    return _with_input(path, measure)
+
+
+def _with_input(path: str, use):
+    """``use`` of the binary stream of the file at ``path``, or of stdin
+    when ``path`` is "-"; an OSError raises FormatError."""
     try:
         if path == "-":
-            return _read_list(sys.stdin.buffer, path)
+            return use(sys.stdin.buffer)
         with open(path, "rb") as fh:
-            return _read_list(fh, path)
+            return use(fh)
     except OSError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def _read_list(fh: BinaryIO, path: str) -> EncodedList:
-    """:func:`read_list_file` of the binary stream ``fh``."""
+def _read_header(fh: BinaryIO, path: str) -> tuple[int, int, str, bool]:
+    """n, k, the source tag and whether the body is raw, from the header
+    line of the binary stream ``fh``."""
     header = fh.readline(_HEADER_LIMIT)
     if not header.endswith(b"\n"):
         raise FormatError(f"{path}: missing header line")
@@ -602,21 +727,26 @@ def _read_list(fh: BinaryIO, path: str) -> EncodedList:
         raise FormatError(f"{path}: non-integer header counts") from exc
     if not (1 <= n <= LIST_SIZE_CAP and 1 <= k <= _MAX_WIDTH):
         raise FormatError(f"{path}: header counts out of range (n={n}, k={k})")
-    tag = fields[2].decode("ascii", errors="replace")
+    return n, k, fields[2].decode("ascii", errors="replace"), raw
 
+
+def _read_body(fh: BinaryIO, path: str, k: int, tag: str, raw: bool,
+               posted: _Posted) -> EncodedList:
+    """The list whose body ``fh`` reads on, read into ``posted``, which
+    the header's n sized."""
     if raw:
-        expected = (n * k + 7) // 8
+        expected = (posted.values.size * k + 7) // 8
         body = fh.read(expected + 1)  # one byte past is enough to tell
         if len(body) != expected:
             size = len(body) if len(body) < expected else f"over {expected}"
             raise FormatError(
                 f"{path}: raw body is {size} bytes, expected {expected}"
             )
-        values = _unpacked_values(np.frombuffer(body, dtype=np.uint8), n, k)
+        _unpack(np.frombuffer(body, dtype=np.uint8), k, posted)
     else:
-        values = _decimal_body(fh, n, path)
+        _decimal_body(fh, posted.values.size, path, posted)
     try:
-        return encode_list(values, k=k, source_tag=tag)
+        return encode_list(posted.values, k=k, source_tag=tag)
     except DomainError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -640,7 +770,8 @@ _LINE_LIMIT = 16 * _CHUNK
 _BODY_LINES = 2 * LIST_SIZE_CAP
 
 
-def _decimal_body(fh: BinaryIO, n: int, path: str) -> np.ndarray:
+def _decimal_body(fh: BinaryIO, n: int, path: str,
+                  posted: _Posted | None = None) -> np.ndarray:
     """The n data of the decimal body that ``fh`` reads on, one unsigned
     decimal per line:
 
@@ -650,8 +781,11 @@ def _decimal_body(fh: BinaryIO, n: int, path: str) -> np.ndarray:
     The body is parsed in whole lines, ``_WINDOW`` bytes and the rest of
     the line they stop in at a time, so no temporary grows with the list,
     and the read ends at the first window that holds more than n data or
-    takes the body past ``_BODY_LINES`` line breaks."""
-    values = np.empty(n, dtype=np.int64)
+    takes the body past ``_BODY_LINES`` line breaks.  The data go into
+    ``posted``, sized n, whose count is posted after each window."""
+    if posted is None:
+        posted = _Posted(n)
+    values = posted.values
     count = lines = 0
     while text := fh.read(_WINDOW):
         if not text.endswith(b"\n"):
@@ -670,6 +804,7 @@ def _decimal_body(fh: BinaryIO, n: int, path: str) -> np.ndarray:
                               f"data, header says {n}")
         values[count:count + data.size] = data
         count += data.size
+        posted.post(count)
     if count != n:
         raise FormatError(
             f"{path}: body has {count} decimal data, header says {n}")

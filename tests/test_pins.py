@@ -15,9 +15,11 @@ rows into 4096-line blocks.  D_hat and the zlib estimates are zlib
 lengths, so another zlib build may give other bytes.
 
 ``rng.txt`` holds 2*10^6 bits, past ``randomness._HELPER_MIN_BITS``: the
-"best" audit runs zlib in a helper thread where two CPUs are usable and
-in the caller on one, and a ``sim relax`` samples in a forked process or
-in its own.  Both ways must give these bytes.
+"best" audit and gap run delta in a helper thread where two CPUs are
+usable, started once the header is read and fed each slice of the body
+as it is read, and in the caller after the read on one; a ``sim relax``
+samples in a forked process or in its own.  Both ways must give these
+bytes.
 """
 import hashlib
 import pathlib

@@ -1,10 +1,12 @@
 """Encoding, the computable description-length estimators, deficiency
 scoring, the two reference corpora, and the gap classifier."""
+import faulthandler
 import io
 import lzma
 import math
 import multiprocessing
 import os
+import sys
 import threading
 import time
 import tracemalloc
@@ -17,11 +19,13 @@ from hypothesis import strategies as st
 
 from kolgas import randomness as rndmod
 from kolgas import sim as simmod
+from kolgas.cli import main
 from kolgas.calibration import load_calibration
 from kolgas.constants import species_lookup
 from kolgas.errors import DomainError, FormatError, UnknownEstimatorError
 from kolgas.randomness import (
     _CHUNK,
+    _WINDOW,
     DEFAULT_ESTIMATORS,
     LIST_SIZE_CAP,
     EncodedList,
@@ -34,6 +38,7 @@ from kolgas.randomness import (
     encode_list,
     estimate_complexity,
     gap_classify,
+    measure_list_file,
     prefix_trace,
     quantize,
     read_list_file,
@@ -556,7 +561,7 @@ def test_decimal_body_matches_loadtxt_across_slices():
 # --- compressor estimators across slices, with and without the helper -------
 
 def _force_helper(monkeypatch, on):
-    """Make every "best" estimate run zlib in the helper thread, or none."""
+    """Make every "best" estimate run delta in the helper thread, or none."""
     monkeypatch.setattr(rndmod, "_HELPER_MIN_BITS", 0 if on else math.inf)
     monkeypatch.setattr(rndmod, "two_cpus", lambda: on)
 
@@ -599,7 +604,7 @@ def test_compressor_prefixes_across_slices(k, order, monkeypatch):
         _force_helper(monkeypatch, on)
         seen = _spy_estimators(monkeypatch)
         best = _prefix_estimates(enc, "best", sizes)
-        assert (seen["zlib"][1] is not threading.main_thread()) == on
+        assert (seen["delta"][1] is not threading.main_thread()) == on
         for name in ("zlib", "delta"):
             assert seen[name][0] == reference[name], (name, on)
             assert ([b for b, _ in _prefix_estimates(enc, name, sizes)]
@@ -654,18 +659,18 @@ def test_helper_error_reaches_the_caller(monkeypatch):
         # error is there only if the caller waits for the thread
         ran_in.append(threading.current_thread())
         time.sleep(0.2)
-        raise ValueError("zlib estimator broke")
+        raise ValueError("delta estimator broke")
 
     unhandled = []
     monkeypatch.setattr(threading, "excepthook", unhandled.append)
     _force_helper(monkeypatch, True)
-    monkeypatch.setitem(rndmod._ESTIMATORS, "zlib", broken)
+    monkeypatch.setitem(rndmod._ESTIMATORS, "delta", broken)
     enc = rng_list(1000, 10, np.random.default_rng(2))
     before = threading.active_count()
     with pytest.raises(ValueError) as info:
         estimate_complexity(enc)
     assert type(info.value) is ValueError
-    assert str(info.value) == "zlib estimator broke"
+    assert str(info.value) == "delta estimator broke"
     assert ran_in and ran_in[0] is not threading.main_thread()
     assert threading.active_count() == before
     assert unhandled == []
@@ -685,7 +690,7 @@ def test_sampler_forks_after_a_threaded_audit(monkeypatch):
     _force_helper(monkeypatch, True)
     seen = _spy_estimators(monkeypatch)
     estimate_complexity(rng_list(1000, 10, np.random.default_rng(3)))
-    assert seen["zlib"][1] is not threading.main_thread()
+    assert seen["delta"][1] is not threading.main_thread()
     monkeypatch.undo()
     fresh = simmod._sampler()
     assert fresh is not None and fresh.process.is_alive()
@@ -698,27 +703,199 @@ def test_one_cpu_starts_no_helper(monkeypatch):
     enc = rng_list(2 * _CHUNK, 20, np.random.default_rng(4))
     assert enc.l_primitive >= rndmod._HELPER_MIN_BITS
     estimate_complexity(enc)
-    assert seen["zlib"][1] is threading.main_thread()
+    assert seen["delta"][1] is threading.main_thread()
 
 
 @pytest.mark.parametrize("estimator, helper, bound_mib", [
     ("zlib", False, 6), ("delta", False, 6), ("entropy1", False, 2),
-    ("best", False, 16), ("best", True, 16),
+    ("best", False, 16), ("best", True, 16), ("audit", True, 21),
 ])
 def test_estimator_memory_stays_bounded(estimator, helper, bound_mib,
-                                        monkeypatch):
+                                        monkeypatch, tmp_path):
     # packing slice by slice, zlib peaks near 3.8 MiB and delta near
     # 4.9 MiB, where a whole packed copy of this list and a full-length
     # zigzag array took 10.4 and 25.9 MiB; entropy1 counts its bit pairs
     # slice by slice too, at 1.1 MiB where two full-length temporaries
-    # took 8.7 MiB; "best" peaks at delta's 4.9 MiB, or 8.6 MiB with the
-    # helper's zlib beside it
+    # took 8.7 MiB; "best" peaks at delta's 4.9 MiB, or 8.7 MiB with zlib
+    # and delta at once, one of them in the helper.  "audit" is the "best"
+    # estimate of the list read from a decimal file, which peaked near
+    # 17.5 MiB when the whole list was read before the estimate began, and
+    # near 18.7 MiB with the helper's delta pass beside the read
     _force_helper(monkeypatch, helper)
     enc = rng_list(LIST_SIZE_CAP, 20, np.random.default_rng(6))
+    path = str(tmp_path / "list.dat")
+    if estimator == "audit":
+        write_list_file(path, enc)
     tracemalloc.start()
     try:
-        estimate_complexity(enc, estimator)
+        if estimator == "audit":
+            measure_list_file(path)
+        else:
+            estimate_complexity(enc, estimator)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= bound_mib * 2**20
+
+
+# --- list files measured as they are read ------------------------------------
+
+def _padded_decimal_file(path, enc, header_n=None):
+    """``enc`` as a decimal list file of lines right-aligned in 16
+    columns, so that 2 * _CHUNK + 5 data run past 2 * _WINDOW bytes."""
+    lines = "".join(f"{v:>16}\n" for v in enc.values.tolist())
+    header = f"{enc.n if header_n is None else header_n} {enc.k} list\n"
+    path.write_bytes((header + lines).encode("ascii"))
+
+
+def _measure_from(path, source, monkeypatch, **options):
+    """``measure_list_file`` of ``path`` by name, or fed through stdin."""
+    if source == "path":
+        return measure_list_file(str(path), **options)
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdin",
+                      io.TextIOWrapper(io.BytesIO(path.read_bytes())))
+        return measure_list_file("-", **options)
+
+
+@pytest.fixture
+def interleaved():
+    """Switch threads every 10 us, so the reader and the helper interleave
+    often, and after two minutes dump every thread's stack to fd 2 and end
+    the process with status 1: a helper left waiting on a read that has
+    ended would hang the pool's shutdown, and with it the whole run."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    faulthandler.dump_traceback_later(120, exit=True, file=sys.__stderr__)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("body", ["decimal", "raw"])
+@pytest.mark.parametrize("order", ["random", "sorted"])
+@pytest.mark.parametrize("k", [1, 20, 62])
+def test_list_file_measures_match_read_then_estimate(k, order, body,
+                                                      tmp_path, monkeypatch,
+                                                      interleaved):
+    # slices end at _CHUNK and 2 * _CHUNK, windows at other data, so the
+    # helper waits for slices that the reader posts in parts
+    n = 2 * _CHUNK + 5
+    values = _full_width_values(np.random.default_rng(k), n, k)
+    if order == "sorted":
+        values.sort()
+    enc = encode_list(values, k=k)
+    path = tmp_path / "list.dat"
+    if body == "raw":
+        write_list_file(str(path), enc, raw=True)
+    else:
+        _padded_decimal_file(path, enc)
+        assert path.stat().st_size > 2 * _WINDOW
+    read = read_list_file(str(path))
+    expected = (estimate_complexity(read), prefix_trace(read))
+    for on in (True, False):
+        _force_helper(monkeypatch, on)
+        ran_in = []
+
+        def zigzag(values, posted=None, original=rndmod._zigzag_slices):
+            ran_in.append(threading.current_thread())
+            return original(values, posted)
+
+        monkeypatch.setattr(rndmod, "_zigzag_slices", zigzag)
+        for source in ("path", "stdin"):
+            got, report = _measure_from(path, source, monkeypatch)
+            _, trace = _measure_from(path, source, monkeypatch, points=12)
+            assert np.array_equal(got.values, enc.values), (on, source)
+            assert (report, trace) == expected, (on, source)
+        assert len(ran_in) == 4
+        assert all((t is not threading.main_thread()) == on for t in ran_in)
+        monkeypatch.undo()
+
+
+def _failing_list_file(case, path, monkeypatch):
+    """Write the list file of ``case``, patch what it needs, and return
+    whether its error is a format error, which the CLI reports."""
+    n = 2 * _CHUNK + 5
+    enc = encode_list(_full_width_values(np.random.default_rng(1), n, 20),
+                      k=20)
+    if case in ("truncated-raw", "long-raw"):
+        write_list_file(str(path), enc, raw=True)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-3] if case == "truncated-raw"
+                         else blob + b"\0")
+        return True
+    _padded_decimal_file(path, enc, n - 1 if case == "more-data" else None)
+    if case == "bad-line":
+        text = path.read_bytes()
+        at = text.index(b"\n", 2 * _WINDOW + 100) + 1
+        path.write_bytes(text[:at] + b"x" + text[at + 1:])
+        assert text.count(b"\n", 0, at) < n
+    elif case == "body-lines":
+        with open(path, "ab") as fh:
+            fh.write(b"\n" * rndmod._BODY_LINES)
+    elif case == "overflow":
+        text = path.read_bytes()
+        path.write_bytes(text[:-17] + b"%16d\n" % (1 << 20))
+    elif case == "helper-raises":
+        def broken(*args, **kwargs):
+            raise ValueError("delta estimator broke")
+        monkeypatch.setitem(rndmod._ESTIMATORS, "delta", broken)
+        return False
+    elif case == "interrupt":
+        windows = []
+
+        def interrupted(text, path, original=rndmod._decimal_values):
+            windows.append(text.size)
+            if len(windows) == 3:
+                windows.clear()
+                raise KeyboardInterrupt
+            return original(text, path)
+
+        monkeypatch.setattr(rndmod, "_decimal_values", interrupted)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("command", ["audit", "gap"])
+@pytest.mark.parametrize("case", [
+    "bad-line", "truncated-raw", "long-raw", "more-data", "body-lines",
+    "overflow", "helper-raises", "interrupt",
+])
+def test_list_file_error_mid_body_stops_the_helper(case, command, tmp_path,
+                                                   monkeypatch, capsys,
+                                                   interleaved):
+    # the helper waits on the reader for each slice, so a read that fails
+    # must release it, or the pool's shutdown waits forever
+    path = tmp_path / "list.dat"
+    reported = _failing_list_file(case, path, monkeypatch)
+    _force_helper(monkeypatch, True)
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    points = None if command == "audit" else 12
+    before = threading.active_count()
+    with pytest.raises(BaseException) as read_first:
+        enc = read_list_file(str(path))
+        if points is None:
+            estimate_complexity(enc)
+        else:
+            prefix_trace(enc, points)
+    with pytest.raises(read_first.type) as info:
+        measure_list_file(str(path), points=points)
+    assert type(info.value) is read_first.type
+    assert str(info.value) == str(read_first.value)
+    assert threading.active_count() == before
+    if reported:
+        code, out, err = (main(["randomness", command, "--input", str(path)]),
+                          *capsys.readouterr())
+        assert (code, out, err) == (3, "", f"error: {read_first.value}\n")
+        assert threading.active_count() == before
+    assert unhandled == []
+    monkeypatch.undo()
+    if (before == 1 and rndmod.two_cpus()
+            and "fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon):
+        live = simmod._sampler()
+        if live is not None:
+            live.close()
+        fresh = simmod._sampler()
+        assert fresh is not None and fresh.process.is_alive()
