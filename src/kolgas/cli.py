@@ -12,24 +12,26 @@ Subcommands:
 
 Every JSON artifact embeds a run manifest under "manifest"; every CSV
 carries the same manifest as a leading "# manifest: {...}" comment line.
+A long sweep hands every other block of rows to a child through
+``handoff`` where the process may fork one, with the same bytes.
 Exit codes: 0 success, 2 domain error (bad physics/parameters), 3 format
 error (unreadable input artifact, or an artifact that cannot be written).
 """
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import itertools
 import json
 import math
-import multiprocessing
+import operator
 import os
 import sys
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from . import handoff
 from . import randomness as rnd
 from . import sim as simmod
 from .calibration import load_calibration
@@ -53,10 +55,10 @@ _ANGSTROM = 1e-10
 #: and formats as one block.
 _ROWS_PER_WRITE = 1024
 
-#: Fewest rows for which a sweep forks a child that formats its odd
-#: blocks while this process formats the even ones; from 2048 to 8192
-#: rows the child won about half of its timed pairs against one process.
-_SWEEP_FORK_ROWS = 8 * _ROWS_PER_WRITE
+#: Fewest rows for which a sweep forks a child to format its odd blocks:
+#: the fewest at which the child won 9 of 10 timed pairs against one
+#: process (multiples of _ROWS_PER_WRITE, 2 vCPUs, --output FILE).
+_SWEEP_FORK_ROWS = 4 * _ROWS_PER_WRITE
 
 
 def _manifest(command: str, params: dict, seed: int | None = None) -> dict:
@@ -258,53 +260,44 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "statistics": statistics,
     })
     blocks = -(-len(grid) // _ROWS_PER_WRITE)
-    child = reader = None
-    if len(grid) >= _SWEEP_FORK_ROWS:
-        reader, writer = multiprocessing.Pipe(duplex=False)
-        child = simmod.forked(_send_blocks, text, range(1, blocks, 2),
-                              reader, writer)
-        writer.close()  # the child's copy is the one left: its exit is EOF
+    child = (handoff.start(_SWEEP_SLOT, lambda slot: _format_block(text, slot),
+                           operator.setitem, "text")
+             if len(grid) >= _SWEEP_FORK_ROWS else None)
     try:
         _emit_csv(manifest, ",".join((args.var, *_STATE_COLUMNS)),
-                  _sweep_blocks(text, blocks, reader if child else None),
-                  args.output)
+                  _sweep_blocks(text, blocks, child), args.output)
     finally:
         if child is not None:
-            child.kill()
-            child.join()
-        if reader is not None:
-            reader.close()
+            child.close()
     return 0
 
 
-def _send_blocks(text: Callable[[int], str], blocks: range,
-                 reader: multiprocessing.connection.Connection,
-                 writer: multiprocessing.connection.Connection) -> None:
-    """The sweep's child: send ``text(i)`` for each i in ``blocks``.  If
-    that raises, the child exits quietly, and its parent formats every
-    block it did not get."""
-    reader.close()  # so a write fails once the parent has gone
-    with contextlib.suppress(Exception):
-        for i in blocks:
-            writer.send_bytes(text(i).encode("ascii"))
+#: A sweep block handed to the child: its index, and its ASCII text,
+#: which NULs pad past its length.  A row is 1 + len(_STATE_COLUMNS)
+#: fields, each at most 24 characters (-2.2250738585072014e-308) and a
+#: comma or newline, so no block is cut short.
+_SWEEP_SLOT = np.dtype([("block", "i8"), ("text", "S%d" % (
+    _ROWS_PER_WRITE * (1 + len(_STATE_COLUMNS)) * 25))])
+
+
+def _format_block(text: Callable[[int], str], slot: np.void) -> None:
+    """The sweep child's work: the text of the block ``slot`` names."""
+    slot["text"] = text(slot["block"]).encode("ascii")
 
 
 def _sweep_blocks(text: Callable[[int], str], blocks: int,
-                  reader: multiprocessing.connection.Connection | None,
-                  ) -> Iterator[str]:
-    """``text(i)`` for each of the ``blocks`` blocks in order: the odd
-    ones from the child at ``reader`` while it sends them, the rest
-    formatted here."""
+                  child: handoff.Handoff | None) -> Iterator[str]:
+    """``text(i)`` for each of the ``blocks`` blocks in order.  With a
+    ``child``, each odd block is handed to it before the even block
+    ahead of it is formatted here, and collected when its turn comes."""
+    texts: list = [None] * blocks
     for i in range(blocks):
-        if reader is not None and i % 2:
-            try:
-                data = reader.recv_bytes()
-            except (EOFError, OSError):  # it died, and the rest is here
-                reader = None
-            else:
-                yield data.decode("ascii")
-                continue
-        yield text(i)
+        if child is not None and i % 2 == 0 and i + 1 < blocks:
+            child.take(texts, i + 1, "block", i + 1)
+        elif child is not None:
+            child.collect(texts, wait=True)
+        yield text(i) if texts[i] is None else texts[i].decode("ascii")
+        texts[i] = None
 
 
 # ---------------------------------------------------------------------------

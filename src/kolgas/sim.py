@@ -12,31 +12,27 @@ with the world happens at the walls.  Wall models:
 
 Everything is driven by one ``numpy`` generator seeded from the config,
 so a given (config, seed) reproduces event logs and traces bit for bit.
-Only stepping draws from it, so ``simulate`` hands trace rows to a forked
-sampler process where a second CPU is free, as many as it has room for,
-and the rows come out the same wherever they were computed.
+Only stepping draws from it, so ``simulate`` hands trace rows to a
+sampler process on a second CPU where ``handoff`` may fork one, as many
+as it has room for, and the rows come out the same wherever they were
+computed.
 """
 from __future__ import annotations
 
 import math
-import mmap
-import multiprocessing
 import os
-import signal
 import sys
-import threading
-import warnings
-from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
+from . import handoff
 from .calibration import load_calibration
 from .constants import K_BOLTZMANN, SpeciesSpec
 from .errors import DomainError, NoPlateauError
 from .randomness import (default_width, encode_list, estimate_complexity,
-                         quantize, two_cpus)
+                         quantize)
 from .thermo import GasSpec, rms_speed, species_statistics, state_equations
 
 
@@ -366,10 +362,6 @@ _SLOT = np.dtype([("row", "f8", len(TRACE_COLUMNS) - 1), ("n", "i8"),
                   ("pos", "f8", (N_PARTICLES_CAP, 3)),
                   ("vel", "f8", (N_PARTICLES_CAP, 3))])
 
-#: Snapshot slots, so the sampler can start the next row as soon as it
-#: has finished one, while this process is still stepping.
-_SLOTS = 2
-
 
 def _snapshot(slot: np.void) -> tuple[np.ndarray, ...]:
     """Views of the positions, velocities, box and reference box of the
@@ -378,184 +370,35 @@ def _snapshot(slot: np.void) -> tuple[np.ndarray, ...]:
     return slot["pos"][:n], slot["vel"][:n], slot["box"], slot["ref"]
 
 
-class _Sampler:
-    """A forked process that samples snapshots of the state while the
-    caller steps on, and the queue of rows it owes the caller.
-
-    ``owed`` holds the row indices handed over and not yet collected,
-    oldest first, each snapshot in its own slot of ``_SLOTS``; the process
-    samples them in that order.  The snapshots and the rows travel through
-    shared memory, and each side wakes the other by a semaphore post: on
-    Linux, a wake-up through a pipe or socket moves the sleeper onto the
-    waker's CPU, where the two then run in turn, while a post wakes it on
-    the CPU it last ran on.  (With a pipe, runs at n=10^3 were 5-9% slower
-    than sampling in-process on a 2-CPU machine.)
-
-    If the process dies, or exits because sampling raised, each owed row
-    is sampled in this process from the snapshot still in its slot,
-    oldest first (so the first failing row raises its own error), the
-    sampler closes, and ``_sampler`` forks a fresh one for the next run.
-    A run that fails while rows are owed closes the sampler too, so no
-    row is left over for the next run to read.
-    """
-
-    def __init__(self) -> None:
-        import scipy.spatial  # noqa: F401  before the fork, not in the child
-        ctx = multiprocessing.get_context("fork")
-        self.slots = np.frombuffer(mmap.mmap(-1, _SLOTS * _SLOT.itemsize),
-                                   dtype=_SLOT)
-        self.posted, self.done = ctx.Semaphore(0), ctx.Semaphore(0)
-        self.owed: deque[int] = deque()
-        self.collected = 0
-        self.process = forked(_serve, self.slots, self.posted, self.done)
-        self.owner = os.getpid()
-
-    def take(self, state: SimState, reference_box: tuple[float, float, float],
-             rows: np.ndarray, i: int) -> bool:
-        """Collect the rows already done into ``rows``, then hand a
-        snapshot of ``state`` over as row ``i`` if a slot is free; False
-        if the caller must sample the row itself.  The last row goes out
-        only to an idle sampler, or the caller would wait while the
-        sampler works through two."""
-        self.collect(rows, wait=False)
-        if len(self.owed) >= (_SLOTS if i < len(rows) - 1 else 1):
-            return False
-        slot = self.slots[(self.collected + len(self.owed)) % _SLOTS]
-        slot["n"] = len(state.pos)
-        pos, vel, box, ref = _snapshot(slot)
-        pos[:], vel[:], box[:] = state.pos, state.vel, state.config.box
-        ref[:] = reference_box
-        self.owed.append(i)
-        self.posted.release()
-        return True
-
-    def collect(self, rows: np.ndarray, wait: bool) -> None:
-        """Write the owed rows into ``rows``, oldest first, up to the
-        first one the process has not finished, or with ``wait`` all of
-        them.  Once the process has exited, the rows it owes are sampled
-        here."""
-        while self.owed:
-            slot = self.slots[self.collected % _SLOTS]
-            alive = self.process.is_alive()
-            # every post comes before the exit, so a row a dead process
-            # posted is found here, and only the others are sampled again
-            if not self.done.acquire(block=wait and alive, timeout=0.1):
-                if alive:
-                    if not wait:
-                        return
-                    continue
-                self.close()
-                slot["row"] = sample_disorder(*_snapshot(slot))
-            rows[self.owed.popleft()] = slot["row"]
-            self.collected += 1
-
-    def close(self) -> None:
-        """Stop the process; this sampler samples nothing more."""
-        self.process.kill()
-        self.process.join()
+def _put_snapshot(slot: np.void, state: SimState,
+                  reference_box: tuple[float, float, float]) -> None:
+    slot["n"] = len(state.pos)
+    pos, vel, box, ref = _snapshot(slot)
+    pos[:], vel[:], box[:], ref[:] = (state.pos, state.vel, state.config.box,
+                                      reference_box)
 
 
-def _serve(slots: np.ndarray, posted, done) -> None:
-    """The sampler process: sample each snapshot, slot by slot in the
-    order they were posted, into the row of its slot.  It exits when its
-    parent has gone, and when sampling raises, which makes the caller
-    sample that row itself."""
-    parent = os.getppid()
-    served = 0
-    while True:
-        if not posted.acquire(timeout=1.0):
-            if os.getppid() != parent:
-                return
-            continue
-        slot = slots[served % _SLOTS]
-        try:
-            slot["row"] = sample_disorder(*_snapshot(slot))
-        except Exception:  # the caller, seeing no row, samples it again
-            return
-        served += 1
-        done.release()
-
-
-#: Set when a fork has failed: this process forks no more, because each
-#: failed start leaks the two pipes ``multiprocessing`` opened for it.
-_FORK_FAILED = False
-
-
-def may_fork() -> bool:
-    """Whether this process may fork a helper process, as ``forked`` asks
-    before each fork: where a second process can help (two usable CPUs,
-    which ``os.sched_getaffinity`` must tell), may be started (no fork of
-    this process has failed, and it is no daemon, such as a
-    ``multiprocessing.Pool`` worker), and is safe to fork (a ``fork``
-    start method, and no other Python thread whose locks a forked child
-    would inherit)."""
-    return (not _FORK_FAILED and two_cpus()
-            and not multiprocessing.current_process().daemon
-            and "fork" in multiprocessing.get_all_start_methods()
-            and threading.active_count() == 1)
-
-
-def forked(target: Callable[..., object],
-           *args) -> multiprocessing.Process | None:
-    """A started daemon process, forked, that runs ``target(*args)``; None
-    where ``may_fork()`` is false or the fork fails, and the caller does
-    the work itself.  The caller stops the child with ``kill()`` and
-    ``join()``.  SIGINT is blocked across the fork and ignored in the
-    child, which leaves ^C to this process; ``multiprocessing`` flushes
-    stdio before it forks, so the child repeats no buffered output.
-
-    Python 3.12+ warns when the OS counts more than one thread just after
-    a fork, and that warning is ignored here.  ``may_fork`` admits no
-    other Python thread, but the OS count also holds native BLAS pools:
-    numpy's and scipy's OpenBLAS join theirs in a pthread_atfork handler
-    before the fork, and no child kolgas forks calls BLAS; still, a joined
-    thread can be counted for a moment after the join.
-    """
-    global _FORK_FAILED
-    if not may_fork():
-        return None
-    process = multiprocessing.get_context("fork").Process(
-        target=_ignoring_sigint, args=(target, *args), daemon=True)
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings(
-                "ignore", r"This process .*is multi-threaded, use of fork\(\)",
-                DeprecationWarning)
-            process.start()
-    except OSError:  # EAGAIN at the process limit, or no file descriptors
-        _FORK_FAILED = True
-        return None
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    return process
-
-
-def _ignoring_sigint(target: Callable[..., object], *args) -> None:
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C
-    target(*args)
+def _sample_slot(slot: np.void) -> None:
+    """The sampler's work, by this module's ``sample_disorder`` as it is
+    when the row is sampled, here or in the sampler process."""
+    slot["row"] = sample_disorder(*_snapshot(slot))
 
 
 #: This interpreter's sampler; every run in the process shares it, so a
 #: batch of runs pays for one fork.
-_SAMPLER: _Sampler | None = None
+_SAMPLER: handoff.Handoff | None = None
 
 
-def _sampler() -> _Sampler | None:
+def _sampler() -> handoff.Handoff | None:
     """The live sampler, forked on first use and after one dies; None
-    where ``forked`` starts no process.  Fork rather than spawn, because
-    a spawned child would import numpy and scipy again."""
+    where ``handoff.start`` starts no process."""
     global _SAMPLER
-    current = _SAMPLER
-    if current is not None and current.owner == os.getpid():
-        if current.process.is_alive():
-            return current
-        current.close()
-    _SAMPLER = None  # and so it stays if no process starts
-    if may_fork():
-        sampler = _Sampler()
-        if sampler.process is not None:
-            _SAMPLER = sampler
+    if _SAMPLER is not None and _SAMPLER.owner == os.getpid():
+        if _SAMPLER.process.is_alive():
+            return _SAMPLER
+        _SAMPLER.close()
+    import scipy.spatial  # noqa: F401  before the fork, not in the child
+    _SAMPLER = handoff.start(_SLOT, _sample_slot, _put_snapshot, "row")
     return _SAMPLER
 
 
@@ -574,9 +417,10 @@ def simulate(config: SimConfig, state: SimState,
     the state reached exactly as in a full run, and the rows are the last
     ``tail`` rows of the full trace bit for bit.
 
-    Each row is offered to the sampler process, if there is one, through
-    ``_Sampler.take``, and sampled here only when the sampler has no room
-    for it; ``_Sampler.collect`` then waits for the rows still owed.
+    Each row is offered to the sampler process, if there is one, and
+    sampled here only when the sampler has no room for it.  A run that
+    fails while rows are owed stops the sampler, so that the next run
+    forks a fresh one and reads no row of this one.
     """
     state.config = config
     if reference_box is None:
@@ -591,7 +435,7 @@ def simulate(config: SimConfig, state: SimState,
         for i, t_k in enumerate(times, start=-first):
             step_to(state, float(t_k))
             if i >= 0 and not (sampler is not None and sampler.take(
-                    state, reference_box, rows, i)):
+                    rows, i, state, reference_box)):
                 rows[i] = sample_disorder(state.pos, state.vel, config.box,
                                           reference_box)
         if sampler is not None:

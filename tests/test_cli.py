@@ -11,7 +11,6 @@ import os
 import pathlib
 import resource
 import signal
-import struct
 import subprocess
 import sys
 import tempfile
@@ -27,8 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as strat
 
 import kolgas
-from kolgas.cli import (_ROWS_PER_WRITE, _SWEEP_FORK_ROWS, RELAX_SEEDS_CAP,
-                        SWEEP_POINTS_CAP, _write_events, main)
+from kolgas.cli import (_ROWS_PER_WRITE, _STATE_COLUMNS, _SWEEP_FORK_ROWS,
+                        _SWEEP_SLOT, RELAX_SEEDS_CAP, SWEEP_POINTS_CAP,
+                        _row_format, _write_events, main)
 from kolgas.constants import species_lookup
 from kolgas.errors import DomainError
 from kolgas.thermo import GasSpec, state_equations
@@ -377,7 +377,7 @@ def _record_forks(monkeypatch) -> list[int]:
 
 
 def _force_fork(monkeypatch, on: bool) -> None:
-    monkeypatch.setattr(kolgas.sim, "may_fork", lambda: on)
+    monkeypatch.setattr(kolgas.handoff, "may_fork", lambda: on)
 
 
 def _assert_reaped(pids: list[int]) -> None:
@@ -398,7 +398,8 @@ _CHILD_ROWS = _SWEEP_FORK_ROWS + _ROWS_PER_WRITE
 @pytest.mark.parametrize("points, forks", [
     (_SWEEP_FORK_ROWS - 1, 0), (_SWEEP_FORK_ROWS, 1),
     (_SWEEP_FORK_ROWS + 3 * _ROWS_PER_WRITE + 3, 1),
-    (_SWEEP_FORK_ROWS + 4 * _ROWS_PER_WRITE, 1)])
+    (_SWEEP_FORK_ROWS + 4 * _ROWS_PER_WRITE, 1),
+    (3 * _SWEEP_FORK_ROWS, 1)])
 def test_sweep_bytes_are_the_same_with_and_without_the_child(
         capsys, monkeypatch, points, forks):
     pids = _record_forks(monkeypatch)
@@ -438,23 +439,42 @@ def test_sweep_formats_the_blocks_of_a_child_that_died(capsys, monkeypatch,
     _assert_reaped(pids)
 
 
-def test_sweep_formats_a_block_its_child_sent_in_part(capsys, monkeypatch):
-    # the child dies part-way through sending its first block, as when the
-    # OOM killer takes it: the pipe holds a length and part of the text
+def test_sweep_formats_a_block_its_child_wrote_in_part(capsys, monkeypatch):
+    # the child dies part-way through writing its first block into its
+    # slot, as when the OOM killer takes it: the slot holds part of the
+    # text, and the child never posted it done
     _force_fork(monkeypatch, False)
     _, alone, _ = run_cli(capsys, *_big_sweep(_CHILD_ROWS))
+    parent, format_block = os.getpid(), kolgas.cli._format_block
 
-    def cut_short(text, blocks, reader, writer):
-        os.write(writer.fileno(), struct.pack("!i", 1 << 20) + b"2,1.5")
-        os._exit(1)
+    def cut_short(text, slot):
+        if os.getpid() != parent:
+            slot["text"] = b"2,1.5"
+            os._exit(1)
+        format_block(text, slot)
 
-    monkeypatch.setattr("kolgas.cli._send_blocks", cut_short)
+    monkeypatch.setattr("kolgas.cli._format_block", cut_short)
     pids = _record_forks(monkeypatch)
     _force_fork(monkeypatch, True)
     code, shared, _ = run_cli(capsys, *_big_sweep(_CHILD_ROWS))
     assert code == 0 and len(pids) == 1
     assert shared == alone
     _assert_reaped(pids)
+
+
+def test_a_block_of_the_widest_rows_fits_a_sweep_slot():
+    # numpy cuts text longer than the slot without a word, so the slot
+    # must hold a block of rows whose every field is the widest "%.17g"
+    widest = -2.2250738585072014e-308
+    assert all(len("%.17g" % x) <= len("%.17g" % widest) == 24
+               for x in (-5e-324, -1.7976931348623157e308, -math.inf,
+                         math.nan, -1.2345678901234567e-100))
+    columns = 1 + len(_STATE_COLUMNS)
+    row = _row_format(columns) % ((widest,) * columns)
+    text = ("\n".join([row] * _ROWS_PER_WRITE) + "\n").encode("ascii")
+    slot = np.zeros(1, _SWEEP_SLOT)[0]
+    slot["text"] = text
+    assert slot["text"] == text
 
 
 def test_sweep_child_is_reaped_after_a_write_error(capsys, monkeypatch):
@@ -505,7 +525,7 @@ def test_sweep_with_a_thread_alive_stays_in_process(capsys, monkeypatch):
     assert code == 0 and pids == [] and not waiting.is_alive()
     code, again, _ = run_cli(capsys, *_big_sweep(_CHILD_ROWS))
     assert code == 0 and again == alone
-    may_fork = kolgas.sim.may_fork()
+    may_fork = kolgas.handoff.may_fork()
     assert len(pids) == may_fork
     _assert_reaped(pids)
 
@@ -1053,7 +1073,7 @@ def test_a_failed_fork_runs_in_one_process(capsys, monkeypatch, argv):
     # a fork that raises, as at the process limit, leaves the work to this
     # process, which writes the bytes it writes where it may not fork
     monkeypatch.setattr(kolgas.sim, "_SAMPLER", None)
-    monkeypatch.setattr(kolgas.sim, "_FORK_FAILED", False)
+    monkeypatch.setattr(kolgas.handoff, "_FORK_FAILED", False)
     _force_fork(monkeypatch, False)
     code, alone, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -1083,9 +1103,9 @@ def test_a_failed_fork_is_the_last(capsys, monkeypatch):
     if not os.path.isdir("/proc/self/fd"):
         pytest.skip("no /proc/self/fd here")
     monkeypatch.setattr(kolgas.sim, "_SAMPLER", None)
-    monkeypatch.setattr(kolgas.sim, "_FORK_FAILED", False)
-    monkeypatch.setattr(kolgas.sim, "two_cpus", lambda: True)
-    assert kolgas.sim.may_fork()
+    monkeypatch.setattr(kolgas.handoff, "_FORK_FAILED", False)
+    monkeypatch.setattr(kolgas.handoff, "two_cpus", lambda: True)
+    assert kolgas.handoff.may_fork()
     tried = _failing_fork(monkeypatch)
     before = len(os.listdir("/proc/self/fd"))
     for _ in range(10):
@@ -1093,7 +1113,7 @@ def test_a_failed_fork_is_the_last(capsys, monkeypatch):
     for _ in range(5):
         assert run_cli(capsys, *_big_sweep(5000), "--output",
                        os.devnull)[0] == 0
-    assert len(tried) == 1 and not kolgas.sim.may_fork()
+    assert len(tried) == 1 and not kolgas.handoff.may_fork()
     assert len(os.listdir("/proc/self/fd")) - before <= 4
 
 
@@ -1172,8 +1192,8 @@ def test_sweep_child_is_reaped_after_a_closed_pipe(tmp_path):
     # down the pid of each child it forks
     script = "\n".join([
         "import os, sys",
-        "from kolgas import cli, sim",
-        "sim.may_fork = lambda: True",
+        "from kolgas import cli, handoff",
+        "handoff.may_fork = lambda: True",
         "fork = os.fork",
         "def recording_fork():",
         "    pid = fork()",
@@ -1210,9 +1230,9 @@ def test_sweep_child_is_reaped_after_a_real_interrupt(tmp_path):
     # child, so that a child that took the ^C would print its traceback
     script = "\n".join([
         "import os, sys, time",
-        "from kolgas import cli, sim",
-        "sim.may_fork = lambda: True",
-        "forked = sim.forked",
+        "from kolgas import cli, handoff",
+        "handoff.may_fork = lambda: True",
+        "forked = handoff.forked",
         "def recording(*args):",
         "    child = forked(*args)",
         "    with open(sys.argv[1] + '.part', 'w') as fh:",
@@ -1221,7 +1241,7 @@ def test_sweep_child_is_reaped_after_a_real_interrupt(tmp_path):
         "    kill = child.kill",
         "    child.kill = lambda: time.sleep(0.5) or kill()",
         "    return child",
-        "sim.forked = recording",
+        "handoff.forked = recording",
         "sys.exit(cli.main(sys.argv[2:]))",
     ])
     pid_file, out = tmp_path / "pid", tmp_path / "sweep.csv"

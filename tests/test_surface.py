@@ -60,3 +60,25 @@ def test_package_binds_no_second_names():
                       and [ast.unparse(t) for t in node.targets]
                       == ["__version__"])]
     assert others == []
+
+
+def test_only_the_handoff_module_forks():
+    # one hand-off to the second CPU: no other module imports
+    # multiprocessing or mmap, or reaches os.fork
+    found = []
+    for path in sorted((ROOT / "src" / "kolgas").glob("*.py")):
+        if path.name == "handoff.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [f"{ast.unparse(node.value)}.{node.attr}"]
+            else:
+                continue
+            found += [f"{path.stem}: {name}" for name in names
+                      if name.split(".")[0] in ("multiprocessing", "mmap")
+                      or name == "os.fork"]
+    assert found == []
