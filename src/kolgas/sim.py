@@ -231,18 +231,25 @@ def wall_scatter(state: SimState, idx: np.ndarray, axis: np.ndarray,
     if cfg.wall_model == "smooth_specular":
         v[rows, axis] = -v[rows, axis]
     elif cfg.wall_model == "specular_random_sites":
-        pending = rows
-        # Resample the site tilt until the reflected ray points back inside.
+        # Resample the site tilt until the reflected ray points back inside;
+        # the rows still pending carry their axis, sign and incoming
+        # velocity from one redraw to the next.
+        pending, ax, s, vv = rows, axis, sign, v
         while pending.size:
-            at = (np.arange(pending.size), axis[pending])
+            at = (rows[:pending.size], ax)
             normals = cfg.perturbation * state.rng.normal(size=(pending.size, 3))
-            normals[at] = sign[pending]
-            normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-            vv = v[pending]
-            refl = vv - 2.0 * np.sum(vv * normals, axis=1, keepdims=True) * normals
-            ok = refl[at] * sign[pending] > 0.0
+            normals[at] = s
+            normals /= np.sqrt(np.add.reduce(normals * normals, axis=1,
+                                             keepdims=True))
+            refl = vv - 2.0 * np.add.reduce(vv * normals, axis=1,
+                                            keepdims=True) * normals
+            ok = refl[at] * s > 0.0
+            if pending.size == m and ok.all():
+                v = refl
+                break
             v[pending[ok]] = refl[ok]
-            pending = pending[~ok]
+            out = ~ok
+            pending, ax, s, vv = pending[out], ax[out], s[out], vv[out]
     else:  # langmuir_thermal
         sigma = math.sqrt(K_BOLTZMANN * cfg.T_wall / cfg.species.mass)
         v = sigma * state.rng.normal(size=(m, 3))
@@ -251,7 +258,7 @@ def wall_scatter(state: SimState, idx: np.ndarray, axis: np.ndarray,
     state.vel[idx] = v
     state.n_events += m
     if cfg.keep_events:
-        speed = np.linalg.norm(v, axis=1)
+        speed = np.sqrt(np.add.reduce(v * v, axis=1))
         theta = np.arccos(np.clip(v[:, 2] / speed, -1.0, 1.0))
         phi = np.arctan2(v[:, 1], v[:, 0])
         state.event_log.append(
@@ -259,30 +266,41 @@ def wall_scatter(state: SimState, idx: np.ndarray, axis: np.ndarray,
         )
 
 
+def _next_wall(p: np.ndarray, v: np.ndarray,
+               box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The axis of each particle's next wall crossing and the time to it,
+    inf for a particle at rest."""
+    t_wall = np.divide(np.where(v < 0.0, -p, box - p), v, where=v != 0.0,
+                       out=np.full(v.shape, np.inf))
+    axis = np.argmin(t_wall, axis=1)
+    return axis, t_wall[np.arange(len(v)), axis]
+
+
 def step_to(state: SimState, t_target: float) -> None:
     """Advance every particle to absolute time ``t_target``, resolving
     each wall crossing exactly (no time discretisation error)."""
+    if not math.isfinite(t_target):
+        raise DomainError(f"cannot step to t = {t_target}")
     if t_target < state.time:
         raise DomainError("cannot step backwards in time")
     box = np.asarray(state.config.box)
     pos, vel = state.pos, state.vel
-    # the pending set: particles that may still reach a wall, and the time
-    # each has left; a pass moves it on and keeps only those that hit
-    idx = np.arange(state.config.n_particles)
-    left = np.full(idx.size, t_target - state.time)
+    # the first pass moves every particle in place; those that hit a wall
+    # are the pending set (idx, the hit axis, the time each has left),
+    # which each later pass moves on, keeping only those that hit again
+    axis, t_next = _next_wall(pos, vel, box)
+    left = t_target - state.time
+    pos += vel * np.minimum(t_next, left)[:, None]
+    idx = np.flatnonzero(t_next < left)
+    axis, left = axis[idx], left - t_next[idx]
     while idx.size:
+        pos[idx, axis] = np.where(vel[idx, axis] > 0.0, box[axis], 0.0)
+        wall_scatter(state, idx, axis, t_target - left)
         p, v = pos[idx], vel[idx]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_wall = np.minimum(np.where(v < 0.0, -p / v, np.inf),
-                                np.where(v > 0.0, (box - p) / v, np.inf))
-        axis = np.argmin(t_wall, axis=1)
-        t_next = t_wall[np.arange(idx.size), axis]
+        axis, t_next = _next_wall(p, v, box)
         pos[idx] = p + v * np.minimum(t_next, left)[:, None]
         hit = t_next < left
         idx, axis, left = idx[hit], axis[hit], left[hit] - t_next[hit]
-        pos[idx, axis] = np.where(vel[idx, axis] > 0.0, box[axis], 0.0)
-        if idx.size:
-            wall_scatter(state, idx, axis, t_target - left)
 
     state.time = t_target
 

@@ -31,6 +31,7 @@ from kolgas.thermo import GasSpec, state_equations
 from kolgas.sim import (
     EVENT_COLUMNS,
     INIT_MODES,
+    PERTURBATION_CAP,
     WALL_MODELS,
     DisorderTrace,
     SimConfig,
@@ -180,6 +181,22 @@ def test_step_backwards_rejected():
         step_to(state, 0.5 * cfg.t_b)
 
 
+@pytest.mark.parametrize("t_target", [math.nan, math.inf, -math.inf])
+def test_step_to_non_finite_time_rejected(t_target):
+    # checked before any stepping: nan would set every position to nan,
+    # and inf would never return
+    cfg = make_config(n=5)
+    state = init_sim(cfg, "equilibrium")
+    step_to(state, cfg.t_b)
+    pos, vel = state.pos.copy(), state.vel.copy()
+    rng = state.rng.bit_generator.state
+    with pytest.raises(DomainError, match="cannot step to"):
+        step_to(state, t_target)
+    assert state.time == cfg.t_b
+    assert np.array_equal(state.pos, pos) and np.array_equal(state.vel, vel)
+    assert state.rng.bit_generator.state == rng
+
+
 @pytest.mark.parametrize("model", ["smooth_specular", "specular_random_sites"])
 def test_energy_conservation(model):
     cfg = make_config(n=1500, wall_model=model, seed=4)
@@ -317,6 +334,124 @@ def test_stepping_invariants(model, init, n, seed, t0_transits, transits):
     order = np.argsort(pid, kind="stable")
     same = pid[order][1:] == pid[order][:-1]
     assert np.all(np.diff(t_ev[order])[same] > 0.0)
+
+
+def _wall_scatter(state, idx, axis, t_event):
+    """``sim.wall_scatter`` as it was before its redraw loop carried the
+    pending rows: the oracle its draws and events must match."""
+    cfg = state.config
+    m = idx.size
+    rows = np.arange(m)
+    v = state.vel[idx]
+    sign = -np.sign(v[rows, axis])  # inward normal component on the hit axis
+
+    if cfg.wall_model == "smooth_specular":
+        v[rows, axis] = -v[rows, axis]
+    elif cfg.wall_model == "specular_random_sites":
+        pending = rows
+        # Resample the site tilt until the reflected ray points back inside.
+        while pending.size:
+            at = (np.arange(pending.size), axis[pending])
+            normals = cfg.perturbation * state.rng.normal(size=(pending.size, 3))
+            normals[at] = sign[pending]
+            normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+            vv = v[pending]
+            refl = vv - 2.0 * np.sum(vv * normals, axis=1, keepdims=True) * normals
+            ok = refl[at] * sign[pending] > 0.0
+            v[pending[ok]] = refl[ok]
+            pending = pending[~ok]
+    else:  # langmuir_thermal
+        sigma = math.sqrt(KB * cfg.T_wall / cfg.species.mass)
+        v = sigma * state.rng.normal(size=(m, 3))
+        v[rows, axis] = sign * state.rng.rayleigh(sigma, size=m)
+
+    state.vel[idx] = v
+    state.n_events += m
+    if cfg.keep_events:
+        speed = np.linalg.norm(v, axis=1)
+        theta = np.arccos(np.clip(v[:, 2] / speed, -1.0, 1.0))
+        phi = np.arctan2(v[:, 1], v[:, 0])
+        state.event_log.append(
+            (t_event.copy(), idx.astype(np.int64), theta, phi, speed)
+        )
+
+
+def _step_to(state, t_target):
+    """``sim.step_to`` as it was with two divisions a pass and no in-place
+    first pass: the oracle its positions, times and events must match."""
+    if t_target < state.time:
+        raise DomainError("cannot step backwards in time")
+    box = np.asarray(state.config.box)
+    pos, vel = state.pos, state.vel
+    # the pending set: particles that may still reach a wall, and the time
+    # each has left; a pass moves it on and keeps only those that hit
+    idx = np.arange(state.config.n_particles)
+    left = np.full(idx.size, t_target - state.time)
+    while idx.size:
+        p, v = pos[idx], vel[idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_wall = np.minimum(np.where(v < 0.0, -p / v, np.inf),
+                                np.where(v > 0.0, (box - p) / v, np.inf))
+        axis = np.argmin(t_wall, axis=1)
+        t_next = t_wall[np.arange(idx.size), axis]
+        pos[idx] = p + v * np.minimum(t_next, left)[:, None]
+        hit = t_next < left
+        idx, axis, left = idx[hit], axis[hit], left[hit] - t_next[hit]
+        pos[idx, axis] = np.where(vel[idx, axis] > 0.0, box[axis], 0.0)
+        if idx.size:
+            _wall_scatter(state, idx, axis, t_target - left)
+
+    state.time = t_target
+
+
+@settings(deadline=None)
+@given(model=st.sampled_from(WALL_MODELS), init=st.sampled_from(INIT_MODES),
+       n=st.integers(1, 64), seed=st.integers(0, 2**64 - 1),
+       perturbation=st.sampled_from([0.0, 0.8, PERTURBATION_CAP]),
+       keep_events=st.booleans(),
+       steps=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3))
+def test_stepping_matches_the_oracle(model, init, n, seed, perturbation,
+                                     keep_events, steps):
+    # the same float operations in the same order, and the same draws of
+    # the same sizes, so every bit of the state and the log is the same;
+    # beam's zero y and z velocities take the branch for v == 0
+    cfg = make_config(n=n, wall_model=model, seed=seed,
+                      perturbation=perturbation, keep_events=keep_events)
+    state, oracle = init_sim(cfg, init), init_sim(cfg, init)
+    t = 0.0
+    for transits in steps:
+        t += transits * cfg.t_b
+        step_to(state, t)
+        _step_to(oracle, t)
+    assert np.array_equal(state.pos, oracle.pos)
+    assert np.array_equal(state.vel, oracle.vel)
+    assert state.time == oracle.time
+    assert state.n_events == oracle.n_events
+    assert len(state.event_log) == len(oracle.event_log)
+    for got, want in zip(state.event_log, oracle.event_log):
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(got, want, strict=True))
+    assert state.rng.bit_generator.state == oracle.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("model", WALL_MODELS)
+def test_every_event_passes_through_wall_scatter(model, monkeypatch):
+    # a wrapper on the module's wall_scatter, as perfbench's tracer puts
+    # there, sees every wall event, so its per-event figures hold
+    sizes = []
+    scatter = simmod.wall_scatter
+
+    def counted(state, idx, axis, t_event):
+        sizes.append(idx.size)
+        scatter(state, idx, axis, t_event)
+
+    monkeypatch.setattr(simmod, "wall_scatter", counted)
+    cfg = make_config(n=200, wall_model=model, seed=3, transits=2.0)
+    state = init_sim(cfg, "beam")
+    step_to(state, 0.5 * cfg.t_b)
+    step_to(state, cfg.duration)
+    assert sum(sizes) == state.n_events > 0
+    assert len(sizes) > 2
 
 
 # --- traces and relaxation -------------------------------------------------------
