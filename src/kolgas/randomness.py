@@ -116,34 +116,77 @@ def _slices(values: np.ndarray) -> Iterator[np.ndarray]:
             for start in range(0, values.size, _CHUNK))
 
 
+def _word_plan(width: int) -> Iterator[tuple[int, int]]:
+    """Where each of 8 consecutive values of ``width`` bits lies in the
+    ceil(width/8) 64-bit words that hold their big-endian rendering, in
+    which 8 values make ``width`` bytes.  For each value in turn: the
+    word that holds its first bit, and how many of its bits spill into
+    the next word; zero or less where the value ends in the first word,
+    its last bit then -spill bits above that word's lowest."""
+    for j in range(8):
+        word, offset = divmod(j * width, 64)
+        yield word, offset + width - 64
+
+
 def _pack(values: np.ndarray, width: int) -> bytes:
     """Big-endian rendering of non-negative ``values`` at ``width`` bits
     each, packed eight bits to a byte and zero-padded at the end.
 
-    Each value's bits are the last ``width`` of its 64-bit big-endian
-    word, so only the word's last ceil(width/8) bytes are unpacked.  A
-    slice of ``_CHUNK`` values, a multiple of 8, packs to whole bytes,
-    so a list packs slice by slice.
+    Each 8 values, the last group padded with zeros, make ``width``
+    bytes: ``_word_plan`` shifts each value column into one 64-bit word,
+    or two where it straddles them, and the words, byte-swapped to big
+    endian once, are cut to ``width`` bytes per group.  That takes about
+    4 ms per 10^6 values at widths 20 and 21 and 6 ms at 62 (a 2-vCPU
+    Xeon, min of 9), and about 20 µs for the 10^3 values of a trace
+    row's list at 10^3 particles.  A slice of ``_CHUNK`` values, a
+    multiple of 8, packs to whole bytes, so a list packs slice by slice.
     """
-    used = (width + 7) // 8
-    words = values.astype(">u8").view(np.uint8)
-    bits = np.unpackbits(words.reshape(-1, 8)[:, 8 - used:], axis=1)
-    return np.packbits(bits[:, 8 * used - width:]).tobytes()
+    n = values.size
+    groups = -(-n // 8)
+    padded = np.zeros(8 * groups, dtype=np.uint64)
+    padded[:n] = values
+    words = np.zeros(((width + 7) // 8, groups), dtype=np.uint64)
+    for (q, spill), col in zip(_word_plan(width), padded.reshape(groups, 8).T):
+        if spill <= 0:
+            words[q] |= col << -spill
+        else:
+            words[q] |= col >> spill
+            words[q + 1] |= col << (64 - spill)
+    packed = words.T.astype(">u8", order="C").view(np.uint8)[:, :width]
+    return packed.tobytes()[:(n * width + 7) // 8]
 
 
 def _unpack(packed: np.ndarray, width: int, posted: _Posted) -> None:
     """Inverse of :func:`_pack` over the whole list: the values held in
-    ``packed``, into ``posted`` a slice at a time."""
+    ``packed``, into ``posted`` a slice at a time.
+
+    Each slice's bytes, zero-padded to whole groups, fill the first
+    ``width`` bytes of each group's 64-bit big-endian words, and each
+    value column comes back out through ``_word_plan`` with one shift, or
+    two where it straddles words, and a mask: about 4.5 ms per 10^6
+    values at width 20 and 6.5 ms at 62 (a 2-vCPU Xeon, min of 9)."""
     values = posted.values
     n = values.size
+    nwords = (width + 7) // 8
+    mask = np.uint64((1 << width) - 1)
     for start in range(0, n, _CHUNK):
         m = min(_CHUNK, n - start)
-        first = start * width // 8
-        words = np.zeros((m, 64), dtype=np.uint8)
-        words[:, 64 - width:] = np.unpackbits(
-            packed[first:first + (m * width + 7) // 8], count=m * width,
-        ).reshape(m, width)
-        values[start:start + m] = np.packbits(words, axis=1).view(">u8")[:, 0]
+        groups = -(-m // 8)
+        first, size = start * width // 8, (m * width + 7) // 8
+        body = np.zeros(groups * width, dtype=np.uint8)
+        body[:size] = packed[first:first + size]
+        grouped = np.zeros((groups, 8 * nwords), dtype=np.uint8)
+        grouped[:, :width] = body.reshape(groups, width)
+        words = grouped.view(">u8").T.astype(np.uint64)
+        cols = np.empty((8, groups), dtype=np.uint64)
+        for (q, spill), col in zip(_word_plan(width), cols):
+            if spill <= 0:
+                np.right_shift(words[q], -spill, out=col)
+            else:
+                np.left_shift(words[q], spill, out=col)
+                col |= words[q + 1] >> (64 - spill)
+            col &= mask
+        values[start:start + m] = cols.T.reshape(-1)[:m].view(np.int64)
         posted.post(start + m)
 
 
@@ -340,12 +383,16 @@ class ComplexityReport:
 #: helper thread beside zlib and the entropy bounds: deflate releases the
 #: GIL, as do numpy's passes over each slice, so on a second CPU the
 #: delta pass overlaps the others, and for a list file the read as well.
-#: The helper broke even near 2^17 bits and saved a quarter or more from
-#: 2^18 on, measured with zlib in it and the second CPU idle.  Simulator
-#: rows at the documented sizes (1.4e5 bits at 10^4 particles) stay well
-#: below it, as the sampler process has the second CPU during a run; rows
-#: near N_PARTICLES_CAP (1.7e6 bits) and gap and audit lists at the
-#: benchmark's sizes (1.7e6 and 2e7 bits) are above.
+#: Measured with delta in it, through ``measure_list_file`` on 20-bit
+#: decimal lists with the second CPU idle (min of 15, on and off taken
+#: in turn), the helper breaks even near 2^18 bits on a random list,
+#: saves 8-18% at 2^19 and 2^20 and a quarter or more from 2^21 on; on a
+#: sorted smooth-box list it breaks even near 2^21 bits and saves a fifth
+#: at 2^22 and 30% at 2^24.  Simulator rows at the documented sizes
+#: (1.4e5 bits at 10^4 particles) stay well below it, as the sampler
+#: process has the second CPU during a run; rows near N_PARTICLES_CAP
+#: (1.7e6 bits) and gap and audit lists at the benchmark's sizes (1.7e6
+#: and 2e7 bits) are above.
 _HELPER_MIN_BITS = 1 << 20
 
 
@@ -751,8 +798,13 @@ def _read_body(fh: BinaryIO, path: str, k: int, tag: str, raw: bool,
         raise FormatError(f"{path}: {exc}") from exc
 
 
-#: Digits in a datum that always fits int64, leading zeros included.
-_SAFE_DIGITS = 18
+#: Most digits in a datum read in uint64, leading zeros included:
+#: nineteen nines lie below 2^64, and any value past int64 is a format
+#: error.  Only a datum with more digits, all but 19 of them leading
+#: zeros where it is valid, is read one at a time through ``int``.
+_SAFE_DIGITS = 19
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 #: Bytes of a decimal body read at a time, then on to the end of the
 #: line they stop in.
@@ -813,47 +865,75 @@ def _decimal_body(fh: BinaryIO, n: int, path: str,
 
 def _decimal_values(text: np.ndarray, path: str) -> tuple[np.ndarray, int]:
     """The data of ``text``, whole lines of a decimal body as uint8, and
-    the count of its line breaks."""
+    the count of its line breaks.
+
+    The grammar is checked on the bytes that are no digit, a few per
+    datum, rather than on every byte of the text."""
     digits = text - np.uint8(ord("0"))
-    is_digit = digits < 10
-    edges = np.flatnonzero(np.diff(is_digit, prepend=False, append=False))
-    starts, ends = edges[0::2], edges[1::2]
-    plus = np.flatnonzero(text == ord("+"))
-    cr = np.flatnonzero(text == ord("\r"))
-    lf = np.flatnonzero(text == ord("\n"))
-    blanks = np.count_nonzero(text == ord(" ")) + np.count_nonzero(
-        text == ord("\t"))
-    # the text with a LF past its end, so a datum or CR there ends a line
-    closed = np.append(text, np.uint8(ord("\n")))
+    # the positions of the bytes that are no digit, between -1 and
+    # text.size; each run of digits, a datum, lies between two of them
+    # that are not adjacent
+    bounds = np.concatenate(([-1], np.flatnonzero(digits >= 10),
+                             [text.size]))
+    run = np.diff(bounds) > 1
+    starts, ends = bounds[:-1][run] + 1, bounds[1:][run]
+    # byte[j] is the byte at bounds[j + 1], and the one at text.size a
+    # LF, so a datum or CR there ends a line; as byte[-1], that LF also
+    # stands for the start of the text before a "+" at 0
+    byte = np.append(text[bounds[1:-1]], np.uint8(ord("\n")))
+    is_lf = byte == ord("\n")
+    breaks = int(np.count_nonzero(is_lf)) - 1
+    plus = np.flatnonzero(byte == ord("+"))
+    cr = np.flatnonzero(byte == ord("\r"))
+    after, before = byte[run], byte[plus - 1]
     grammatical = (
         # every byte is a digit, blank, tab, "+", CR or LF
-        np.count_nonzero(is_digit) + blanks + plus.size + cr.size + lf.size
-        == text.size
+        np.count_nonzero(byte == ord(" ")) + np.count_nonzero(
+            byte == ord("\t")) + plus.size + cr.size + breaks
+        == byte.size - 1
         # a "+" leads a datum, at a line start or after a blank or tab
-        and np.append(is_digit, False)[plus + 1].all()
-        and ((plus == 0) | np.isin(text[plus - 1], list(b" \t\n"))).all()
+        and run[plus + 1].all()
+        and (~run[plus] & ((before == ord(" ")) | (before == ord("\t"))
+                           | (before == ord("\n")))).all()
         # a CR ends its line
-        and (closed[cr + 1] == ord("\n")).all()
+        and (~run[cr + 1] & is_lf[cr + 1]).all()
         # a datum has its line to itself: CR or LF follows it, or else no
         # other datum comes before the next LF
-        and (np.isin(closed[ends], list(b"\r\n")).all()
-             or (np.diff(np.searchsorted(lf, starts)) > 0).all()))
+        and (((after == ord("\n")) | (after == ord("\r"))).all()
+             or (np.diff(np.searchsorted(bounds[1:][is_lf], starts))
+                 > 0).all()))
     if not grammatical:
         raise FormatError(
             f"{path}: bad decimal body: each line must hold one unsigned "
             "decimal or nothing, with blanks or tabs around it")
-    values = np.zeros(starts.size, dtype=np.int64)
+    # pairs[p] is the two-digit number at p - 1 and p, each byte that is
+    # no digit, and the byte before the text, read as 0
+    zeroed = np.empty(text.size + 1, dtype=np.uint8)
+    zeroed[1:] = digits
+    zeroed[bounds[:-1] + 1] = 0
+    pairs = zeroed[:-1] * np.uint8(10)
+    pairs += zeroed[1:]
+    values = np.zeros(starts.size, dtype=np.uint64)
     width = ends - starts
-    for back in range(min(int(width.max(initial=0)), _SAFE_DIGITS), 0, -1):
-        # ends - back > -text.size, as some datum has `back` digits
-        digit = np.take(digits, ends - back)
-        digit *= width >= back
-        values *= 10
-        values += digit
-    for i in np.flatnonzero(width > _SAFE_DIGITS).tolist():
+    top = min(int(width.max(initial=0)), _SAFE_DIGITS)
+    top += top % 2
+    # at each step, the index in pairs of each datum's digits `back` and
+    # `back - 1` from its end; the byte before a datum is no digit, so
+    # the pair at its start holds its first digit alone.  An index below
+    # 0 wraps only where the datum is shorter and the mask drops the
+    # pair, and stays above -text.size, as some datum has top - 1 digits
+    at = ends - (top - 1)
+    for back in range(top, 0, -2):
+        pair = np.take(pairs, at)
+        pair *= width >= back - 1
+        values *= 100
+        values += pair
+        at += 2
+    for i in np.flatnonzero((width > _SAFE_DIGITS)
+                            | (values > _INT64_MAX)).tolist():
         value = int(text[starts[i]:ends[i]].tobytes())
-        if value > np.iinfo(np.int64).max:
+        if value > _INT64_MAX:
             raise FormatError(
                 f"{path}: a datum of {width[i]} digits exceeds int64")
         values[i] = value
-    return values, lf.size
+    return values.view(np.int64), breaks

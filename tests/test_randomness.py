@@ -29,11 +29,14 @@ from kolgas.randomness import (
     DEFAULT_ESTIMATORS,
     LIST_SIZE_CAP,
     EncodedList,
+    _Posted,
     _decimal_body,
+    _decimal_values,
     _log2_binom_any,
     _pack,
     _prefix_estimates,
     _slices,
+    _unpack,
     default_width,
     encode_list,
     estimate_complexity,
@@ -556,6 +559,175 @@ def test_decimal_body_matches_loadtxt_across_slices():
     assert np.array_equal(_decimal_body(io.BytesIO(body), values.size + 1,
                                         "body"),
                           _loadtxt_values(body))
+
+
+# --- the word-plan codecs and the decimal reader against their oracles -------
+
+def _bit_matrix_pack(values, width):
+    """``randomness._pack`` as it was, through a matrix of the bits of
+    each value's big-endian word: the oracle its bytes must match."""
+    used = (width + 7) // 8
+    words = values.astype(">u8").view(np.uint8)
+    bits = np.unpackbits(words.reshape(-1, 8)[:, 8 - used:], axis=1)
+    return np.packbits(bits[:, 8 * used - width:]).tobytes()
+
+
+def _bit_matrix_unpack(packed, width, posted):
+    """``randomness._unpack`` as it was, through the same bit matrix."""
+    values = posted.values
+    n = values.size
+    for start in range(0, n, _CHUNK):
+        m = min(_CHUNK, n - start)
+        first = start * width // 8
+        words = np.zeros((m, 64), dtype=np.uint8)
+        words[:, 64 - width:] = np.unpackbits(
+            packed[first:first + (m * width + 7) // 8], count=m * width,
+        ).reshape(m, width)
+        values[start:start + m] = np.packbits(words, axis=1).view(">u8")[:, 0]
+        posted.post(start + m)
+
+
+def _per_byte_decimal_values(text, path):
+    """``randomness._decimal_values`` as it was, with the grammar checked
+    on every byte, one digit a step and each datum of 19 digits or more
+    read through ``int``: the oracle its values, line breaks and errors
+    must match."""
+    safe_digits = 18
+    digits = text - np.uint8(ord("0"))
+    is_digit = digits < 10
+    edges = np.flatnonzero(np.diff(is_digit, prepend=False, append=False))
+    starts, ends = edges[0::2], edges[1::2]
+    plus = np.flatnonzero(text == ord("+"))
+    cr = np.flatnonzero(text == ord("\r"))
+    lf = np.flatnonzero(text == ord("\n"))
+    blanks = np.count_nonzero(text == ord(" ")) + np.count_nonzero(
+        text == ord("\t"))
+    closed = np.append(text, np.uint8(ord("\n")))
+    grammatical = (
+        np.count_nonzero(is_digit) + blanks + plus.size + cr.size + lf.size
+        == text.size
+        and np.append(is_digit, False)[plus + 1].all()
+        and ((plus == 0) | np.isin(text[plus - 1], list(b" \t\n"))).all()
+        and (closed[cr + 1] == ord("\n")).all()
+        and (np.isin(closed[ends], list(b"\r\n")).all()
+             or (np.diff(np.searchsorted(lf, starts)) > 0).all()))
+    if not grammatical:
+        raise FormatError(
+            f"{path}: bad decimal body: each line must hold one unsigned "
+            "decimal or nothing, with blanks or tabs around it")
+    values = np.zeros(starts.size, dtype=np.int64)
+    width = ends - starts
+    for back in range(min(int(width.max(initial=0)), safe_digits), 0, -1):
+        digit = np.take(digits, ends - back)
+        digit *= width >= back
+        values *= 10
+        values += digit
+    for i in np.flatnonzero(width > safe_digits).tolist():
+        value = int(text[starts[i]:ends[i]].tobytes())
+        if value > np.iinfo(np.int64).max:
+            raise FormatError(
+                f"{path}: a datum of {width[i]} digits exceeds int64")
+        values[i] = value
+    return values, lf.size
+
+
+@st.composite
+def packable_lists(draw):
+    """Values at a width of 1 to 63 bits (delta renders at k + 1), full
+    width, all zero or all ones, n from 1 to 40 or either side of
+    ``_CHUNK``."""
+    width = draw(st.integers(1, 63))
+    n = draw(st.one_of(st.integers(1, 40),
+                       st.sampled_from((_CHUNK - 1, _CHUNK + 1))))
+    top = (1 << width) - 1
+    fill = draw(st.sampled_from(("full", "zeros", "ones")))
+    if fill != "full":
+        values = np.full(n, top if fill == "ones" else 0, dtype=np.int64)
+    elif n <= 40:
+        values = np.array(draw(st.lists(st.integers(0, top), min_size=n,
+                                        max_size=n)), dtype=np.int64)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+        values = _full_width_values(rng, n, width)
+    return values, width
+
+
+@settings(deadline=None)
+@given(packable_lists())
+def test_pack_matches_the_bit_matrix_oracle(case):
+    values, width = case
+    assert _pack(values, width) == _bit_matrix_pack(values, width)
+
+
+@settings(deadline=None)
+@given(packable_lists())
+def test_unpack_inverts_pack(case):
+    values, width = case
+    packed = np.frombuffer(
+        b"".join(_pack(part, width) for part in _slices(values)), np.uint8)
+    got, oracle = _Posted(values.size), _Posted(values.size)
+    _unpack(packed, width, got)
+    _bit_matrix_unpack(packed, width, oracle)
+    assert np.array_equal(got.values, values)
+    assert np.array_equal(oracle.values, values)
+    assert got.count == values.size
+
+
+# data that fit int64, with 18, 19 and 20 digits among them
+_DATUM = st.one_of(
+    st.integers(0, 2**63 - 1).map(str),
+    st.builds("{1:0{0}d}".format, st.sampled_from((18, 19, 20)),
+              st.integers(0, 10**18 - 1)),
+    st.sampled_from((str(2**63 - 1), "0" + str(2**63 - 1), "9" * 18)),
+)
+
+# data past int64
+_WIDE_DATUM = st.one_of(
+    st.integers(2**63, 10**21).map(str),
+    st.sampled_from((str(2**63), "9" * 19, "0" + str(2**63), "1" + "0" * 19)),
+)
+
+
+@st.composite
+def decimal_texts(draw):
+    """Lines that hold one datum between blanks, each ended by LF or CR
+    LF; in half the texts, also lines of data, blanks, tabs and "+" in
+    any order, lines ended by a lone CR or nothing, and now and then one
+    stray byte; in half, data past int64 too."""
+    loose = draw(st.booleans())
+    datum = st.one_of(_DATUM, _WIDE_DATUM) if draw(st.booleans()) else _DATUM
+    body = b""
+    for _ in range(draw(st.integers(0, 8))):
+        if not loose or draw(st.integers(0, 3)):
+            line = "".join((draw(st.sampled_from(("", " ", "\t "))),
+                            draw(st.sampled_from(("", "+"))), draw(datum),
+                            draw(st.sampled_from(("", " ", "\t")))))
+        else:
+            line = "".join(draw(st.lists(
+                st.one_of(st.sampled_from(" \t+"), datum), max_size=4)))
+        ends = ("\n", "\r\n") + (("\r", "") if loose else ())
+        body += (line + draw(st.sampled_from(ends))).encode()
+    if loose and draw(st.booleans()):
+        at = draw(st.integers(0, len(body)))
+        body = body[:at] + bytes([draw(st.integers(0, 255))]) + body[at:]
+    return np.frombuffer(body, dtype=np.uint8)
+
+
+def _decimal_outcome(reader, text):
+    """The values and line-break count ``reader`` gives, or its error."""
+    try:
+        values, breaks = reader(text, "body")
+    except FormatError as exc:
+        return str(exc)
+    assert values.dtype == np.int64
+    return values.tolist(), breaks
+
+
+@settings(deadline=None)
+@given(decimal_texts())
+def test_decimal_values_match_the_per_byte_oracle(text):
+    assert (_decimal_outcome(_decimal_values, text)
+            == _decimal_outcome(_per_byte_decimal_values, text))
 
 
 # --- compressor estimators across slices, with and without the helper -------
