@@ -6,13 +6,15 @@ Each case runs one command in a fresh directory, after writing the lists
 ``audit`` and ``gap`` read, and compares the SHA-256 of each artifact it
 names ("-" for stdout) with a digest taken from earlier code: the
 audit and gap of the short lists from code whose ``simulate`` built its
-own state, the ``equilibrium``, ``half_box`` and seed-batch relax runs,
-the raw smooth-box list and the smooth-box audit and gap from code whose
-``simulate`` kept the queue of rows the sampler owed and whose lzma
-estimator compressed the whole packed list at once, the rest from code
-whose sweep child was a bare ``os.fork`` and whose CSV writer regrouped
-rows into 4096-line blocks.  D_hat and the zlib estimates are zlib
-lengths, so another zlib build may give other bytes.
+own state, the 10^4-particle relax runs from code whose neighbour query
+built scipy's default ``cKDTree``, the ``equilibrium``, ``half_box``
+and seed-batch relax runs, the raw smooth-box list and the smooth-box
+audit and gap from code whose ``simulate`` kept the queue of rows the
+sampler owed and whose lzma estimator compressed the whole packed list
+at once, the rest from code whose sweep child was a bare ``os.fork`` and
+whose CSV writer regrouped rows into 4096-line blocks.  D_hat and the
+zlib estimates are zlib lengths, so another zlib build may give other
+bytes.
 
 ``rng.txt`` holds 2*10^6 bits, past ``randomness._HELPER_MIN_BITS``: the
 "best" audit and gap run delta in a helper thread where two CPUs are
@@ -39,6 +41,12 @@ _LISTS = (("randomness", "generate", "--kind", "rng", "--n", "100000", "--k",
 _RELAX = ("sim", "relax", "--particles", "200", "--transits", "24",
           "--trace-output", "trace.csv", "--events-output", "events.csv",
           "--wall-model")
+
+# beam runs at criterion 10's size, deep enough in the neighbour tree
+# that its splits and leaf size matter; the smooth wall keeps the
+# lattice's tied distances
+_RELAX_10K = ("sim", "relax", "--particles", "10000", "--transits", "2",
+              "--trace-output", "trace.csv", "--wall-model")
 
 _GENERATE = ("randomness", "generate", "--kind", "rng", "--n", "5000",
              "--seed", "7")
@@ -98,6 +106,18 @@ _PINS = {
             "b4b2b9c47891d5ea5dd08c9aa05ae03eaef2ee31488ee71e47129251cd18a99b",
         "events.csv":
             "4193f1efbb703948f0cad525c4bf23b6f0372514d40a62032b83ebea60534ef6",
+    }),
+    "relax-10k-smooth": ((*_RELAX_10K, "smooth_specular"), {
+        "-":
+            "1afa91bc3e95c44a8f050883220fdc0053df02f7da27c24601f6d6fb5aec42e3",
+        "trace.csv":
+            "f23eb5fb7ff2f9d510f1f7ce8f4c210df5b3a516de7152fe07cf886355f170c7",
+    }),
+    "relax-10k-rough": ((*_RELAX_10K, "specular_random_sites"), {
+        "-":
+            "f86eb08f80e18d8417e4218f692518b30140d1775b713fbe6cf79b5b9c903a34",
+        "trace.csv":
+            "4789c16a3fda131c867b313dd74ee0637f9dfbb94ec8ecf89b6405ec4e2a0ece",
     }),
     "generate-decimal": ((*_GENERATE, "--output", "list.txt"), {
         "-":

@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -455,6 +455,54 @@ def test_every_event_passes_through_wall_scatter(model, monkeypatch):
 
 
 # --- traces and relaxation -------------------------------------------------------
+
+def _nn_distances(pos):
+    """The neighbour distances ``sample_disorder`` quantizes for ``pos``."""
+    seen = []
+    quantize = simmod.quantize
+
+    def recording(values, k, bounds=None):
+        seen.append(values)
+        return quantize(values, k, bounds=bounds)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(simmod, "quantize", recording)
+        sample_disorder(pos, np.ones_like(pos), BOX, BOX)
+    orientations, distances = seen
+    return distances
+
+
+def _points(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind in ("lattice", "duplicate"):
+        pos = simmod._lattice_positions(n, BOX)
+        if kind == "duplicate":  # one pair at distance 0
+            i = rng.integers(n)
+            pos[(i + 1 + rng.integers(n - 1)) % n] = pos[i]
+        return pos
+    pos = rng.uniform(size=(n, 3)) * BOX
+    flat = {"uniform": [], "plane": [2], "line": [1, 2]}[kind]
+    pos[:, flat] = 0.5 * BOX[0]  # no extent along these axes
+    return pos
+
+
+@settings(deadline=None)
+@given(kind=st.sampled_from(["uniform", "lattice", "duplicate", "plane",
+                             "line"]),
+       n=st.one_of(st.sampled_from([2, 31, 32, 33, 64, 65]),
+                   st.integers(2, 300)),
+       seed=st.integers(0, 2**32 - 1))
+@example(kind="lattice", n=10_000, seed=0)  # a beam start at the relax size
+def test_neighbour_distances_match_the_default_tree(kind, n, seed):
+    # the tree's shape decides only which pairs a query prunes, and it
+    # prunes none that could be nearer, so every distance is the one the
+    # default tree returns, ties (lattices) and zeros (duplicates) too
+    from scipy.spatial import cKDTree
+    pos = _points(kind, n, seed)
+    want = cKDTree(pos).query(pos, k=2)[0][:, 1]
+    got = _nn_distances(pos)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 
 def test_beam_relaxes_with_random_sites():
     cfg = make_config(n=2000, seed=5)
