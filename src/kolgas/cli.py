@@ -38,7 +38,7 @@ from .calibration import load_calibration
 from .constants import K_BOLTZMANN, SpeciesSpec, species_lookup
 from .errors import DomainError, FormatError, NoPlateauError
 from .thermo import (STATISTICS, GasSpec, ThermoState, species_statistics,
-                     state_equations)
+                     state_columns, state_equations)
 from .wall import classify_regime
 
 ARTIFACT_VERSION = "2"
@@ -238,20 +238,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     point = {"T": args.temp, "V": args.volume, "N": args.count}
 
-    def state(value: float) -> ThermoState:
-        point[args.var] = value
-        return state_equations(GasSpec(*point.values(), species, statistics))
-
     # Each row's checks, whether its columns are finite among them, are
-    # monotone in the swept variable: the extremes decide.
+    # monotone in the swept variable: the extremes decide, each checked
+    # alone in grid order, so the error is the first failing extreme's.
     for value in grid[sorted((grid.argmin(), grid.argmax()))].tolist():
-        state(value)
+        state_equations(GasSpec(*{**point, args.var: value}.values(),
+                                species, statistics))
     row = _row_format(1 + len(_STATE_COLUMNS))
 
     def text(block: int) -> str:
         values = grid[block * _ROWS_PER_WRITE:(block + 1) * _ROWS_PER_WRITE]
-        return "\n".join([row % (value, *state(value))
-                          for value in values.tolist()]) + "\n"
+        columns = state_columns(*{**point, args.var: values}.values(),
+                                species, statistics)
+        return "\n".join([row % r for r in zip(
+            values.tolist(), *(column.tolist() for column in columns))]) + "\n"
 
     manifest = _manifest("sweep", {
         "gas": species.name, "var": args.var, "from": args.start,

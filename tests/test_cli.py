@@ -31,7 +31,7 @@ from kolgas.cli import (_ROWS_PER_WRITE, _STATE_COLUMNS, _SWEEP_FORK_ROWS,
                         _row_format, _write_events, main)
 from kolgas.constants import species_lookup
 from kolgas.errors import DomainError
-from kolgas.thermo import GasSpec, state_equations
+from kolgas.thermo import GasSpec, state_columns, state_equations
 
 from conftest import load_schema
 
@@ -334,17 +334,37 @@ def test_sweep_degenerate_mid_grid_exits_2_and_writes_nothing(tmp_path,
 def test_sweep_degenerate_at_one_end_stops_after_two_states(capsys,
                                                             monkeypatch,
                                                             argv):
-    calls = []
+    extremes, blocks = [], []
 
     def counting(spec):
-        calls.append(spec)
+        extremes.append(spec)
         return state_equations(spec)
 
+    def block(*args):
+        blocks.append(args)
+        return state_columns(*args)
+
     monkeypatch.setattr("kolgas.cli.state_equations", counting)
+    monkeypatch.setattr("kolgas.cli.state_columns", block)
     code, out, err = run_cli(capsys, "sweep", *argv)
     assert code == 2
     assert out == "" and err.startswith("error: degenerate regime")
-    assert len(calls) <= 2
+    assert 1 <= len(extremes) <= 2 and blocks == []
+
+
+@pytest.mark.parametrize("start, stop, error", [
+    # T = 5e-324 fails an earlier check than T = 1e308, which comes first
+    ("1e308", "5e-324", "the thermal volume lambda_th^3 at T=1e+308 K "
+                        "underflows to 0"),
+    # T = 1e308 fails an earlier check than T = 1e-6, which comes first
+    ("1e-6", "1e308", "degenerate regime: 2A = 0.0208453 <= 1; the "
+                      "exclusive-occupation closed forms do not apply"),
+])
+def test_sweep_reports_the_first_failing_extreme_in_grid_order(
+        capsys, start, stop, error):
+    code, out, err = run_cli(capsys, "sweep", "--var", "T", "--from", start,
+                             "--to", stop, "--points", "3")
+    assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 def test_sweep_memory_stays_bounded():
@@ -416,25 +436,26 @@ def test_sweep_bytes_are_the_same_with_and_without_the_child(
 
 @pytest.mark.parametrize("rows_sent", [0, _ROWS_PER_WRITE + 5])
 def test_sweep_formats_the_blocks_of_a_child_that_died(capsys, monkeypatch,
-                                                       rows_sent):
-    # the child exits after formatting rows_sent rows: before its first
-    # block, or part-way through its second
+                                                       tmp_path, rows_sent):
+    # the child exits as its rows pass rows_sent: at its first block, or
+    # at its second; it leaves a file to show that it did
     _force_fork(monkeypatch, False)
     _, alone, _ = run_cli(capsys, *_big_sweep(_CHILD_ROWS))
-    parent, calls = os.getpid(), []
+    parent, rows, died = os.getpid(), [], tmp_path / "died"
 
-    def dying(spec):
+    def dying(*args):
         if os.getpid() != parent:
-            calls.append(spec)
-            if len(calls) > rows_sent:
+            rows.append(np.broadcast(*args[:3]).size)
+            if sum(rows) > rows_sent:
+                died.touch()
                 os._exit(1)
-        return state_equations(spec)
+        return state_columns(*args)
 
-    monkeypatch.setattr("kolgas.cli.state_equations", dying)
+    monkeypatch.setattr("kolgas.cli.state_columns", dying)
     pids = _record_forks(monkeypatch)
     _force_fork(monkeypatch, True)
     code, shared, _ = run_cli(capsys, *_big_sweep(_CHILD_ROWS))
-    assert code == 0 and len(pids) == 1
+    assert code == 0 and len(pids) == 1 and died.exists()
     assert shared == alone
     _assert_reaped(pids)
 
@@ -490,22 +511,22 @@ def test_sweep_child_is_reaped_after_a_write_error(capsys, monkeypatch):
 
 
 def test_sweep_child_is_reaped_after_an_interrupt(monkeypatch):
-    # ^C reaches this process part-way through its second block
-    parent, calls = os.getpid(), []
+    # ^C reaches this process in its second block
+    parent, blocks = os.getpid(), []
 
-    def interrupted(spec):
+    def interrupted(*args):
         if os.getpid() == parent:
-            calls.append(spec)
-            if len(calls) == 2 + _ROWS_PER_WRITE + 7:  # the extremes first
+            blocks.append(args)
+            if len(blocks) == 2:
                 raise KeyboardInterrupt
-        return state_equations(spec)
+        return state_columns(*args)
 
-    monkeypatch.setattr("kolgas.cli.state_equations", interrupted)
+    monkeypatch.setattr("kolgas.cli.state_columns", interrupted)
     pids = _record_forks(monkeypatch)
     _force_fork(monkeypatch, True)
     with pytest.raises(KeyboardInterrupt):
         main([*_big_sweep(10 * _ROWS_PER_WRITE), "--output", os.devnull])
-    assert len(pids) == 1
+    assert len(blocks) == 2 and len(pids) == 1
     _assert_reaped(pids)
 
 

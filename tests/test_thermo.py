@@ -10,19 +10,22 @@ import math
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as strat
 
-from kolgas.constants import K_BOLTZMANN as KB, species_lookup
+from kolgas.constants import H_PLANCK, K_BOLTZMANN as KB, species_lookup
 from kolgas.errors import DegeneracyError, DomainError
 from kolgas.thermo import (
+    STATISTICS,
     GasSpec,
+    ThermoState,
     gamma_be,
     gamma_fd,
     kappa_be,
     kappa_fd,
     mu_be,
     rms_speed,
+    state_columns,
     state_equations,
     thermal_length,
 )
@@ -355,6 +358,10 @@ def test_gas_spec_validation():
         GasSpec(0.0, 1.0, 1.0, HE3)
     with pytest.raises(DomainError):
         GasSpec(1.0, 1.0, 1.0, HE3, "anyons")
+    with pytest.raises(DomainError, match="finite T > 0, V > 0 and N > 0"):
+        state_columns(1.0, [1.0, math.inf], 1.0, HE3)
+    with pytest.raises(DomainError, match="anyons"):
+        state_columns(1.0, 1.0, 1.0, HE3, "anyons")
 
 
 _POSITIVE_FLOATS = strat.floats(min_value=0.0, exclude_min=True,
@@ -397,3 +404,167 @@ def test_state_equation_identities(T, V, N, statistics):
     assert s.F + T * s.S == pytest.approx(s.U, rel=1e-12)
     assert s.U == pytest.approx(1.5 * s.P * V, rel=1e-12)
     assert s.P * V == pytest.approx(N * KB * T * s.gamma, rel=1e-12)
+
+
+# --- the column form against the one-point closed forms --------------------
+#
+# The two functions below are the closed forms as one point at a time
+# evaluated them in plain floats, kept verbatim but for their names:
+# ``state_columns`` must give their bits at every point, and their
+# errors.
+
+def _thermal_length_oracle(T: float, mass: float) -> float:
+    """Thermal de Broglie length sqrt( h^2 / (2 pi m k_B T) ), m."""
+    if T <= 0.0 or mass <= 0.0:
+        raise DomainError("thermal_length needs T > 0 and mass > 0")
+    denom = 2.0 * math.pi * mass * KB * T
+    if not 0.0 < denom < math.inf:
+        raise DomainError(f"thermal_length at T={T:g} K needs 2 pi m k_B T "
+                          "to be a positive finite float")
+    return math.sqrt(H_PLANCK * H_PLANCK / denom)
+
+
+def _state_equations_oracle(spec: GasSpec) -> ThermoState:
+    """Evaluate every state function of ``spec`` from the closed forms.
+
+    Raises
+    ------
+    DegeneracyError
+        For exclusive statistics when 2A <= 1, where the closed forms
+        leave their domain.
+    DomainError
+        When a field is not finite, such as the slot count at a volume
+        where V / lambda_th^3 overflows.
+    """
+    lam = _thermal_length_oracle(spec.T, spec.species.mass)
+    try:
+        lam3 = lam**3
+    except OverflowError as exc:
+        raise DomainError(f"the thermal volume lambda_th^3 at T={spec.T:g} K "
+                          "overflows") from exc
+    if lam3 == 0.0:
+        raise DomainError(f"the thermal volume lambda_th^3 at T={spec.T:g} K "
+                          "underflows to 0")
+    M = spec.V / lam3
+    A = M / spec.N
+    N, T, V = spec.N, spec.T, spec.V
+
+    if spec.statistics == "fermi":
+        x = 2.0 * A
+        if x <= 1.0:
+            raise DegeneracyError(
+                f"degenerate regime: 2A = {x:.6g} <= 1; the exclusive-occupation "
+                "closed forms do not apply"
+            )
+        kappa = kappa_fd(x)
+        gamma = gamma_fd(x)
+        mu = -KB * T * math.log(x - 1.0)
+        # d(Gamma)/dT at fixed V, N enters through x dGamma/dx = Gamma - x/(x-1).
+        c_V = (1.5 * N * KB * gamma
+               + 2.25 * N * KB * (gamma - x / (x - 1.0)))
+    else:
+        kappa = kappa_be(A)
+        gamma = gamma_be(A)
+        mu = mu_be(A, T)
+        c_V = (1.5 * N * KB * gamma
+               + 2.25 * N * KB * (gamma - A / (A + 1.0)))
+
+    F = -KB * T * N * kappa
+    S = N * KB * (kappa + 1.5 * gamma)
+    P = (N * KB * T / V) * gamma
+    U = 1.5 * N * KB * T * gamma
+    state = ThermoState(
+        lambda_th=lam,
+        M=M,
+        A=A,
+        kappa=kappa,
+        gamma=gamma,
+        F=F,
+        S=S,
+        P=P,
+        mu=mu,
+        U=U,
+        c_V=c_V,
+    )
+    if not all(map(math.isfinite, state)):
+        name, value = next(item for item in zip(ThermoState._fields, state)
+                           if not math.isfinite(item[1]))
+        raise DomainError(f"the state at T={T:g} K, V={V:g} m^3 and "
+                          f"particle count N={N:g} is not finite: "
+                          f"{name} = {value}")
+    return state
+
+
+def _outcome(f, *args):
+    """``f(*args)``, or the type and text of the DomainError it raises."""
+    try:
+        return f(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+#: How each of T, V and N scales A: A is proportional to T^1.5 V / N.
+_A_EXPONENTS = {"T": 1.5, "V": 1.0, "N": -1.0}
+
+#: Decades of a point's T, V and N at desk scale
+_DESK = {"T": (-3.0, 4.0), "V": (-15.0, 3.0), "N": (0.0, 30.0)}
+
+
+@strat.composite
+def _state_blocks(draw):
+    """(point, var, gas, statistics): ``point`` maps T, V and N to
+    floats, but ``point[var]`` is a list of up to 40 values: spread
+    within a thousandth, so that the block straddles 2A = 2 or 2A = 1,
+    or over decades, around the value that puts A at 1/2 or 1, or
+    anywhere among the positive floats."""
+    # wide: where lambda_th^3, M and A over- and underflow
+    wide = draw(strat.booleans())
+    point = {var: draw(_POSITIVE_FLOATS if wide else _log_uniform(*decades))
+             for var, decades in _DESK.items()}
+    var = draw(strat.sampled_from("TVN"))
+    gas = draw(strat.sampled_from(["he3", "he4"]))
+    # ln A, in logs so that nothing over- or underflows
+    log_a = (math.log(point["V"]) - math.log(point["N"])
+             - 3.0 * math.log(H_PLANCK) + 1.5 * math.log(point["T"])
+             + 1.5 * math.log(2.0 * math.pi * species_lookup(gas).mass * KB))
+    log_center = math.log(point[var]) + (
+        math.log(draw(strat.sampled_from([0.5, 1.0]))) - log_a
+    ) / _A_EXPONENTS[var]
+    center = math.exp(min(log_center, 709.0))
+    if not 0.0 < center < math.inf:
+        center = point[var]
+    shifts = strat.one_of(strat.floats(-2e-3, 2e-3), strat.floats(-3.0, 3.0))
+    values = draw(strat.one_of(
+        strat.lists(shifts.map(lambda u: center * 10.0**u)
+                    .filter(lambda v: 0.0 < v < math.inf),
+                    min_size=1, max_size=40),
+        strat.lists(_POSITIVE_FLOATS, min_size=1, max_size=40)))
+    return ({**point, var: values}, var, gas,
+            draw(strat.sampled_from(STATISTICS)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(block=_state_blocks())
+def test_state_columns_match_the_one_point_closed_forms(block):
+    # bit for bit at every point of a block, and, where a point leaves the
+    # domain, the error its first such point raises by itself
+    point, var, gas, statistics = block
+    species = species_lookup(gas)
+    specs = [GasSpec(**{**point, var: value}, species=species,
+                     statistics=statistics) for value in point[var]]
+    expected = [_outcome(_state_equations_oracle, spec) for spec in specs]
+    failed = [out for out in expected if not isinstance(out, ThermoState)]
+    got = _outcome(state_columns, point["T"], point["V"], point["N"],
+                   species, statistics)
+    event("raises" if failed else "2A straddles 2" if len(
+        {2.0 * state.A > 2.0 for state in expected}) == 2 else "in the domain")
+    if failed:
+        assert got == failed[0]
+        return
+    for field, column, oracle in zip(ThermoState._fields, got,
+                                     zip(*expected)):
+        assert [x.hex() for x in column.tolist()] == \
+            [x.hex() for x in oracle], field
+    assert _outcome(state_equations, specs[0]) == expected[0]
+    assert _outcome(thermal_length, specs[0].T, species.mass) == \
+        _outcome(_thermal_length_oracle, specs[0].T, species.mass)
